@@ -20,11 +20,12 @@ import numpy as np
 
 from . import __version__
 from .field import ATOMIC_INTENSITY, FieldParams, TargetParams, convert_units, lissajous
+from .dipole import build_history
 from .dipole import spectrum as saddle_spectrum
 from .oracle import OracleConfig, direct_dipole
 from .phasescan import (ClassificationRefusedError, align_shift,
                         classify_modality, fourier_fit, run_scan)
-from .taxonomy import amplitude
+from .taxonomy import amplitude, classify, relevance_mask
 from .trajectory import displacement
 
 # standard tabulated ionisation potentials (a.u.)
@@ -288,8 +289,6 @@ def cmd_scan(p, tgt, opts, echo, args):
 
 
 def cmd_saddles(p, tgt, opts, echo, args):
-    from .dipole import build_history
-    from .taxonomy import classify, relevance_mask
     qs = _q_range(opts)
     rows = []
     per_q, assignment, history = build_history(p, tgt, qs)
@@ -313,8 +312,6 @@ def cmd_saddles(p, tgt, opts, echo, args):
 
 
 def cmd_orbits(p, tgt, opts, echo, args):
-    from .dipole import build_history
-    from .taxonomy import classify, relevance_mask
     qs = _q_range(opts)
     per_q, assignment, history = build_history(p, tgt, qs)
     rows = []

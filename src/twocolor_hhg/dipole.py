@@ -13,13 +13,13 @@ positive-frequency part is kept, so intensities absorb the "+ c.c.".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .field import SPEED_OF_LIGHT, FieldParams, TargetParams, apot
-from .saddle import SaddlePoint, hessian_at
-from .taxonomy import OrbitLabel, classify, select_relevant
+from .saddle import CoalescenceError, SaddlePoint, hessian_at, solve_cycle
+from .taxonomy import OrbitLabel, classify, relevance_mask, track_branches
 
 DME_FORMS = ("paper", "hydrogenic")
 POLE_TOL = 1e-12
@@ -28,10 +28,6 @@ COALESCENCE_DET = 1e-18
 
 class PoleError(ValueError):
     """Dipole matrix element evaluated too close to its pole."""
-
-
-class CoalescenceError(ValueError):
-    """det S'' vanished; the stationary-phase prefactor is singular."""
 
 
 @dataclass(frozen=True)
@@ -158,8 +154,6 @@ def build_history(p: FieldParams, tgt: TargetParams, qs, solver=None):
     list, ``assignment[q]`` the parallel branch keys, ``history[key]`` the
     q-sorted (q, SaddlePoint) series of one branch.
     """
-    from .saddle import solve_cycle
-    from .taxonomy import track_branches
     if solver is None:
         solver = solve_cycle
     per_q = {q: solver(p, tgt, q) for q in qs}
@@ -176,7 +170,6 @@ def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper",
     visible from inside the range.  Per-order failures become audit entries,
     never aborts.
     """
-    from .taxonomy import relevance_mask
     qs = np.asarray(sorted(qs), dtype=float)
     q_hist = np.arange(qs[0], qs[-1] + history_pad + 1.0)
     per_q, assignment, history = build_history(p, tgt, q_hist, solver=solver)

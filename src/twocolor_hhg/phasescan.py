@@ -24,8 +24,9 @@ from scipy.optimize import minimize_scalar
 
 from .field import FieldParams, TargetParams
 from .saddle import (BranchLostError, CoalescenceError, NoConvergenceError,
-                     continue_in, solve_cycle)
-from .taxonomy import _symmetrize_mask, classify, relevance_mask
+                     continue_branches, solve_cycle)
+from .taxonomy import (MATCH_TOL_PERIODS, _symmetrize_mask, amplitude,
+                       classify, relevance_mask)
 from .dipole import harmonic_dipole, intensity
 from .polarization import (EllipseDecomposition, UndefinedEllipseError,
                            decompose, signed_axes)
@@ -93,7 +94,6 @@ class PhaseScan:
 
 def _match_indices(prev_sads, saddles, period):
     """Index of each saddle's predecessor in the previous cell (-1 if new)."""
-    from .taxonomy import MATCH_TOL_PERIODS
     out = np.full(len(saddles), -1, dtype=int)
     for i, sp in enumerate(saddles):
         d = [abs(sp.ti - ref.ti) + abs(sp.tr - ref.tr) for ref in prev_sads]
@@ -110,7 +110,6 @@ def _scan_cell(p, tgt, q, saddles, gaps, phi, prev_sads=None, prev_banned=None):
     is an anti-Stokes partner crossing in phi — invisible to the per-order
     growth test — and stays excluded for as long as it is tracked.
     """
-    from .taxonomy import amplitude
     mask = relevance_mask(p, tgt, q, saddles)
     banned = np.zeros(len(saddles), dtype=bool)
     match = _match_indices(prev_sads or [], saddles, p.period)
@@ -186,12 +185,12 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi,
                     sads = solve_cycle(pj, tgt, q)
                 else:
                     sads = []
-                    for sp in prev_sads:
-                        try:
-                            sads.extend(continue_in(prev_p, tgt, q, [sp],
-                                                    "phi", phi))
-                        except BranchLostError:
+                    for res in continue_branches(prev_p, tgt, q, prev_sads,
+                                                 "phi", phi):
+                        if isinstance(res, BranchLostError):
                             gaps.append((q, phi, "branch lost in continuation"))
+                        else:
+                            sads.append(res)
                 res = _scan_cell(pj, tgt, q, sads, gaps, phi,
                                  prev_sads=prev_sads, prev_banned=prev_banned)
             except (NoConvergenceError, CoalescenceError, ValueError) as exc:

@@ -15,8 +15,7 @@ that a dense seed grid over one optical cycle is cheap.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -205,6 +204,63 @@ def _make_point(p, tgt, q, ti, tr, warning=None):
                        hessdet=complex(det), q=float(q), residual=res, warning=warning)
 
 
+def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
+                   tol=RESIDUAL_TOL, max_iter=100):
+    """One damped-Newton run over a batch of seeds, judged seed by seed.
+
+    ``q`` is a scalar or one order per seed.  Returns (q, ti, tr, errors):
+    the per-seed orders and end points, and for each seed None when the
+    solution is accepted or the exception :func:`newton_solve` raises for it.
+    A seed is accepted when tr != ti, the iteration converged, Im(ti) >= 0
+    and the converged |tr - ti| >= 1e-14.
+    """
+    seed_ti = np.atleast_1d(np.asarray(seed_ti, dtype=complex))
+    seed_tr = np.atleast_1d(np.asarray(seed_tr, dtype=complex))
+    q = np.broadcast_to(np.asarray(q, dtype=float), seed_ti.shape)
+    ti, tr, rn, conv = _newton_batch(p, tgt, q, seed_ti, seed_tr, tol=tol,
+                                     max_iter=max_iter)
+    errors = []
+    for k in range(ti.size):
+        if abs(seed_tr[k] - seed_ti[k]) < 1e-12:
+            err = CoalescenceError("seed has tr == ti")
+        elif not conv[k]:
+            err = NoConvergenceError(
+                f"no convergence from seed ({seed_ti[k]}, {seed_tr[k]}) at "
+                f"q={q[k]}: residual {rn[k]:.3e}")
+        elif ti[k].imag < 0:
+            err = NoConvergenceError(
+                f"seed ({seed_ti[k]}, {seed_tr[k]}) converged to an Im(ti) < 0 "
+                "conjugate solution")
+        elif abs(tr[k] - ti[k]) < 1e-14:
+            err = CoalescenceError(
+                "tr and ti coincide; stationary momentum undefined")
+        else:
+            err = None
+        errors.append(err)
+    return q, ti, tr, errors
+
+
+def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
+                tol=RESIDUAL_TOL, max_iter=100):
+    """Batched :func:`newton_solve`: per seed a SaddlePoint or the exception.
+
+    The points are built one at a time on numpy scalars, so each is
+    bit-identical to the one a single-seed solve returns.
+    """
+    q, ti, tr, out = converge_seeds(p, tgt, q, seed_ti, seed_tr, tol=tol,
+                                    max_iter=max_iter)
+    ok = [k for k, err in enumerate(out) if err is None]
+    if ok:
+        _, j = _residual_jacobian(p, tgt, q[ok], ti[ok], tr[ok])
+        conds = np.linalg.cond(np.moveaxis(j, -1, 0))
+        for k, cond in zip(ok, conds):
+            warning = None
+            if cond > COALESCENCE_COND:
+                warning = f"near-coalescence: Jacobian condition number {cond:.3e}"
+            out[k] = _make_point(p, tgt, q[k], ti[k], tr[k], warning=warning)
+    return out
+
+
 def newton_solve(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
                  tol=RESIDUAL_TOL, max_iter=100):
     """Solve the saddle system from one seed; returns a converged SaddlePoint.
@@ -213,24 +269,11 @@ def newton_solve(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
     and are rejected.  A near-coalescent Jacobian attaches a warning rather
     than failing.
     """
-    if abs(complex(seed_tr) - complex(seed_ti)) < 1e-12:
-        raise CoalescenceError("seed has tr == ti")
-    ti, tr, rn, conv = _newton_batch(
-        p, tgt, q, [complex(seed_ti)], [complex(seed_tr)], tol=tol, max_iter=max_iter)
-    if not conv[0]:
-        raise NoConvergenceError(
-            f"no convergence from seed ({seed_ti}, {seed_tr}) at q={q}: "
-            f"residual {rn[0]:.3e}")
-    if ti[0].imag < 0:
-        raise NoConvergenceError(
-            f"seed ({seed_ti}, {seed_tr}) converged to an Im(ti) < 0 "
-            "conjugate solution")
-    warning = None
-    _, j = _residual_jacobian(p, tgt, np.asarray([float(q)]), ti, tr)
-    cond = np.linalg.cond(j[:, :, 0])
-    if cond > COALESCENCE_COND:
-        warning = f"near-coalescence: Jacobian condition number {cond:.3e}"
-    return _make_point(p, tgt, q, ti[0], tr[0], warning=warning)
+    (out,) = solve_seeds(p, tgt, q, [seed_ti], [seed_tr], tol=tol,
+                         max_iter=max_iter)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def hessian_at(p: FieldParams, tgt: TargetParams, ti, tr):
@@ -307,20 +350,27 @@ def solve_cycle(p: FieldParams, tgt: TargetParams, q, n_ti=48, n_tau=60,
     shift = np.floor(ti.real / t_period) * t_period
     ti = ti - shift
     tr = tr - shift
+    return [_make_point(p, tgt, q, ti[k], tr[k]) for k in _dedup(ti, tr, t_period)]
+
+
+def _dedup(ti, tr, period):
+    """Indices of the distinct (ti, tr) pairs, in acceptance order.
+
+    Greedy in (Re ti, Re tr) order: the first surviving pair is accepted and
+    every pair within DEDUP_TOL of it, also after shifting both times by
+    +-period, is dropped; this repeats once per distinct pair.
+    """
     order = np.lexsort((tr.real, ti.real))
-    accepted = []
-    for k in order:
-        dup = False
-        for a_ti, a_tr in accepted:
-            for s in (-t_period, 0.0, t_period):
-                if abs(ti[k] - a_ti - s) + abs(tr[k] - a_tr - s) < DEDUP_TOL:
-                    dup = True
-                    break
-            if dup:
-                break
-        if not dup:
-            accepted.append((ti[k], tr[k]))
-    return [_make_point(p, tgt, q, a_ti, a_tr) for a_ti, a_tr in accepted]
+    ti, tr = ti[order], tr[order]
+    shifts = np.array([-period, 0.0, period])[:, None]
+    alive = np.ones(order.size, dtype=bool)
+    keep = []
+    while alive.any():
+        k = int(np.argmax(alive))
+        keep.append(order[k])
+        dist = np.abs(ti - ti[k] - shifts) + np.abs(tr - tr[k] - shifts)
+        alive &= ~(dist < DEDUP_TOL).any(axis=0)
+    return keep
 
 
 def _apply_param(p, q, name, value):
@@ -333,6 +383,60 @@ def _apply_param(p, q, name, value):
     raise ValueError(f"unknown continuation parameter {name!r}")
 
 
+def _start_value(p, q, parameter):
+    return {"q": q, "phi": p.phi, "R": p.R}[parameter]
+
+
+def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
+                      to_value, max_halvings=10, tol=RESIDUAL_TOL):
+    """Continue each saddle in q, phi, or R; per branch the result or the loss.
+
+    Returns a list parallel to ``saddles`` holding the continued SaddlePoint
+    or the :class:`BranchLostError` of a branch that could not be recovered.
+    The first full step of all branches is one batched Newton run; a branch
+    that fails it (diverges, or jumps by an unphysically large amount) goes
+    on alone from its start, halving its step at each failure.
+    """
+    start = _start_value(p, q, parameter)
+    if to_value == start:
+        return list(saddles)
+    t_period = p.period
+    step = to_value - start
+    p2, q2 = _apply_param(p, q, parameter, _clamp(start + step, step, to_value))
+    first = solve_seeds(p2, tgt, q2, [sp.ti for sp in saddles],
+                        [sp.tr for sp in saddles], tol=tol)
+    out = []
+    for idx, (sp, cand) in enumerate(zip(saddles, first)):
+        cur, cur_val, step, halvings = sp, start, to_value - start, 0
+        while cur_val != to_value:
+            nxt = _clamp(cur_val + step, step, to_value)
+            if cand is None:    # only the first full step is solved already
+                p2, q2 = _apply_param(p, q, parameter, nxt)
+                (cand,) = solve_seeds(p2, tgt, q2, [cur.ti], [cur.tr], tol=tol)
+            if isinstance(cand, SaddlePoint) and abs(cand.ti - cur.ti) > 0.25 * t_period:
+                cand = NoConvergenceError("branch jump during continuation")
+            if isinstance(cand, SaddlePoint):
+                cur, cur_val = cand, nxt
+            else:
+                halvings += 1
+                if halvings > max_halvings:
+                    cur = BranchLostError(
+                        f"branch {idx} lost continuing {parameter} -> {to_value} "
+                        f"(stalled at {cur_val})", cur, cur_val)
+                    break
+                step *= 0.5
+            cand = None
+        out.append(cur)
+    return out
+
+
+def _clamp(nxt, step, to_value):
+    """``nxt``, or ``to_value`` when the step would overshoot it."""
+    if (step > 0 and nxt > to_value) or (step < 0 and nxt < to_value):
+        return to_value
+    return nxt
+
+
 def continue_in(p: FieldParams, tgt: TargetParams, q, saddles, parameter, to_value,
                 max_halvings=10, tol=RESIDUAL_TOL):
     """Homotopy continuation of a converged saddle list in q, phi, or R.
@@ -343,37 +447,13 @@ def continue_in(p: FieldParams, tgt: TargetParams, q, saddles, parameter, to_val
     :class:`BranchLostError` with the last good point.  Branches that end
     within the dedup tolerance of each other are flagged as collided.
     """
-    start = {"q": q, "phi": p.phi, "R": p.R}[parameter]
-    if to_value == start:
+    if to_value == _start_value(p, q, parameter):
         return list(saddles)
-    t_period = p.period
-    out = []
-    for idx, sp in enumerate(saddles):
-        cur_val = start
-        cur = sp
-        step = to_value - start
-        halvings = 0
-        while cur_val != to_value:
-            nxt = cur_val + step
-            if (step > 0 and nxt > to_value) or (step < 0 and nxt < to_value):
-                nxt = to_value
-            p2, q2 = _apply_param(p, q, parameter, nxt)
-            try:
-                cand = newton_solve(p2, tgt, q2, cur.ti, cur.tr, tol=tol)
-                jump = abs(cand.ti - cur.ti)
-                if jump > 0.25 * t_period:
-                    raise NoConvergenceError("branch jump during continuation")
-            except (NoConvergenceError, CoalescenceError):
-                halvings += 1
-                if halvings > max_halvings:
-                    raise BranchLostError(
-                        f"branch {idx} lost continuing {parameter} -> {to_value} "
-                        f"(stalled at {cur_val})", cur, cur_val)
-                step *= 0.5
-                continue
-            cur = cand
-            cur_val = nxt
-        out.append(cur)
+    out = continue_branches(p, tgt, q, saddles, parameter, to_value,
+                            max_halvings=max_halvings, tol=tol)
+    for res in out:
+        if isinstance(res, BranchLostError):
+            raise res
     # flag coalescences among the continued branches
     flagged = list(out)
     for i in range(len(out)):

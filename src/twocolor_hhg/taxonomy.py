@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import FieldParams, TargetParams
-from .saddle import (NoConvergenceError, CoalescenceError, SaddlePoint,
-                     newton_solve)
+from .saddle import SaddlePoint, action_value, converge_seeds
 
 BOUNDARY_TOL = 1e-6
 EXTRA_AMPLITUDE_CUT = 1e-6
@@ -49,7 +48,11 @@ class OrbitLabel:
 
 def amplitude(sp: SaddlePoint):
     """|e^{iS}|, the bare exponential weight of a saddle."""
-    return float(np.exp(-sp.action.imag))
+    return _weight(sp.action)
+
+
+def _weight(action):
+    return float(np.exp(-complex(action).imag))
 
 
 def _half_cycle_index(p, sp):
@@ -175,23 +178,26 @@ def local_growth_slopes(p: FieldParams, tgt: TargetParams, q, saddles):
     |e^{iS}| is returned (one-sided when a neighbour is lost, 0 when both
     are).
     """
+    n = len(saddles)
+    qs = np.repeat([q - 1.0, q + 1.0], n)
+    qs, ti, tr, errors = converge_seeds(p, tgt, qs, [sp.ti for sp in saddles] * 2,
+                                        [sp.tr for sp in saddles] * 2)
+    log_amp = {}
+    for k, err in enumerate(errors):
+        sp = saddles[k % n]
+        if err is None and abs(complex(ti[k]) - sp.ti) < MATCH_TOL_PERIODS * p.period:
+            s = action_value(p, tgt, qs[k], ti[k], tr[k])
+            log_amp[k] = np.log(_weight(s))
     slopes = []
-    for sp in saddles:
+    for i, sp in enumerate(saddles):
+        lo, hi = log_amp.get(i), log_amp.get(i + n)
         a0 = np.log(amplitude(sp))
-        vals = {}
-        for dq in (-1.0, 1.0):
-            try:
-                nb = newton_solve(p, tgt, q + dq, sp.ti, sp.tr)
-                if abs(nb.ti - sp.ti) < MATCH_TOL_PERIODS * p.period:
-                    vals[dq] = np.log(amplitude(nb))
-            except (NoConvergenceError, CoalescenceError):
-                pass
-        if -1.0 in vals and 1.0 in vals:
-            slopes.append(0.5 * (vals[1.0] - vals[-1.0]))
-        elif 1.0 in vals:
-            slopes.append(vals[1.0] - a0)
-        elif -1.0 in vals:
-            slopes.append(a0 - vals[-1.0])
+        if lo is not None and hi is not None:
+            slopes.append(0.5 * (hi - lo))
+        elif hi is not None:
+            slopes.append(hi - a0)
+        elif lo is not None:
+            slopes.append(a0 - lo)
         else:
             slopes.append(0.0)
     return np.array(slopes)

@@ -1,11 +1,15 @@
 """Command-line surface: emission, determinism, round-trips, usage errors."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twocolor_hhg.cli import main, read_table
+
+
+GOLDEN_SCAN = Path(__file__).parent / "data" / "golden_scan_h24"
 
 
 def run(args):
@@ -80,6 +84,16 @@ class TestScanCommand:
         for rec in report.values():
             tau = rec["tau"]
             assert min(tau, 2 * np.pi - tau, abs(tau - np.pi)) < 1e-3
+
+    def test_golden_bytes(self, tmp_path, monkeypatch):
+        # reference tables of the H24 scan at R = 0.12 over 32 phases; the
+        # relative --outdir keeps the config echo in the header identical
+        monkeypatch.chdir(tmp_path)
+        assert run(["scan", "--q-min", "24", "--q-max", "24", "--n-phi", "32",
+                    "--ratio", "0.12", "--outdir", "out"]) == 0
+        for name in ("scan.csv", "axes.csv"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (GOLDEN_SCAN / name).read_bytes()), name
 
 
 class TestTableCommands:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from twocolor_hhg import (HarmonicDipole, PoleError, classify, contribution,
-                          dme, harmonic_dipole, intensity, relevance_mask,
-                          solve_cycle, spectrum)
+from twocolor_hhg import (HarmonicDipole, PoleError, SaddlePoint, classify,
+                          contribution, dme, harmonic_dipole, intensity,
+                          relevance_mask, solve_cycle, spectrum)
+from twocolor_hhg import dipole, saddle
 from twocolor_hhg.dipole import build_history, ionisation_amplitude
 
 from conftest import AR_IP
@@ -169,6 +170,24 @@ class TestSpectrum:
         spec = spectrum(params, target, [5, 6])
         assert np.all(spec.Itotal == 0.0)
         assert all(hd.below_threshold for hd in spec.dipoles)
+
+    def test_coalescent_saddle_is_audited(self, params, target):
+        # a saddle with tr == ti fails inside the Hessian (stationary
+        # momentum undefined); the order is skipped with an audit entry
+        def solver(p, tgt, q):
+            t = 20.0 + 5.0j
+            return [SaddlePoint(ti=t, tr=t, ps=np.zeros(2, dtype=complex),
+                                action=0j, hessdet=0j, q=float(q),
+                                residual=0.0)]
+
+        spec = spectrum(params, target, [20, 21], solver=solver)
+        assert np.all(spec.Itotal == 0.0)
+        skipped = [line for line in spec.audit if "skipped" in line]
+        assert len(skipped) == 2
+        assert all("coincide" in line for line in skipped)
+
+    def test_one_coalescence_error(self):
+        assert dipole.CoalescenceError is saddle.CoalescenceError
 
     def test_dme_form_preserves_selection_rules(self, params, target):
         spec = spectrum(params, target, [20, 21], dme_form="hydrogenic")

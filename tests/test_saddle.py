@@ -1,13 +1,18 @@
 """Saddle-point solver: residuals, identities, continuation, Hessian."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from twocolor_hhg import (CoalescenceError, action_value, apot, apot_integral,
+from twocolor_hhg import (BranchLostError, CoalescenceError, NoConvergenceError,
+                          SaddlePoint, action_value, apot, apot_integral,
                           continue_in, efield, hessian, newton_solve,
                           saddle_residual, solve_cycle, stationary_momentum)
+from twocolor_hhg.saddle import (DEDUP_TOL, _dedup, continue_branches,
+                                 solve_seeds)
 
 from conftest import AR_IP, E1, OMEGA
 
@@ -267,3 +272,170 @@ class TestHessian:
                    - action_value(params, target, 20, ti - dv[0], tr - dv[1])
                    ) / (2 * h)
             assert abs(num - grad[comp]) < 1e-6 * max(1.0, abs(grad[comp]))
+
+
+def assert_same_point(a, b):
+    """Bit-for-bit equality of every SaddlePoint field."""
+    assert a.ti == b.ti and a.tr == b.tr
+    assert a.ps.tobytes() == b.ps.tobytes()
+    assert a.action == b.action and a.hessdet == b.hessdet
+    assert a.q == b.q and a.residual == b.residual
+    assert a.warning == b.warning
+
+
+def assert_same_outcome(got, ref):
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref)
+        assert str(got) == str(ref)
+    else:
+        assert isinstance(got, SaddlePoint)
+        assert_same_point(got, ref)
+
+
+def single_solve(p, tgt, q, ti, tr, **kw):
+    """newton_solve's point, or the exception it raises."""
+    try:
+        return newton_solve(p, tgt, q, ti, tr, **kw)
+    except (NoConvergenceError, CoalescenceError) as exc:
+        return exc
+
+
+class TestSolveSeeds:
+    @pytest.fixture(scope="class")
+    def mixed_seeds(self, params, target):
+        sp = solve_cycle(params, target, 24)[0]
+        return [
+            (sp.ti + 0.3, sp.tr - 0.2),                  # converges
+            (np.conj(sp.ti), np.conj(sp.tr)),            # Im(ti) < 0 partner
+            (3.0 + 1j, 3.0 + 1j),                        # tr == ti
+            (5.0 + 2000j, 40.0 + 1j),                    # residual not finite
+            (sp.ti - 0.2, sp.tr + 0.3),                  # converges
+            (10.0 + 0.1j, 10.5 + 0.1j),                  # conjugate basin
+        ]
+
+    @pytest.mark.parametrize("max_iter", [100, 2])
+    def test_matches_newton_solve(self, params, target, mixed_seeds, max_iter):
+        ti, tr = zip(*mixed_seeds)
+        got = solve_seeds(params, target, 24, ti, tr, max_iter=max_iter)
+        ref = [single_solve(params, target, 24, a, b, max_iter=max_iter)
+               for a, b in mixed_seeds]
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert_same_outcome(g, r)
+        messages = " | ".join(str(r) for r in ref if isinstance(r, Exception))
+        for reason in ("tr == ti", "no convergence", "Im(ti) < 0"):
+            assert reason in messages
+
+    def test_per_seed_orders(self, params, target):
+        sads = solve_cycle(params, target, 20)[:3]
+        qs = [19.0, 20.0, 21.0, 19.0, 20.0, 21.0]
+        ti = [sp.ti for sp in sads] * 2
+        tr = [sp.tr for sp in sads] * 2
+        got = solve_seeds(params, target, qs, ti, tr)
+        for g, q, a, b in zip(got, qs, ti, tr):
+            assert_same_outcome(g, single_solve(params, target, q, a, b))
+
+    def test_empty_batch(self, params, target):
+        assert solve_seeds(params, target, 20, [], []) == []
+
+
+def greedy_dedup(ti, tr, period):
+    """Reference: accept pairs one at a time against all accepted so far."""
+    accepted = []
+    for k in np.lexsort((tr.real, ti.real)):
+        dup = any(abs(ti[k] - ti[a] - s) + abs(tr[k] - tr[a] - s) < DEDUP_TOL
+                  for a in accepted for s in (-period, 0.0, period))
+        if not dup:
+            accepted.append(k)
+    return accepted
+
+
+class TestDedup:
+    def test_matches_greedy_loop(self):
+        rng = np.random.default_rng(3)
+        period = 110.0
+        base_ti = rng.uniform(0, period, 12) + 1j * rng.uniform(5, 40, 12)
+        base_tr = base_ti.real + rng.uniform(10, 100, 12) + 1j * rng.uniform(-5, 5, 12)
+        pick = rng.integers(0, 12, 40)
+        jitter = DEDUP_TOL / 8 * (rng.standard_normal((2, 40))
+                                  + 1j * rng.standard_normal((2, 40)))
+        # copies shifted by one period fold onto their base; two copies a
+        # full 2 T apart would not, so the shifts stay within one period
+        shift = period * rng.integers(0, 2, 40)
+        ti = np.concatenate([base_ti, base_ti[pick] + jitter[0] + shift])
+        tr = np.concatenate([base_tr, base_tr[pick] + jitter[1] + shift])
+        perm = rng.permutation(ti.size)
+        ti, tr = ti[perm], tr[perm]
+        got = _dedup(ti, tr, period)
+        assert list(got) == greedy_dedup(ti, tr, period)
+        assert len(got) == 12
+
+    def test_near_tolerance_pairs(self):
+        # pairs straddling DEDUP_TOL, chained so that greedy order matters
+        ti = np.array([1.0, 1.0 + 0.6 * DEDUP_TOL, 1.0 + 1.2 * DEDUP_TOL,
+                       1.0 + 2.5 * DEDUP_TOL]) + 2j
+        tr = np.full(ti.shape, 51.0 + 2j)
+        got = _dedup(ti, tr, 110.0)
+        assert list(got) == greedy_dedup(ti, tr, 110.0)
+        # the second pair is a duplicate of the first; the third is kept,
+        # since it is compared with accepted pairs only
+        assert list(got) == [0, 2, 3]
+
+    def test_empty(self):
+        assert list(_dedup(np.empty(0, complex), np.empty(0, complex), 1.0)) == []
+
+
+def reference_continuation(p, tgt, q, sp, to_value, max_halvings=10):
+    """Per-branch phi continuation with single-seed solves; returns the
+    continued point (or None when lost) and the number of step halvings."""
+    cur, cur_val, step, halvings = sp, p.phi, to_value - p.phi, 0
+    while cur_val != to_value:
+        nxt = cur_val + step
+        if (step > 0 and nxt > to_value) or (step < 0 and nxt < to_value):
+            nxt = to_value
+        try:
+            cand = newton_solve(p.with_phi(nxt), tgt, q, cur.ti, cur.tr)
+            if abs(cand.ti - cur.ti) > 0.25 * p.period:
+                raise NoConvergenceError("branch jump")
+        except (NoConvergenceError, CoalescenceError):
+            halvings += 1
+            if halvings > max_halvings:
+                return None, halvings
+            step *= 0.5
+            continue
+        cur, cur_val = cand, nxt
+    return cur, halvings
+
+
+class TestContinueBranches:
+    @pytest.fixture(scope="class")
+    def h24(self, params, target):
+        return solve_cycle(params, target, 24)
+
+    @pytest.mark.parametrize("max_halvings", [10, 0])
+    def test_batched_step_matches_per_branch(self, params, target, h24,
+                                             max_halvings):
+        # a 0.8 rad phi step makes some H24 branches halve their step
+        got = continue_branches(params, target, 24, h24, "phi", 0.8,
+                                max_halvings=max_halvings)
+        refs = [reference_continuation(params, target, 24, sp, 0.8,
+                                       max_halvings=max_halvings)
+                for sp in h24]
+        assert any(h > 0 for _, h in refs)
+        for g, (ref, _) in zip(got, refs):
+            if ref is None:
+                assert isinstance(g, BranchLostError)
+            else:
+                assert_same_point(g, ref)
+        if max_halvings == 0:
+            assert any(isinstance(g, BranchLostError) for g in got)
+
+    def test_continue_in_raises_first_lost_branch(self, params, target, h24):
+        got = continue_branches(params, target, 24, h24, "phi", 0.8,
+                                max_halvings=0)
+        first = next(g for g in got if isinstance(g, BranchLostError))
+        with pytest.raises(BranchLostError, match=re.escape(str(first))):
+            continue_in(params, target, 24, h24, "phi", 0.8, max_halvings=0)
+
+    def test_empty_branch_list(self, params, target):
+        assert continue_branches(params, target, 24, [], "phi", 0.5) == []

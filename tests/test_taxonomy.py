@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from twocolor_hhg import (SaddlePoint, classify, find_cutoff, relevance_mask,
+from twocolor_hhg import (CoalescenceError, NoConvergenceError, SaddlePoint,
+                          classify, find_cutoff, newton_solve, relevance_mask,
                           select_relevant, solve_cycle, track_branches)
 from twocolor_hhg.dipole import build_history
+from twocolor_hhg.taxonomy import (MATCH_TOL_PERIODS, amplitude,
+                                   local_growth_slopes)
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +169,43 @@ class TestFindCutoff:
     def test_no_flag_inside_plateau(self, params, target):
         per_q, _, history = build_history(params, target, np.arange(18, 23))
         assert find_cutoff(history, params.period) is None
+
+
+def reference_slopes(p, tgt, q, saddles):
+    """Growth slopes from one newton_solve per saddle and neighbour order."""
+    slopes = []
+    for sp in saddles:
+        a0 = np.log(amplitude(sp))
+        vals = {}
+        for dq in (-1.0, 1.0):
+            try:
+                nb = newton_solve(p, tgt, q + dq, sp.ti, sp.tr)
+            except (NoConvergenceError, CoalescenceError):
+                continue
+            if abs(nb.ti - sp.ti) < MATCH_TOL_PERIODS * p.period:
+                vals[dq] = np.log(amplitude(nb))
+        if len(vals) == 2:
+            slopes.append(0.5 * (vals[1.0] - vals[-1.0]))
+        elif 1.0 in vals:
+            slopes.append(vals[1.0] - a0)
+        elif -1.0 in vals:
+            slopes.append(a0 - vals[-1.0])
+        else:
+            slopes.append(0.0)
+    return np.array(slopes)
+
+
+class TestLocalGrowthSlopes:
+    def test_batched_neighbours_match_single_solves(self, params, target):
+        sads = solve_cycle(params, target, 27)
+        # a coalescent entry loses both neighbours
+        t = 20.0 + 5.0j
+        sads.append(SaddlePoint(ti=t, tr=t, ps=np.zeros(2, dtype=complex),
+                                action=0j, hessdet=0j, q=27.0, residual=0.0))
+        got = local_growth_slopes(params, target, 27, sads)
+        ref = reference_slopes(params, target, 27, sads)
+        assert got.tobytes() == ref.tobytes()
+        assert got[-1] == 0.0
+
+    def test_empty(self, params, target):
+        assert local_growth_slopes(params, target, 27, []).size == 0
