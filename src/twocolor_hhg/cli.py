@@ -58,7 +58,6 @@ _DEFAULTS = {
     "n_phi": 64,
     "dme_form": "paper",
     "outdir": ".",
-    "jobs": 1,
 }
 
 
@@ -89,7 +88,7 @@ def resolve_config(args):
         supplied.update(_load_config_file(args.config))
     for key in ("lambda_nm", "omega", "i1", "e1", "ratio", "i2", "phi",
                 "species", "ip", "q_min", "q_max", "n_phi", "dme_form",
-                "outdir", "jobs"):
+                "outdir"):
         val = getattr(args, key, None)
         if val is not None:
             supplied[key] = val
@@ -138,7 +137,6 @@ def resolve_config(args):
         "n_phi": int(supplied.get("n_phi", _DEFAULTS["n_phi"])),
         "dme_form": str(supplied.get("dme_form", _DEFAULTS["dme_form"])),
         "outdir": Path(str(supplied.get("outdir", _DEFAULTS["outdir"]))),
-        "jobs": int(supplied.get("jobs", _DEFAULTS["jobs"])),
     }
     if opts["q_min"] > opts["q_max"]:
         raise UsageError("q_min must not exceed q_max")
@@ -205,6 +203,17 @@ def _q_range(opts):
     return np.arange(opts["q_min"], opts["q_max"] + 1, dtype=float)
 
 
+def _labelled_orbits(p, tgt, qs):
+    """Yield (q, labelled saddles) for each order in ``qs`` that has saddles,
+    with relevance judged along the branch histories over ``qs``."""
+    per_q, assignment, history = build_history(p, tgt, qs)
+    for q in qs:
+        if per_q[q]:
+            mask = relevance_mask(p, tgt, q, per_q[q], history=history,
+                                  keys=assignment[q])
+            yield q, classify(p, per_q[q], mask)
+
+
 def cmd_spectrum(p, tgt, opts, echo, args):
     qs = _q_range(opts)
     spec = saddle_spectrum(p, tgt, qs, dme_form=opts["dme_form"])
@@ -253,6 +262,9 @@ def cmd_scan(p, tgt, opts, echo, args):
     outdir = opts["outdir"]
     write_table(outdir / "scan.csv", echo,
                 ["phi", "q", "Ix", "Iy", "Itotal"], rows)
+    (outdir / "audit.txt").write_text(
+        "\n".join(f"q={q} phi={phi}: {reason}" for q, phi, reason in scan.gaps)
+        + "\n")
     arow = []
     for (q, bid) in sorted(scan.axes):
         M = scan.axes[(q, bid)]
@@ -289,16 +301,9 @@ def cmd_scan(p, tgt, opts, echo, args):
 
 
 def cmd_saddles(p, tgt, opts, echo, args):
-    qs = _q_range(opts)
     rows = []
-    per_q, assignment, history = build_history(p, tgt, qs)
-    for q in qs:
-        sads = per_q[q]
-        if not sads:
-            continue
-        mask = relevance_mask(p, tgt, q, sads, history=history,
-                              keys=assignment[q])
-        for s2, label in classify(p, sads, mask):
+    for q, labelled in _labelled_orbits(p, tgt, _q_range(opts)):
+        for s2, label in labelled:
             rows.append((q, label.branch_id, s2.ti.real, s2.ti.imag,
                          s2.tr.real, s2.tr.imag, s2.ps[0].real, s2.ps[0].imag,
                          s2.ps[1].real, s2.ps[1].imag, s2.action.real,
@@ -312,16 +317,9 @@ def cmd_saddles(p, tgt, opts, echo, args):
 
 
 def cmd_orbits(p, tgt, opts, echo, args):
-    qs = _q_range(opts)
-    per_q, assignment, history = build_history(p, tgt, qs)
     rows = []
-    for q in qs:
-        sads = per_q[q]
-        if not sads:
-            continue
-        mask = relevance_mask(p, tgt, q, sads, history=history,
-                              keys=assignment[q])
-        for sp, label in classify(p, sads, mask):
+    for q, labelled in _labelled_orbits(p, tgt, _q_range(opts)):
+        for sp, label in labelled:
             if not label.relevant:
                 continue
             orbit = displacement(p, sp, n_samples=args.n_samples, label=label)
@@ -419,7 +417,6 @@ def build_parser():
                         choices=["paper", "hydrogenic"],
                         help="dipole matrix element denominator form")
     common.add_argument("--outdir", help="output directory")
-    common.add_argument("--jobs", type=int, help="worker parallelism bound")
     sub = ap.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("spectrum", parents=[common],
                         help="saddle-point harmonic spectrum")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import SPEED_OF_LIGHT, FieldParams, TargetParams, apot
-from .saddle import CoalescenceError, SaddlePoint, hessian_at, solve_cycle
+from .saddle import CoalescenceError, SaddlePoint, hessian, solve_cycle
 from .taxonomy import OrbitLabel, classify, relevance_mask, track_branches
 
 DME_FORMS = ("paper", "hydrogenic")
@@ -110,9 +110,7 @@ def contribution(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint,
                  label: OrbitLabel, dme_form="paper"):
     """Assemble the factorized dipole contribution of one saddle."""
     tau = sp.tr - sp.ti
-    hess, _ = hessian_at(p, tgt, sp.ti, sp.tr)
-    hess = np.asarray(hess, dtype=complex)
-    hess_factor = _hess_prefactor(hess)
+    hess_factor = _hess_prefactor(hessian(p, tgt, q, sp)[0])
     k_rec = sp.ps + apot(p, sp.tr)
     d_rec = dme(k_rec, tgt.Ip, form=dme_form)
     ion_amp = ionisation_amplitude(tgt)

@@ -188,7 +188,7 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi,
                     for res in continue_branches(prev_p, tgt, q, prev_sads,
                                                  "phi", phi):
                         if isinstance(res, BranchLostError):
-                            gaps.append((q, phi, "branch lost in continuation"))
+                            gaps.append((q, phi, str(res)))
                         else:
                             sads.append(res)
                 res = _scan_cell(pj, tgt, q, sads, gaps, phi,

@@ -15,7 +15,7 @@ that a dense seed grid over one optical cycle is cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .field import FieldParams, TargetParams, apot, apot_integral, apot_sq_integ
 
 RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
-COALESCENCE_COND = 1e12
 
 
 class CoalescenceError(ValueError):
@@ -54,7 +53,6 @@ class SaddlePoint:
     hessdet: complex
     q: float
     residual: float
-    warning: str | None = None
 
     @property
     def excursion(self):
@@ -71,71 +69,97 @@ class SeedGrid:
     half_cycle: np.ndarray  # integer tag from Re(ti) binning by T/2
 
 
+# The saddle-equation kernel.  Its helpers take arrays or numpy scalars and do
+# not check tr != ti; the public entry points do (:func:`_apart`).
+
+def _momentum(p, ti, tr):
+    """tau = tr - ti and the stationary momentum p_s = -(1/tau) int A."""
+    tau = tr - ti
+    return tau, -apot_integral(p, ti, tr) / tau
+
+
+def _kinematics(p, ti, tr):
+    """(tau, p_s, vr, vi) with the velocities vr = p_s + A(tr), vi = p_s + A(ti)."""
+    tau, ps = _momentum(p, ti, tr)
+    return tau, ps, ps + apot(p, tr), ps + apot(p, ti)
+
+
+def _equations(p, tgt, q, vr, vi):
+    """The saddle equations (F_rec, F_ion) from the two velocities."""
+    f_rec = 0.5 * (vr * vr).sum(axis=0) + tgt.Ip - q * p.omega
+    f_ion = 0.5 * (vi * vi).sum(axis=0) + tgt.Ip
+    return f_rec, f_ion
+
+
+def _curvatures(p, tau, vr, vi, ti, tr):
+    """a = d2S/dti2, b = d2S/dti dtr, c = d2S/dtr2, including dp_s/dt terms."""
+    a = (vi * vi).sum(axis=0) / tau - (vi * efield(p, ti)).sum(axis=0)
+    # vi * vr, not vr * vi: complex products are not bitwise commutative
+    b = -(vi * vr).sum(axis=0) / tau
+    c = (vr * vr).sum(axis=0) / tau + (vr * efield(p, tr)).sum(axis=0)
+    return a, b, c
+
+
+def _action(p, tgt, q, ti, tr, tau, ps):
+    """S(ti, tr) in closed form, given tau and p_s there."""
+    return (-tgt.Ip * tau + 0.5 * (ps * ps).sum(axis=0) * tau
+            - 0.5 * apot_sq_integral(p, ti, tr) + q * p.omega * tr)
+
+
+def _apart(ti, tr):
+    """(ti, tr) as arrays; CoalescenceError where the two times coincide."""
+    ti, tr = np.asarray(ti), np.asarray(tr)
+    if np.any(np.abs(tr - ti) < 1e-14):
+        raise CoalescenceError("tr and ti coincide; stationary momentum undefined")
+    return ti, tr
+
+
 def stationary_momentum(p: FieldParams, ti, tr):
     """p_s = -(1/(tr-ti)) * integral of A over [ti, tr]."""
-    tau = np.asarray(tr) - np.asarray(ti)
-    if np.any(np.abs(tau) < 1e-14):
-        raise CoalescenceError("tr and ti coincide; stationary momentum undefined")
-    return -apot_integral(p, ti, tr) / tau
+    return _momentum(p, *_apart(ti, tr))[1]
 
 
 def action_value(p: FieldParams, tgt: TargetParams, q, ti, tr):
     """Semiclassical action S(ti, tr) in closed form (momentum eliminated)."""
-    ps = stationary_momentum(p, ti, tr)
-    tau = np.asarray(tr) - np.asarray(ti)
-    ps2 = (ps * ps).sum(axis=0)
-    return (-tgt.Ip * tau + 0.5 * ps2 * tau
-            - 0.5 * apot_sq_integral(p, ti, tr) + q * p.omega * np.asarray(tr))
+    ti, tr = _apart(ti, tr)
+    return _action(p, tgt, q, ti, tr, *_momentum(p, ti, tr))
 
 
 def saddle_residual(p: FieldParams, tgt: TargetParams, q, ti, tr):
     """The two saddle-equation values (recombination, ionisation)."""
-    ps = stationary_momentum(p, ti, tr)
-    vr = ps + apot(p, tr)
-    vi = ps + apot(p, ti)
-    f_rec = 0.5 * (vr * vr).sum(axis=0) + tgt.Ip - q * p.omega
-    f_ion = 0.5 * (vi * vi).sum(axis=0) + tgt.Ip
-    return np.stack([f_rec, f_ion])
+    _, _, vr, vi = _kinematics(p, *_apart(ti, tr))
+    return np.stack(_equations(p, tgt, q, vr, vi))
+
+
+def hessian(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint):
+    """Hessian of S wrt (ti, tr) at a saddle, and its determinant."""
+    ti, tr = _apart(sp.ti, sp.tr)
+    tau, _, vr, vi = _kinematics(p, ti, tr)
+    a, b, c = _curvatures(p, tau, vr, vi, ti, tr)
+    return np.array([[a, b], [b, c]]), a * c - b * b
 
 
 def _residual_jacobian(p, tgt, q, ti, tr):
-    """Residual and analytic Jacobian wrt (ti, tr), vectorized."""
+    """(F_rec, F_ion) and the Jacobian ((J00, J01), (J10, J11)) wrt (ti, tr).
+
+    dF_ion/dti = a and dF_rec/dtr = -c (see :func:`_curvatures`); the
+    off-diagonal entries are +-(vr . vi)/tau.
+    """
     with np.errstate(all="ignore"):
-        return _residual_jacobian_impl(p, tgt, q, ti, tr)
-
-
-def _residual_jacobian_impl(p, tgt, q, ti, tr):
-    tau = tr - ti
-    ps = -apot_integral(p, ti, tr) / tau
-    vr = ps + apot(p, tr)
-    vi = ps + apot(p, ti)
-    er = efield(p, tr)
-    ei = efield(p, ti)
-    vr2 = (vr * vr).sum(axis=0)
-    vi2 = (vi * vi).sum(axis=0)
-    vrvi = (vr * vi).sum(axis=0)
-    f_rec = 0.5 * vr2 + tgt.Ip - q * p.omega
-    f_ion = 0.5 * vi2 + tgt.Ip
-    j = np.empty((2, 2) + np.shape(ti), dtype=complex)
-    j[0, 0] = vrvi / tau                              # dF_rec/dti
-    j[0, 1] = -vr2 / tau - (vr * er).sum(axis=0)      # dF_rec/dtr
-    j[1, 0] = vi2 / tau - (vi * ei).sum(axis=0)       # dF_ion/dti
-    j[1, 1] = -vrvi / tau                             # dF_ion/dtr
-    return np.stack([f_rec, f_ion]), j
+        tau, _, vr, vi = _kinematics(p, ti, tr)
+        a, _, c = _curvatures(p, tau, vr, vi, ti, tr)
+        d = (vr * vi).sum(axis=0) / tau
+        return _equations(p, tgt, q, vr, vi), ((d, -c), (a, -d))
 
 
 def _resnorm(p, tgt, q, ti, tr):
+    """max(|F_rec|, |F_ion|); inf where tr == ti, |Im t| > 1e3 or non-finite."""
     with np.errstate(all="ignore"):
-        tau = tr - ti
-        bad = (np.abs(tau) < 1e-12) | (np.abs(ti.imag) > 1e3) | (np.abs(tr.imag) > 1e3)
-        tau = np.where(bad, 1.0, tau)
+        bad = (np.abs(tr - ti) < 1e-12) | (np.abs(ti.imag) > 1e3) | (np.abs(tr.imag) > 1e3)
         ti = np.where(bad, 0.0, ti)
         tr = np.where(bad, 1.0, tr)
-        ps = -apot_integral(p, ti, tr) / tau
-        vr = ps + apot(p, tr)
-        vi = ps + apot(p, ti)
-        f_rec = 0.5 * (vr * vr).sum(axis=0) + tgt.Ip - q * p.omega
-        f_ion = 0.5 * (vi * vi).sum(axis=0) + tgt.Ip
+        _, _, vr, vi = _kinematics(p, ti, tr)
+        f_rec, f_ion = _equations(p, tgt, q, vr, vi)
         rn = np.maximum(np.abs(f_rec), np.abs(f_ion))
         return np.where(bad | ~np.isfinite(rn), np.inf, rn)
 
@@ -151,12 +175,13 @@ def _newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100, max_halving
         active = alive & (rn > tol)
         if not active.any():
             break
-        f, j = _residual_jacobian(p, tgt, q[active], ti[active], tr[active])
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        (f_rec, f_ion), ((j00, j01), (j10, j11)) = _residual_jacobian(
+            p, tgt, q[active], ti[active], tr[active])
+        det = j00 * j11 - j01 * j10
         singular = np.abs(det) < 1e-300
         det = np.where(singular, 1.0, det)
-        dti = -(j[1, 1] * f[0] - j[0, 1] * f[1]) / det
-        dtr = -(-j[1, 0] * f[0] + j[0, 0] * f[1]) / det
+        dti = -(j11 * f_rec - j01 * f_ion) / det
+        dtr = -(-j10 * f_rec + j00 * f_ion) / det
         dti[singular] = np.nan
         dtr[singular] = np.nan
         # trust region: cap the step at half a period to keep iterates sane
@@ -195,13 +220,16 @@ def _newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100, max_halving
     return ti, tr, rn, converged
 
 
-def _make_point(p, tgt, q, ti, tr, warning=None):
-    ps = stationary_momentum(p, ti, tr)
-    s = action_value(p, tgt, q, ti, tr)
-    h, det = hessian_at(p, tgt, ti, tr)
-    res = float(np.max(np.abs(saddle_residual(p, tgt, q, ti, tr))))
-    return SaddlePoint(ti=complex(ti), tr=complex(tr), ps=ps, action=complex(s),
-                       hessdet=complex(det), q=float(q), residual=res, warning=warning)
+def _make_point(p, tgt, q, ti, tr):
+    """The SaddlePoint at a converged (ti, tr), from one kernel evaluation."""
+    tau, ps, vr, vi = _kinematics(p, ti, tr)
+    f_rec, f_ion = _equations(p, tgt, q, vr, vi)
+    a, b, c = _curvatures(p, tau, vr, vi, ti, tr)
+    # the residual is the max over a 2-array: scalar abs can differ in the last bit
+    return SaddlePoint(ti=complex(ti), tr=complex(tr), ps=ps,
+                       action=complex(_action(p, tgt, q, ti, tr, tau, ps)),
+                       hessdet=complex(a * c - b * b), q=float(q),
+                       residual=float(np.abs((f_rec, f_ion)).max()))
 
 
 def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
@@ -249,16 +277,8 @@ def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
     """
     q, ti, tr, out = converge_seeds(p, tgt, q, seed_ti, seed_tr, tol=tol,
                                     max_iter=max_iter)
-    ok = [k for k, err in enumerate(out) if err is None]
-    if ok:
-        _, j = _residual_jacobian(p, tgt, q[ok], ti[ok], tr[ok])
-        conds = np.linalg.cond(np.moveaxis(j, -1, 0))
-        for k, cond in zip(ok, conds):
-            warning = None
-            if cond > COALESCENCE_COND:
-                warning = f"near-coalescence: Jacobian condition number {cond:.3e}"
-            out[k] = _make_point(p, tgt, q[k], ti[k], tr[k], warning=warning)
-    return out
+    return [_make_point(p, tgt, q[k], ti[k], tr[k]) if err is None else err
+            for k, err in enumerate(out)]
 
 
 def newton_solve(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
@@ -266,34 +286,13 @@ def newton_solve(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
     """Solve the saddle system from one seed; returns a converged SaddlePoint.
 
     Solutions with Im(ti) < 0 are the complex-conjugate (growing) partners
-    and are rejected.  A near-coalescent Jacobian attaches a warning rather
-    than failing.
+    and are rejected.
     """
     (out,) = solve_seeds(p, tgt, q, [seed_ti], [seed_tr], tol=tol,
                          max_iter=max_iter)
     if isinstance(out, Exception):
         raise out
     return out
-
-
-def hessian_at(p: FieldParams, tgt: TargetParams, ti, tr):
-    """Total second derivatives of S wrt (ti, tr), including dp_s/dt terms."""
-    tau = tr - ti
-    ps = stationary_momentum(p, ti, tr)
-    vr = ps + apot(p, tr)
-    vi = ps + apot(p, ti)
-    er = efield(p, tr)
-    ei = efield(p, ti)
-    a = (vi * vi).sum(axis=0) / tau - (vi * ei).sum(axis=0)   # d2S/dti2
-    b = -(vi * vr).sum(axis=0) / tau                          # d2S/dti dtr
-    c = (vr * vr).sum(axis=0) / tau + (vr * er).sum(axis=0)   # d2S/dtr2
-    h = np.array([[a, b], [b, c]])
-    return h, a * c - b * b
-
-
-def hessian(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint):
-    """Hessian matrix and determinant at a converged saddle."""
-    return hessian_at(p, tgt, sp.ti, sp.tr)
 
 
 def seed_grid(p: FieldParams, tgt: TargetParams, n_ti=48, n_tau=60, tau_max=None):
@@ -444,22 +443,11 @@ def continue_in(p: FieldParams, tgt: TargetParams, q, saddles, parameter, to_val
     Branch identity is positional: the output list matches the input order.
     The step is halved on divergence (or on an unphysically large jump); a
     branch that cannot be recovered after ``max_halvings`` raises
-    :class:`BranchLostError` with the last good point.  Branches that end
-    within the dedup tolerance of each other are flagged as collided.
+    :class:`BranchLostError` with the last good point.
     """
-    if to_value == _start_value(p, q, parameter):
-        return list(saddles)
     out = continue_branches(p, tgt, q, saddles, parameter, to_value,
                             max_halvings=max_halvings, tol=tol)
     for res in out:
         if isinstance(res, BranchLostError):
             raise res
-    # flag coalescences among the continued branches
-    flagged = list(out)
-    for i in range(len(out)):
-        for k in range(i + 1, len(out)):
-            if (abs(out[i].ti - out[k].ti) + abs(out[i].tr - out[k].tr)) < DEDUP_TOL:
-                msg = f"branch collision between continued branches {i} and {k}"
-                flagged[i] = replace(flagged[i], warning=msg)
-                flagged[k] = replace(flagged[k], warning=msg)
-    return flagged
+    return out

@@ -6,10 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twocolor_hhg import FieldParams, run_scan
 from twocolor_hhg.cli import main, read_table
+
+from conftest import E1, OMEGA
 
 
 GOLDEN_SCAN = Path(__file__).parent / "data" / "golden_scan_h24"
+GOLDEN_Q20_23 = Path(__file__).parent / "data" / "golden_q20_23"
 
 
 def run(args):
@@ -94,6 +98,34 @@ class TestScanCommand:
         for name in ("scan.csv", "axes.csv"):
             assert ((tmp_path / "out" / name).read_bytes()
                     == (GOLDEN_SCAN / name).read_bytes()), name
+
+    def test_audit_lists_every_gap(self, tmp_path, target):
+        # at R = 0.06 the H24 scan loses branches in continuation; their
+        # audit lines keep the phase at which the branch stalled
+        assert run(["scan", "--q-min", "24", "--q-max", "24", "--n-phi", "64",
+                    "--ratio", "0.06", "--outdir", tmp_path]) == 0
+        lines = (tmp_path / "audit.txt").read_text().splitlines()
+        p = FieldParams.from_ratio(E1, OMEGA, 0.06, 0.0)
+        gaps = run_scan(p, target, [24], 64).gaps
+        assert len(lines) == len(gaps) > 0
+        assert lines == [f"q={q} phi={phi}: {reason}" for q, phi, reason in gaps]
+        assert any("stalled at" in line for line in lines)
+
+
+class TestGoldenTables:
+    @pytest.mark.parametrize("command, names", [
+        ("spectrum", ("spectrum.csv", "audit.txt")),
+        ("saddles", ("saddles.csv",)),
+    ])
+    def test_golden_bytes(self, command, names, tmp_path, monkeypatch):
+        # reference tables of q = 20..23 at the default configuration; the
+        # relative --outdir keeps the config echo in the header identical
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--q-min", "20", "--q-max", "23",
+                    "--outdir", "out"]) == 0
+        for name in names:
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (GOLDEN_Q20_23 / name).read_bytes()), name
 
 
 class TestTableCommands:

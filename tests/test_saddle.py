@@ -11,7 +11,8 @@ from twocolor_hhg import (BranchLostError, CoalescenceError, NoConvergenceError,
                           SaddlePoint, action_value, apot, apot_integral,
                           continue_in, efield, hessian, newton_solve,
                           saddle_residual, solve_cycle, stationary_momentum)
-from twocolor_hhg.saddle import (DEDUP_TOL, _dedup, continue_branches,
+from twocolor_hhg.saddle import (DEDUP_TOL, _dedup, _residual_jacobian,
+                                 _resnorm, continue_branches, seed_grid,
                                  solve_seeds)
 
 from conftest import AR_IP, E1, OMEGA
@@ -274,13 +275,51 @@ class TestHessian:
             assert abs(num - grad[comp]) < 1e-6 * max(1.0, abs(grad[comp]))
 
 
+class TestKernel:
+    """The residual, its norm, the Jacobian, the Hessian and the stored
+    SaddlePoint all come from one evaluation of the saddle equations."""
+
+    @pytest.fixture(scope="class")
+    def saddles(self, params, target):
+        return [sp for q in (18, 24, 30) for sp in solve_cycle(params, target, q)]
+
+    def test_jacobian_holds_hessian_curvatures(self, params, target, saddles):
+        # dF_ion/dti = d2S/dti2 and dF_rec/dtr = -d2S/dtr2, bit for bit
+        for sp in saddles:
+            h, _ = hessian(params, target, sp.q, sp)
+            _, ((_, j01), (j10, _)) = _residual_jacobian(
+                params, target, sp.q, np.complex128(sp.ti), np.complex128(sp.tr))
+            assert h[0, 0] == j10 and h[1, 1] == -j01
+
+    def test_point_matches_public_functions(self, params, target, saddles):
+        for sp in saddles:
+            _, det = hessian(params, target, sp.q, sp)
+            res = saddle_residual(params, target, sp.q, sp.ti, sp.tr)
+            assert sp.ps.tobytes() == stationary_momentum(
+                params, sp.ti, sp.tr).tobytes()
+            assert sp.action == action_value(params, target, sp.q, sp.ti, sp.tr)
+            assert sp.hessdet == det
+            assert sp.residual == np.max(np.abs(res))
+
+    def test_resnorm_is_residual_max_norm(self, params, target):
+        seeds = seed_grid(params, target, n_ti=8, n_tau=10)
+        rn = _resnorm(params, target, 24.0, seeds.ti, seeds.tr)
+        res = saddle_residual(params, target, 24.0, seeds.ti, seeds.tr)
+        assert np.isfinite(rn).all()
+        assert rn.tobytes() == np.max(np.abs(res), axis=0).tobytes()
+
+    def test_resnorm_infinite_at_bad_points(self, params, target):
+        ti = np.array([3.0 + 1j, 5.0 + 2000j, 5.0 + 20j])
+        tr = np.array([3.0 + 1j, 40.0 + 1j, 40.0 - 1500j])
+        assert np.isinf(_resnorm(params, target, 24.0, ti, tr)).all()
+
+
 def assert_same_point(a, b):
     """Bit-for-bit equality of every SaddlePoint field."""
     assert a.ti == b.ti and a.tr == b.tr
     assert a.ps.tobytes() == b.ps.tobytes()
     assert a.action == b.action and a.hessdet == b.hessdet
     assert a.q == b.q and a.residual == b.residual
-    assert a.warning == b.warning
 
 
 def assert_same_outcome(got, ref):
