@@ -86,35 +86,52 @@ class TargetParams:
             raise ValueError(f"Ip must be positive, got {self.Ip}")
 
 
+def _phases(p: FieldParams, t):
+    """The two field phases w t and 2 w t + phi at (possibly complex) t."""
+    t = np.asarray(t)
+    return p.omega * t, 2.0 * p.omega * t + p.phi
+
+
+# The field components from the sines/cosines of the two phases.  The public
+# functions below and the saddle kernel (which shares one trig evaluation
+# between all of them) both build on these, so the coefficients live here only.
+
+def _efield(p: FieldParams, s1, s2):
+    """E from sin(w t) and sin(2 w t + phi)."""
+    return np.stack([p.E1 * s1, p.E2 * s2])
+
+
+def _apot(p: FieldParams, c1, c2):
+    """A from cos(w t) and cos(2 w t + phi)."""
+    return np.stack([(p.E1 / p.omega) * c1, (p.E2 / (2.0 * p.omega)) * c2])
+
+
+def _apot_integral(p: FieldParams, sa1, sa2, sb1, sb2):
+    """Integral of A from ta to tb, from the sines of both phases at ta and tb."""
+    w = p.omega
+    return np.stack([(p.E1 / w ** 2) * (sb1 - sa1),
+                     (p.E2 / (4.0 * w ** 2)) * (sb2 - sa2)])
+
+
 def efield(p: FieldParams, t):
     """Electric field at (possibly complex) time t.
 
     Returns an array of shape (2,) + shape(t); real t gives real output.
     """
-    t = np.asarray(t)
-    ex = p.E1 * np.sin(p.omega * t)
-    ey = p.E2 * np.sin(2.0 * p.omega * t + p.phi)
-    return np.stack([ex, ey])
+    x1, x2 = _phases(p, t)
+    return _efield(p, np.sin(x1), np.sin(x2))
 
 
 def apot(p: FieldParams, t):
     """Vector potential A(t) with E = -dA/dt; analytic for complex t."""
-    t = np.asarray(t)
-    ax = (p.E1 / p.omega) * np.cos(p.omega * t)
-    ay = (p.E2 / (2.0 * p.omega)) * np.cos(2.0 * p.omega * t + p.phi)
-    return np.stack([ax, ay])
+    x1, x2 = _phases(p, t)
+    return _apot(p, np.cos(x1), np.cos(x2))
 
 
 def apot_integral(p: FieldParams, ta, tb):
     """Closed-form integral of A(t) from ta to tb (path-independent)."""
-    ta = np.asarray(ta)
-    tb = np.asarray(tb)
-    w = p.omega
-    ix = (p.E1 / w ** 2) * (np.sin(w * tb) - np.sin(w * ta))
-    iy = (p.E2 / (4.0 * w ** 2)) * (
-        np.sin(2.0 * w * tb + p.phi) - np.sin(2.0 * w * ta + p.phi)
-    )
-    return np.stack([ix, iy])
+    (xa1, xa2), (xb1, xb2) = _phases(p, ta), _phases(p, tb)
+    return _apot_integral(p, np.sin(xa1), np.sin(xa2), np.sin(xb1), np.sin(xb2))
 
 
 def _apot_sq_antideriv(p: FieldParams, t):

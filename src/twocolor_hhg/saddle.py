@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldParams, TargetParams, apot, apot_integral, apot_sq_integral, efield
+from .field import (FieldParams, TargetParams, _apot, _apot_integral, _efield, _phases,
+                    apot_integral, apot_sq_integral, efield)
 
 RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
@@ -79,9 +80,19 @@ def _momentum(p, ti, tr):
 
 
 def _kinematics(p, ti, tr):
-    """(tau, p_s, vr, vi) with the velocities vr = p_s + A(tr), vi = p_s + A(ti)."""
-    tau, ps = _momentum(p, ti, tr)
-    return tau, ps, ps + apot(p, tr), ps + apot(p, ti)
+    """(tau, p_s, vr, vi, E(tr), E(ti)) with vr = p_s + A(tr), vi = p_s + A(ti).
+
+    One sin and one cos per field phase and time feed all of them; the
+    terms are :mod:`.field`'s, in the same arithmetic order as its public
+    functions.
+    """
+    (xi, yi), (xr, yr) = _phases(p, ti), _phases(p, tr)
+    si, s2i, sr, s2r = np.sin(xi), np.sin(yi), np.sin(xr), np.sin(yr)
+    tau = tr - ti
+    ps = -_apot_integral(p, si, s2i, sr, s2r) / tau
+    return (tau, ps, ps + _apot(p, np.cos(xr), np.cos(yr)),
+            ps + _apot(p, np.cos(xi), np.cos(yi)),
+            _efield(p, sr, s2r), _efield(p, si, s2i))
 
 
 def _equations(p, tgt, q, vr, vi):
@@ -91,12 +102,12 @@ def _equations(p, tgt, q, vr, vi):
     return f_rec, f_ion
 
 
-def _curvatures(p, tau, vr, vi, ti, tr):
+def _curvatures(tau, vr, vi, er, ei):
     """a = d2S/dti2, b = d2S/dti dtr, c = d2S/dtr2, including dp_s/dt terms."""
-    a = (vi * vi).sum(axis=0) / tau - (vi * efield(p, ti)).sum(axis=0)
+    a = (vi * vi).sum(axis=0) / tau - (vi * ei).sum(axis=0)
     # vi * vr, not vr * vi: complex products are not bitwise commutative
     b = -(vi * vr).sum(axis=0) / tau
-    c = (vr * vr).sum(axis=0) / tau + (vr * efield(p, tr)).sum(axis=0)
+    c = (vr * vr).sum(axis=0) / tau + (vr * er).sum(axis=0)
     return a, b, c
 
 
@@ -127,56 +138,68 @@ def action_value(p: FieldParams, tgt: TargetParams, q, ti, tr):
 
 def saddle_residual(p: FieldParams, tgt: TargetParams, q, ti, tr):
     """The two saddle-equation values (recombination, ionisation)."""
-    _, _, vr, vi = _kinematics(p, *_apart(ti, tr))
+    _, _, vr, vi, _, _ = _kinematics(p, *_apart(ti, tr))
     return np.stack(_equations(p, tgt, q, vr, vi))
 
 
 def hessian(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint):
     """Hessian of S wrt (ti, tr) at a saddle, and its determinant."""
-    ti, tr = _apart(sp.ti, sp.tr)
-    tau, _, vr, vi = _kinematics(p, ti, tr)
-    a, b, c = _curvatures(p, tau, vr, vi, ti, tr)
+    tau, _, vr, vi, er, ei = _kinematics(p, *_apart(sp.ti, sp.tr))
+    a, b, c = _curvatures(tau, vr, vi, er, ei)
     return np.array([[a, b], [b, c]]), a * c - b * b
 
 
-def _residual_jacobian(p, tgt, q, ti, tr):
-    """(F_rec, F_ion) and the Jacobian ((J00, J01), (J10, J11)) wrt (ti, tr).
+def _evaluate(p, tgt, q, ti, tr):
+    """The Newton kernel at a batch of points: (max(|F_rec|, |F_ion|), state).
 
-    dF_ion/dti = a and dF_rec/dtr = -c (see :func:`_curvatures`); the
-    off-diagonal entries are +-(vr . vi)/tau.
+    The norm is inf where tr == ti, |Im t| > 1e3 or it is not finite.  The
+    state stacks (tau, F_rec, F_ion, vr, vi, E(tr), E(ti)) row by row: all
+    that :func:`_jacobian` needs, so an accepted point costs no second trig
+    evaluation.
     """
-    with np.errstate(all="ignore"):
-        tau, _, vr, vi = _kinematics(p, ti, tr)
-        a, _, c = _curvatures(p, tau, vr, vi, ti, tr)
-        d = (vr * vi).sum(axis=0) / tau
-        return _equations(p, tgt, q, vr, vi), ((d, -c), (a, -d))
-
-
-def _resnorm(p, tgt, q, ti, tr):
-    """max(|F_rec|, |F_ion|); inf where tr == ti, |Im t| > 1e3 or non-finite."""
     with np.errstate(all="ignore"):
         bad = (np.abs(tr - ti) < 1e-12) | (np.abs(ti.imag) > 1e3) | (np.abs(tr.imag) > 1e3)
         ti = np.where(bad, 0.0, ti)
         tr = np.where(bad, 1.0, tr)
-        _, _, vr, vi = _kinematics(p, ti, tr)
+        tau, _, vr, vi, er, ei = _kinematics(p, ti, tr)
         f_rec, f_ion = _equations(p, tgt, q, vr, vi)
         rn = np.maximum(np.abs(f_rec), np.abs(f_ion))
-        return np.where(bad | ~np.isfinite(rn), np.inf, rn)
+        return (np.where(bad | ~np.isfinite(rn), np.inf, rn),
+                np.vstack([tau, f_rec, f_ion, vr, vi, er, ei]))
+
+
+def _jacobian(state):
+    """(F_rec, F_ion) and the Jacobian ((J00, J01), (J10, J11)) wrt (ti, tr).
+
+    ``state`` is (columns of) the state :func:`_evaluate` returns.
+    dF_ion/dti = a and dF_rec/dtr = -c (see :func:`_curvatures`); the
+    off-diagonal entries are +-(vr . vi)/tau.
+    """
+    tau, f_rec, f_ion = state[:3]
+    vr, vi, er, ei = state[3:5], state[5:7], state[7:9], state[9:11]
+    with np.errstate(all="ignore"):
+        a, _, c = _curvatures(tau, vr, vi, er, ei)
+        d = (vr * vi).sum(axis=0) / tau
+    return (f_rec, f_ion), ((d, -c), (a, -d))
 
 
 def _newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100, max_halvings=8):
-    """Damped Newton on a batch of seeds. Returns (ti, tr, resnorm, converged)."""
+    """Damped Newton on a batch of seeds. Returns (ti, tr, resnorm, converged).
+
+    Each seed's iterates are those of a solve of that seed alone: every step
+    is elementwise, and a line-search round re-evaluates only the seeds whose
+    trial is still no better than their current point.
+    """
     ti = np.array(ti, dtype=complex)
     tr = np.array(tr, dtype=complex)
     q = np.broadcast_to(np.asarray(q, dtype=float), ti.shape)
-    rn = _resnorm(p, tgt, q, ti, tr)
+    rn, state = _evaluate(p, tgt, q, ti, tr)
     alive = np.isfinite(rn)
     for _ in range(max_iter):
-        active = alive & (rn > tol)
-        if not active.any():
+        idx = np.flatnonzero(alive & (rn > tol))
+        if not idx.size:
             break
-        (f_rec, f_ion), ((j00, j01), (j10, j11)) = _residual_jacobian(
-            p, tgt, q[active], ti[active], tr[active])
+        (f_rec, f_ion), ((j00, j01), (j10, j11)) = _jacobian(state[:, idx])
         det = j00 * j11 - j01 * j10
         singular = np.abs(det) < 1e-300
         det = np.where(singular, 1.0, det)
@@ -192,39 +215,37 @@ def _newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100, max_halving
         dti = dti * factor
         dtr = dtr * factor
         # step-halving line search on the residual max-norm
+        ti0, tr0, qa, base = ti[idx], tr[idx], q[idx], rn[idx]
         scale = np.ones(dti.shape)
-        base = rn[active]
-        t1 = ti[active] + scale * dti
-        t2 = tr[active] + scale * dtr
-        trial = _resnorm(p, tgt, q[active], t1, t2)
+        t1 = ti0 + scale * dti
+        t2 = tr0 + scale * dtr
+        trial, trial_state = _evaluate(p, tgt, qa, t1, t2)
         for _ in range(max_halvings):
-            worse = ~(trial < base)
-            if not worse.any():
+            worse = np.flatnonzero(~(trial < base))
+            if not worse.size:
                 break
             scale[worse] *= 0.5
-            t1 = ti[active] + scale * dti
-            t2 = tr[active] + scale * dtr
-            new = _resnorm(p, tgt, q[active], t1, t2)
-            trial = np.where(worse, new, trial)
+            t1[worse] = ti0[worse] + scale[worse] * dti[worse]
+            t2[worse] = tr0[worse] + scale[worse] * dtr[worse]
+            trial[worse], trial_state[:, worse] = _evaluate(
+                p, tgt, qa[worse], t1[worse], t2[worse])
         improved = trial < base
-        keep_ti = np.where(improved, t1, ti[active])
-        keep_tr = np.where(improved, t2, tr[active])
-        keep_rn = np.where(improved, trial, base)
-        dead = ~improved | ~np.isfinite(trial)
-        ti[active] = keep_ti
-        tr[active] = keep_tr
-        rn[active] = keep_rn
-        idx = np.flatnonzero(active)
-        alive[idx[dead]] = False
+        moved = idx[improved]
+        ti[moved] = t1[improved]
+        tr[moved] = t2[improved]
+        rn[moved] = trial[improved]
+        state[:, moved] = trial_state[:, improved]
+        # a trial that is not better (no longer finite, or not improved) ends the seed
+        alive[idx[~improved]] = False
     converged = alive & (rn <= tol)
     return ti, tr, rn, converged
 
 
 def _make_point(p, tgt, q, ti, tr):
     """The SaddlePoint at a converged (ti, tr), from one kernel evaluation."""
-    tau, ps, vr, vi = _kinematics(p, ti, tr)
+    tau, ps, vr, vi, er, ei = _kinematics(p, ti, tr)
     f_rec, f_ion = _equations(p, tgt, q, vr, vi)
-    a, b, c = _curvatures(p, tau, vr, vi, ti, tr)
+    a, b, c = _curvatures(tau, vr, vi, er, ei)
     # the residual is the max over a 2-array: scalar abs can differ in the last bit
     return SaddlePoint(ti=complex(ti), tr=complex(tr), ps=ps,
                        action=complex(_action(p, tgt, q, ti, tr, tau, ps)),

@@ -11,9 +11,11 @@ from twocolor_hhg import (BranchLostError, CoalescenceError, NoConvergenceError,
                           SaddlePoint, action_value, apot, apot_integral,
                           continue_in, efield, hessian, newton_solve,
                           saddle_residual, solve_cycle, stationary_momentum)
-from twocolor_hhg.saddle import (DEDUP_TOL, _dedup, _residual_jacobian,
-                                 _resnorm, continue_branches, seed_grid,
-                                 solve_seeds)
+from twocolor_hhg import saddle
+from twocolor_hhg.field import FieldParams
+from twocolor_hhg.saddle import (DEDUP_TOL, RESIDUAL_TOL, _dedup, _evaluate,
+                                 _jacobian, _newton_batch, continue_branches,
+                                 seed_grid, solve_seeds)
 
 from conftest import AR_IP, E1, OMEGA
 
@@ -284,12 +286,26 @@ class TestKernel:
         return [sp for q in (18, 24, 30) for sp in solve_cycle(params, target, q)]
 
     def test_jacobian_holds_hessian_curvatures(self, params, target, saddles):
-        # dF_ion/dti = d2S/dti2 and dF_rec/dtr = -d2S/dtr2, bit for bit
-        for sp in saddles:
+        # dF_ion/dti = d2S/dti2 and dF_rec/dtr = -d2S/dtr2, bit for bit, with
+        # the Jacobian taken from the state the Newton kernel evaluated
+        ti = np.array([sp.ti for sp in saddles])
+        tr = np.array([sp.tr for sp in saddles])
+        qs = np.array([sp.q for sp in saddles])
+        _, state = _evaluate(params, target, qs, ti, tr)
+        _, ((_, j01), (j10, _)) = _jacobian(state)
+        for k, sp in enumerate(saddles):
             h, _ = hessian(params, target, sp.q, sp)
-            _, ((_, j01), (j10, _)) = _residual_jacobian(
-                params, target, sp.q, np.complex128(sp.ti), np.complex128(sp.tr))
-            assert h[0, 0] == j10 and h[1, 1] == -j01
+            assert h[0, 0] == j10[k] and h[1, 1] == -j01[k]
+
+    def test_state_holds_residual(self, params, target, saddles):
+        ti = np.array([sp.ti for sp in saddles])
+        tr = np.array([sp.tr for sp in saddles])
+        qs = np.array([sp.q for sp in saddles])
+        _, state = _evaluate(params, target, qs, ti, tr)
+        (f_rec, f_ion), _ = _jacobian(state)
+        res = saddle_residual(params, target, qs, ti, tr)
+        assert f_rec.tobytes() == res[0].tobytes()
+        assert f_ion.tobytes() == res[1].tobytes()
 
     def test_point_matches_public_functions(self, params, target, saddles):
         for sp in saddles:
@@ -303,7 +319,7 @@ class TestKernel:
 
     def test_resnorm_is_residual_max_norm(self, params, target):
         seeds = seed_grid(params, target, n_ti=8, n_tau=10)
-        rn = _resnorm(params, target, 24.0, seeds.ti, seeds.tr)
+        rn, _ = _evaluate(params, target, 24.0, seeds.ti, seeds.tr)
         res = saddle_residual(params, target, 24.0, seeds.ti, seeds.tr)
         assert np.isfinite(rn).all()
         assert rn.tobytes() == np.max(np.abs(res), axis=0).tobytes()
@@ -311,7 +327,152 @@ class TestKernel:
     def test_resnorm_infinite_at_bad_points(self, params, target):
         ti = np.array([3.0 + 1j, 5.0 + 2000j, 5.0 + 20j])
         tr = np.array([3.0 + 1j, 40.0 + 1j, 40.0 - 1500j])
-        assert np.isinf(_resnorm(params, target, 24.0, ti, tr)).all()
+        assert np.isinf(_evaluate(params, target, 24.0, ti, tr)[0]).all()
+
+
+# The damped Newton loop as it stood before the shared-trig kernel: every
+# line-search round re-evaluated the residual of every active seed, and the
+# Jacobian was a fresh evaluation with the field written out term by term.
+
+def ref_kinematics(p, ti, tr):
+    w, ph = p.omega, p.phi
+    tau = tr - ti
+    ps = -np.stack([(p.E1 / w ** 2) * (np.sin(w * tr) - np.sin(w * ti)),
+                    (p.E2 / (4.0 * w ** 2)) * (np.sin(2.0 * w * tr + ph)
+                                               - np.sin(2.0 * w * ti + ph))]) / tau
+
+    def a(t):
+        return np.stack([(p.E1 / p.omega) * np.cos(p.omega * t),
+                         (p.E2 / (2.0 * p.omega)) * np.cos(2.0 * p.omega * t + ph)])
+
+    return tau, ps + a(tr), ps + a(ti)
+
+
+def ref_equations(p, tgt, q, vr, vi):
+    return (0.5 * (vr * vr).sum(axis=0) + tgt.Ip - q * p.omega,
+            0.5 * (vi * vi).sum(axis=0) + tgt.Ip)
+
+
+def ref_resnorm(p, tgt, q, ti, tr):
+    with np.errstate(all="ignore"):
+        bad = (np.abs(tr - ti) < 1e-12) | (np.abs(ti.imag) > 1e3) | (np.abs(tr.imag) > 1e3)
+        ti = np.where(bad, 0.0, ti)
+        tr = np.where(bad, 1.0, tr)
+        _, vr, vi = ref_kinematics(p, ti, tr)
+        f_rec, f_ion = ref_equations(p, tgt, q, vr, vi)
+        rn = np.maximum(np.abs(f_rec), np.abs(f_ion))
+        return np.where(bad | ~np.isfinite(rn), np.inf, rn)
+
+
+def ref_residual_jacobian(p, tgt, q, ti, tr):
+    with np.errstate(all="ignore"):
+        tau, vr, vi = ref_kinematics(p, ti, tr)
+        a = (vi * vi).sum(axis=0) / tau - (vi * efield(p, ti)).sum(axis=0)
+        c = (vr * vr).sum(axis=0) / tau + (vr * efield(p, tr)).sum(axis=0)
+        d = (vr * vi).sum(axis=0) / tau
+        return ref_equations(p, tgt, q, vr, vi), ((d, -c), (a, -d))
+
+
+def ref_newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100,
+                     max_halvings=8, work=None):
+    """The reference loop; ``work`` counts the seeds, the first trials and
+    the halvings of trials that were still no better."""
+    work = {} if work is None else work
+    ti = np.array(ti, dtype=complex)
+    tr = np.array(tr, dtype=complex)
+    q = np.broadcast_to(np.asarray(q, dtype=float), ti.shape)
+    rn = ref_resnorm(p, tgt, q, ti, tr)
+    work["seeds"] = ti.size
+    work["first"] = work["halved"] = 0
+    alive = np.isfinite(rn)
+    for _ in range(max_iter):
+        active = alive & (rn > tol)
+        if not active.any():
+            break
+        (f_rec, f_ion), ((j00, j01), (j10, j11)) = ref_residual_jacobian(
+            p, tgt, q[active], ti[active], tr[active])
+        det = j00 * j11 - j01 * j10
+        singular = np.abs(det) < 1e-300
+        det = np.where(singular, 1.0, det)
+        dti = -(j11 * f_rec - j01 * f_ion) / det
+        dtr = -(-j10 * f_rec + j00 * f_ion) / det
+        dti[singular] = np.nan
+        dtr[singular] = np.nan
+        cap = 0.5 * p.period
+        size = np.maximum(np.abs(dti), np.abs(dtr))
+        shrink = size > cap
+        factor = np.where(shrink, cap / np.where(size > 0, size, 1.0), 1.0)
+        dti = dti * factor
+        dtr = dtr * factor
+        scale = np.ones(dti.shape)
+        base = rn[active]
+        t1 = ti[active] + scale * dti
+        t2 = tr[active] + scale * dtr
+        trial = ref_resnorm(p, tgt, q[active], t1, t2)
+        work["first"] += int(active.sum())
+        for _ in range(max_halvings):
+            worse = ~(trial < base)
+            if not worse.any():
+                break
+            work["halved"] += int(worse.sum())
+            scale[worse] *= 0.5
+            t1 = ti[active] + scale * dti
+            t2 = tr[active] + scale * dtr
+            new = ref_resnorm(p, tgt, q[active], t1, t2)
+            trial = np.where(worse, new, trial)
+        improved = trial < base
+        keep_ti = np.where(improved, t1, ti[active])
+        keep_tr = np.where(improved, t2, tr[active])
+        keep_rn = np.where(improved, trial, base)
+        dead = ~improved | ~np.isfinite(trial)
+        ti[active] = keep_ti
+        tr[active] = keep_tr
+        rn[active] = keep_rn
+        idx = np.flatnonzero(active)
+        alive[idx[dead]] = False
+    converged = alive & (rn <= tol)
+    return ti, tr, rn, converged
+
+
+class TestNewtonBatch:
+    @pytest.fixture(scope="class")
+    def odd_seeds(self, params, target):
+        sp = solve_cycle(params, target, 24)[0]
+        return (np.array([np.conj(sp.ti), 3.0 + 1j, 5.0 + 2000j, 10.0 + 0.1j,
+                          np.nan + 1j]),
+                np.array([np.conj(sp.tr), 3.0 + 1j, 40.0 + 1j, 10.5 + 0.1j,
+                          20.0 + 0j]))
+
+    @pytest.mark.parametrize("q, phi, ratio", [(15, 0.0, 0.12), (24, 0.7, 0.06),
+                                               (31, 2.1, 0.18)])
+    def test_matches_reference_loop(self, target, odd_seeds, q, phi, ratio):
+        p = FieldParams.from_ratio(E1, OMEGA, ratio, phi)
+        seeds = seed_grid(p, target)
+        ti = np.concatenate([seeds.ti, odd_seeds[0]])
+        tr = np.concatenate([seeds.tr, odd_seeds[1]])
+        got = _newton_batch(p, target, q, ti, tr)
+        ref = ref_newton_batch(p, target, q, ti, tr)
+        assert got[3].sum() > 0 and not got[3].all()
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r, equal_nan=True)
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("q", [15, 20, 25])
+    def test_line_search_evaluates_only_worse_seeds(self, params, target,
+                                                    monkeypatch, q):
+        points = []
+
+        def counted(p, tgt, qa, ti, tr):
+            points.append(np.size(ti))
+            return _evaluate(p, tgt, qa, ti, tr)
+
+        monkeypatch.setattr(saddle, "_evaluate", counted)
+        solve_cycle(params, target, q)
+        seeds = seed_grid(params, target)
+        work = {}
+        ref_newton_batch(params, target, q, seeds.ti, seeds.tr, work=work)
+        assert sum(points) == work["seeds"] + work["first"] + work["halved"]
+        assert work["halved"] > 0
 
 
 def assert_same_point(a, b):
