@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .field import ATOMIC_INTENSITY, FieldParams, TargetParams, convert_units, lissajous
-from .dipole import build_history
+from .dipole import build_history, history_orders
 from .dipole import spectrum as saddle_spectrum
 from .oracle import OracleConfig, direct_dipole
 from .phasescan import (ClassificationRefusedError, align_shift,
@@ -205,8 +205,8 @@ def _q_range(opts):
 
 def _labelled_orbits(p, tgt, qs):
     """Yield (q, labelled saddles) for each order in ``qs`` that has saddles,
-    with relevance judged along the branch histories over ``qs``."""
-    per_q, assignment, history = build_history(p, tgt, qs)
+    with relevance judged as in the spectrum (see ``history_orders``)."""
+    per_q, assignment, history = build_history(p, tgt, history_orders(qs))
     for q in qs:
         if per_q[q]:
             mask = relevance_mask(p, tgt, q, per_q[q], history=history,

@@ -24,6 +24,7 @@ from .taxonomy import OrbitLabel, classify, relevance_mask, track_branches
 DME_FORMS = ("paper", "hydrogenic")
 POLE_TOL = 1e-12
 COALESCENCE_DET = 1e-18
+HISTORY_PAD = 3
 
 
 class PoleError(ValueError):
@@ -159,18 +160,27 @@ def build_history(p: FieldParams, tgt: TargetParams, qs, solver=None):
     return per_q, assignment, history
 
 
-def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper",
-             history_pad=3, solver=None):
-    """Saddle-point harmonic spectrum over the orders ``qs``.
+def history_orders(qs, pad=HISTORY_PAD):
+    """The orders whose branch histories judge relevance over ``qs``.
 
-    The continuation history for relevance tracking extends ``history_pad``
-    orders beyond the requested range so the cutoff closest approach is
-    visible from inside the range.  Per-order failures become audit entries,
-    never aborts.
+    They run from min(qs) to ``pad`` orders beyond max(qs), so the cutoff
+    closest approach is visible from inside the range.
     """
     qs = np.asarray(sorted(qs), dtype=float)
-    q_hist = np.arange(qs[0], qs[-1] + history_pad + 1.0)
-    per_q, assignment, history = build_history(p, tgt, q_hist, solver=solver)
+    return np.arange(qs[0], qs[-1] + pad + 1.0)
+
+
+def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper",
+             history_pad=HISTORY_PAD, solver=None):
+    """Saddle-point harmonic spectrum over the orders ``qs``.
+
+    Relevance is judged on the branch histories over
+    :func:`history_orders` (``history_pad`` orders beyond the range).
+    Per-order failures become audit entries, never aborts.
+    """
+    qs = np.asarray(sorted(qs), dtype=float)
+    per_q, assignment, history = build_history(
+        p, tgt, history_orders(qs, history_pad), solver=solver)
     audit = []
     dipoles = []
     ix = np.zeros(qs.size)

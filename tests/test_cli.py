@@ -128,6 +128,19 @@ class TestGoldenTables:
                     == (GOLDEN_Q20_23 / name).read_bytes()), name
 
 
+class TestSaddlesAgreeWithSpectrum:
+    def test_relevant_counts_match_n_saddles(self, tmp_path):
+        # the top of the range needs the same padded branch history in both
+        args = ["--q-min", "30", "--q-max", "35", "--phi", "2.1",
+                "--ratio", "0.18"]
+        assert run(["spectrum", *args, "--outdir", tmp_path / "spec"]) == 0
+        assert run(["saddles", *args, "--outdir", tmp_path / "sad"]) == 0
+        _, spec = read_table(tmp_path / "spec" / "spectrum.csv")
+        _, sad = read_table(tmp_path / "sad" / "saddles.csv")
+        relevant = [int(sad["relevant"][sad["q"] == q].sum()) for q in spec["q"]]
+        assert relevant == [int(n) for n in spec["n_saddles"]]
+
+
 class TestTableCommands:
     def test_saddles(self, tmp_path):
         assert run(["saddles", "--q-min", "20", "--q-max", "22",
