@@ -111,8 +111,11 @@ def contribution(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint,
                  label: OrbitLabel, dme_form="paper"):
     """Assemble the factorized dipole contribution of one saddle."""
     tau = sp.tr - sp.ti
-    hess_factor = _hess_prefactor(hessian(p, tgt, q, sp)[0])
-    k_rec = sp.ps + apot(p, sp.tr)
+    if sp.hess is None:     # a point built by hand, not by the solver
+        hess, k_rec = hessian(p, tgt, q, sp)[0], sp.ps + apot(p, sp.tr)
+    else:
+        hess, k_rec = sp.hess, sp.k_rec
+    hess_factor = _hess_prefactor(hess)
     d_rec = dme(k_rec, tgt.Ip, form=dme_form)
     ion_amp = ionisation_amplitude(tgt)
     spread = (2.0 * np.pi / (1j * tau)) ** 1.5

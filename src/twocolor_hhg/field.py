@@ -92,25 +92,26 @@ def _phases(p: FieldParams, t):
     return p.omega * t, 2.0 * p.omega * t + p.phi
 
 
-# The field components from the sines/cosines of the two phases.  The public
-# functions below and the saddle kernel (which shares one trig evaluation
-# between all of them) both build on these, so the coefficients live here only.
+# The field components (x, y) from the sines/cosines of the two phases.  The
+# public functions below stack them; the saddle kernel (which shares one trig
+# evaluation between all of them) writes them into its own state rows.  Either
+# way the coefficients live here only.
 
 def _efield(p: FieldParams, s1, s2):
     """E from sin(w t) and sin(2 w t + phi)."""
-    return np.stack([p.E1 * s1, p.E2 * s2])
+    return p.E1 * s1, p.E2 * s2
 
 
 def _apot(p: FieldParams, c1, c2):
     """A from cos(w t) and cos(2 w t + phi)."""
-    return np.stack([(p.E1 / p.omega) * c1, (p.E2 / (2.0 * p.omega)) * c2])
+    return (p.E1 / p.omega) * c1, (p.E2 / (2.0 * p.omega)) * c2
 
 
 def _apot_integral(p: FieldParams, sa1, sa2, sb1, sb2):
     """Integral of A from ta to tb, from the sines of both phases at ta and tb."""
     w = p.omega
-    return np.stack([(p.E1 / w ** 2) * (sb1 - sa1),
-                     (p.E2 / (4.0 * w ** 2)) * (sb2 - sa2)])
+    return ((p.E1 / w ** 2) * (sb1 - sa1),
+            (p.E2 / (4.0 * w ** 2)) * (sb2 - sa2))
 
 
 def efield(p: FieldParams, t):
@@ -119,19 +120,20 @@ def efield(p: FieldParams, t):
     Returns an array of shape (2,) + shape(t); real t gives real output.
     """
     x1, x2 = _phases(p, t)
-    return _efield(p, np.sin(x1), np.sin(x2))
+    return np.stack(_efield(p, np.sin(x1), np.sin(x2)))
 
 
 def apot(p: FieldParams, t):
     """Vector potential A(t) with E = -dA/dt; analytic for complex t."""
     x1, x2 = _phases(p, t)
-    return _apot(p, np.cos(x1), np.cos(x2))
+    return np.stack(_apot(p, np.cos(x1), np.cos(x2)))
 
 
 def apot_integral(p: FieldParams, ta, tb):
     """Closed-form integral of A(t) from ta to tb (path-independent)."""
     (xa1, xa2), (xb1, xb2) = _phases(p, ta), _phases(p, tb)
-    return _apot_integral(p, np.sin(xa1), np.sin(xa2), np.sin(xb1), np.sin(xb2))
+    return np.stack(_apot_integral(p, np.sin(xa1), np.sin(xa2),
+                                   np.sin(xb1), np.sin(xb2)))
 
 
 def _apot_sq_antideriv(p: FieldParams, t):

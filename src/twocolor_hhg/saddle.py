@@ -54,6 +54,10 @@ class SaddlePoint:
     hessdet: complex
     q: float
     residual: float
+    # the kernel's values at the point, so the dipole need not recompute them;
+    # None for a point built by hand (the dipole then calls :func:`hessian`)
+    hess: np.ndarray | None = None      # complex (2, 2) Hessian of S wrt (ti, tr)
+    k_rec: np.ndarray | None = None     # complex (2,) return momentum p_s + A(tr)
 
     @property
     def excursion(self):
@@ -84,15 +88,17 @@ def _kinematics(p, ti, tr):
 
     One sin and one cos per field phase and time feed all of them; the
     terms are :mod:`.field`'s, in the same arithmetic order as its public
-    functions.
+    functions.  On numpy scalars (a point build) the components are stacked
+    as in :func:`.field.apot`, so each term keeps the public function's bits;
+    :func:`_evaluate` builds the same terms row by row for a batch.
     """
     (xi, yi), (xr, yr) = _phases(p, ti), _phases(p, tr)
     si, s2i, sr, s2r = np.sin(xi), np.sin(yi), np.sin(xr), np.sin(yr)
     tau = tr - ti
-    ps = -_apot_integral(p, si, s2i, sr, s2r) / tau
-    return (tau, ps, ps + _apot(p, np.cos(xr), np.cos(yr)),
-            ps + _apot(p, np.cos(xi), np.cos(yi)),
-            _efield(p, sr, s2r), _efield(p, si, s2i))
+    ps = -np.stack(_apot_integral(p, si, s2i, sr, s2r)) / tau
+    return (tau, ps, ps + np.stack(_apot(p, np.cos(xr), np.cos(yr))),
+            ps + np.stack(_apot(p, np.cos(xi), np.cos(yi))),
+            np.stack(_efield(p, sr, s2r)), np.stack(_efield(p, si, s2i)))
 
 
 def _equations(p, tgt, q, vr, vi):
@@ -103,12 +109,15 @@ def _equations(p, tgt, q, vr, vi):
 
 
 def _curvatures(tau, vr, vi, er, ei):
-    """a = d2S/dti2, b = d2S/dti dtr, c = d2S/dtr2, including dp_s/dt terms."""
-    a = (vi * vi).sum(axis=0) / tau - (vi * ei).sum(axis=0)
+    """a = d2S/dti2 and c = d2S/dtr2, including dp_s/dt terms."""
+    return ((vi * vi).sum(axis=0) / tau - (vi * ei).sum(axis=0),
+            (vr * vr).sum(axis=0) / tau + (vr * er).sum(axis=0))
+
+
+def _mixed_curvature(tau, vr, vi):
+    """b = d2S/dti dtr."""
     # vi * vr, not vr * vi: complex products are not bitwise commutative
-    b = -(vi * vr).sum(axis=0) / tau
-    c = (vr * vr).sum(axis=0) / tau + (vr * er).sum(axis=0)
-    return a, b, c
+    return -(vi * vr).sum(axis=0) / tau
 
 
 def _action(p, tgt, q, ti, tr, tau, ps):
@@ -145,7 +154,8 @@ def saddle_residual(p: FieldParams, tgt: TargetParams, q, ti, tr):
 def hessian(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint):
     """Hessian of S wrt (ti, tr) at a saddle, and its determinant."""
     tau, _, vr, vi, er, ei = _kinematics(p, *_apart(sp.ti, sp.tr))
-    a, b, c = _curvatures(tau, vr, vi, er, ei)
+    a, c = _curvatures(tau, vr, vi, er, ei)
+    b = _mixed_curvature(tau, vr, vi)
     return np.array([[a, b], [b, c]]), a * c - b * b
 
 
@@ -153,19 +163,35 @@ def _evaluate(p, tgt, q, ti, tr):
     """The Newton kernel at a batch of points: (max(|F_rec|, |F_ion|), state).
 
     The norm is inf where tr == ti, |Im t| > 1e3 or it is not finite.  The
-    state stacks (tau, F_rec, F_ion, vr, vi, E(tr), E(ti)) row by row: all
-    that :func:`_jacobian` needs, so an accepted point costs no second trig
-    evaluation.
+    state holds the rows (tau, F_rec, F_ion, vr, vi, E(tr), E(ti)): all that
+    :func:`_jacobian` needs, so an accepted point costs no second trig
+    evaluation.  They are the terms of :func:`_kinematics` and
+    :func:`_equations`, elementwise in the same arithmetic order, from one sin
+    and one cos over the (phase x time) array and written straight into their
+    rows.
     """
     with np.errstate(all="ignore"):
         bad = (np.abs(tr - ti) < 1e-12) | (np.abs(ti.imag) > 1e3) | (np.abs(tr.imag) > 1e3)
-        ti = np.where(bad, 0.0, ti)
-        tr = np.where(bad, 1.0, tr)
-        tau, _, vr, vi, er, ei = _kinematics(p, ti, tr)
-        f_rec, f_ion = _equations(p, tgt, q, vr, vi)
+        t = np.where(bad, [[0.0], [1.0]], (ti, tr))    # rows ti, tr of a 1-d batch
+        x = np.empty((2,) + t.shape, dtype=complex)
+        x[0], x[1] = _phases(p, t)
+        (si, sr), (s2i, s2r) = np.sin(x)
+        (ci, cr), (c2i, c2r) = np.cos(x)
+        state = np.empty((11,) + ti.shape, dtype=complex)
+        tau, f_rec, f_ion = state[:3]
+        vr, vi = state[3:5], state[5:7]
+        np.subtract(t[1], t[0], out=tau)
+        area = _apot_integral(p, si, s2i, sr, s2r)
+        a_r, a_i = _apot(p, cr, c2r), _apot(p, ci, c2i)
+        for k in range(2):
+            ps = -area[k] / tau
+            np.add(ps, a_r[k], out=vr[k])
+            np.add(ps, a_i[k], out=vi[k])
+        state[7], state[8] = _efield(p, sr, s2r)
+        state[9], state[10] = _efield(p, si, s2i)
+        f_rec[...], f_ion[...] = _equations(p, tgt, q, vr, vi)
         rn = np.maximum(np.abs(f_rec), np.abs(f_ion))
-        return (np.where(bad | ~np.isfinite(rn), np.inf, rn),
-                np.vstack([tau, f_rec, f_ion, vr, vi, er, ei]))
+        return np.where(bad | ~np.isfinite(rn), np.inf, rn), state
 
 
 def _jacobian(state):
@@ -178,23 +204,45 @@ def _jacobian(state):
     tau, f_rec, f_ion = state[:3]
     vr, vi, er, ei = state[3:5], state[5:7], state[7:9], state[9:11]
     with np.errstate(all="ignore"):
-        a, _, c = _curvatures(tau, vr, vi, er, ei)
+        a, c = _curvatures(tau, vr, vi, er, ei)
         d = (vr * vi).sum(axis=0) / tau
     return (f_rec, f_ion), ((d, -c), (a, -d))
+
+
+def _line_search(p, tgt, q, ti, tr, dti, dtr, base, first, count):
+    """Try the steps t + 2^-k d, k = first, ..., first + count - 1, of every
+    seed in one kernel call.  Returns per seed (k, norm, state) of its first
+    trial with a norm below ``base``, else of its last."""
+    start = np.cumsum(count) - count
+    of = np.repeat(np.arange(count.size), count)
+    at = np.arange(of.size)
+    k = at - (start - first)[of]
+    scale = np.ldexp(1.0, -k)
+    norm, state = _evaluate(p, tgt, q[of], ti[of] + scale * dti[of],
+                            tr[of] + scale * dtr[of])
+    pick = np.minimum.reduceat(np.where(norm < base[of], at, (start + count - 1)[of]),
+                               start)
+    return k[pick], norm[pick], state[:, pick]
 
 
 def _newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100, max_halvings=8):
     """Damped Newton on a batch of seeds. Returns (ti, tr, resnorm, converged).
 
-    Each seed's iterates are those of a solve of that seed alone: every step
-    is elementwise, and a line-search round re-evaluates only the seeds whose
-    trial is still no better than their current point.
+    A step d from t is cut to t + 2^-k d with the least k <= ``max_halvings``
+    that lowers the residual max-norm; a seed with no such k stops.  Each
+    seed's trials 1, 1/2, ..., 2^-depth, where depth is the k of its last
+    accepted step, go to the kernel in one call; a seed still no better after
+    them tries the next 1, 2, 4, ... halvings in further calls.  Each seed's
+    iterates are those of a solve of that seed alone with plain step halving:
+    every trial point is t + 2^-k d elementwise, and the first better trial is
+    taken.
     """
     ti = np.array(ti, dtype=complex)
     tr = np.array(tr, dtype=complex)
     q = np.broadcast_to(np.asarray(q, dtype=float), ti.shape)
     rn, state = _evaluate(p, tgt, q, ti, tr)
     alive = np.isfinite(rn)
+    depth = np.zeros(ti.shape, dtype=int)
     for _ in range(max_iter):
         idx = np.flatnonzero(alive & (rn > tol))
         if not idx.size:
@@ -214,27 +262,29 @@ def _newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100, max_halving
         factor = np.where(shrink, cap / np.where(size > 0, size, 1.0), 1.0)
         dti = dti * factor
         dtr = dtr * factor
-        # step-halving line search on the residual max-norm
+        # step-halving line search on the residual max-norm: first the
+        # predicted depth, then twice as many further halvings per round
         ti0, tr0, qa, base = ti[idx], tr[idx], q[idx], rn[idx]
-        scale = np.ones(dti.shape)
-        t1 = ti0 + scale * dti
-        t2 = tr0 + scale * dtr
-        trial, trial_state = _evaluate(p, tgt, qa, t1, t2)
-        for _ in range(max_halvings):
-            worse = np.flatnonzero(~(trial < base))
+        halvings, trial, trial_state = _line_search(
+            p, tgt, qa, ti0, tr0, dti, dtr, base, 0, depth[idx] + 1)
+        count = 1
+        while True:
+            worse = np.flatnonzero(~(trial < base) & (halvings < max_halvings))
             if not worse.size:
                 break
-            scale[worse] *= 0.5
-            t1[worse] = ti0[worse] + scale[worse] * dti[worse]
-            t2[worse] = tr0[worse] + scale[worse] * dtr[worse]
-            trial[worse], trial_state[:, worse] = _evaluate(
-                p, tgt, qa[worse], t1[worse], t2[worse])
+            halvings[worse], trial[worse], trial_state[:, worse] = _line_search(
+                p, tgt, qa[worse], ti0[worse], tr0[worse], dti[worse], dtr[worse],
+                base[worse], halvings[worse] + 1,
+                np.minimum(count, max_halvings - halvings[worse]))
+            count *= 2
         improved = trial < base
         moved = idx[improved]
-        ti[moved] = t1[improved]
-        tr[moved] = t2[improved]
+        scale = np.ldexp(1.0, -halvings[improved])
+        ti[moved] = ti0[improved] + scale * dti[improved]
+        tr[moved] = tr0[improved] + scale * dtr[improved]
         rn[moved] = trial[improved]
         state[:, moved] = trial_state[:, improved]
+        depth[moved] = halvings[improved]
         # a trial that is not better (no longer finite, or not improved) ends the seed
         alive[idx[~improved]] = False
     converged = alive & (rn <= tol)
@@ -245,12 +295,14 @@ def _make_point(p, tgt, q, ti, tr):
     """The SaddlePoint at a converged (ti, tr), from one kernel evaluation."""
     tau, ps, vr, vi, er, ei = _kinematics(p, ti, tr)
     f_rec, f_ion = _equations(p, tgt, q, vr, vi)
-    a, b, c = _curvatures(tau, vr, vi, er, ei)
+    a, c = _curvatures(tau, vr, vi, er, ei)
+    b = _mixed_curvature(tau, vr, vi)
     # the residual is the max over a 2-array: scalar abs can differ in the last bit
     return SaddlePoint(ti=complex(ti), tr=complex(tr), ps=ps,
                        action=complex(_action(p, tgt, q, ti, tr, tau, ps)),
                        hessdet=complex(a * c - b * b), q=float(q),
-                       residual=float(np.abs((f_rec, f_ion)).max()))
+                       residual=float(np.abs((f_rec, f_ion)).max()),
+                       hess=np.array([[a, b], [b, c]]), k_rec=vr)
 
 
 def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,

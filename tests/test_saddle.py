@@ -309,8 +309,10 @@ class TestKernel:
 
     def test_point_matches_public_functions(self, params, target, saddles):
         for sp in saddles:
-            _, det = hessian(params, target, sp.q, sp)
+            h, det = hessian(params, target, sp.q, sp)
             res = saddle_residual(params, target, sp.q, sp.ti, sp.tr)
+            assert sp.hess.tobytes() == h.tobytes()
+            assert sp.k_rec.tobytes() == (sp.ps + apot(params, sp.tr)).tobytes()
             assert sp.ps.tobytes() == stationary_momentum(
                 params, sp.ti, sp.tr).tobytes()
             assert sp.action == action_value(params, target, sp.q, sp.ti, sp.tr)
@@ -375,15 +377,20 @@ def ref_residual_jacobian(p, tgt, q, ti, tr):
 
 def ref_newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100,
                      max_halvings=8, work=None):
-    """The reference loop; ``work`` counts the seeds, the first trials and
-    the halvings of trials that were still no better."""
+    """The reference loop.  ``work`` counts its residual evaluations
+    ("rounds"), and the points evaluated by a line search that tries each
+    seed's last accepted number of halvings in one round, then the next 1, 2,
+    4, ... halvings of the seeds still no better: the seeds, the predicted
+    trials ("prefix") and the trials beyond them ("halved")."""
     work = {} if work is None else work
     ti = np.array(ti, dtype=complex)
     tr = np.array(tr, dtype=complex)
     q = np.broadcast_to(np.asarray(q, dtype=float), ti.shape)
     rn = ref_resnorm(p, tgt, q, ti, tr)
     work["seeds"] = ti.size
-    work["first"] = work["halved"] = 0
+    work["rounds"] = 1
+    work["prefix"] = work["halved"] = 0
+    depth = np.zeros(ti.shape, dtype=int)
     alive = np.isfinite(rn)
     for _ in range(max_iter):
         active = alive & (rn > tol)
@@ -409,12 +416,14 @@ def ref_newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100,
         t1 = ti[active] + scale * dti
         t2 = tr[active] + scale * dtr
         trial = ref_resnorm(p, tgt, q[active], t1, t2)
-        work["first"] += int(active.sum())
+        work["rounds"] += 1
+        halvings = np.zeros(dti.shape, dtype=int)
         for _ in range(max_halvings):
             worse = ~(trial < base)
             if not worse.any():
                 break
-            work["halved"] += int(worse.sum())
+            work["rounds"] += 1
+            halvings[worse] += 1
             scale[worse] *= 0.5
             t1 = ti[active] + scale * dti
             t2 = tr[active] + scale * dtr
@@ -430,6 +439,16 @@ def ref_newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100,
         rn[active] = keep_rn
         idx = np.flatnonzero(active)
         alive[idx[dead]] = False
+        work["prefix"] += int((depth[idx] + 1).sum())
+        need = halvings - depth[idx]
+        room = max_halvings - depth[idx]
+        tried, count = np.zeros(idx.size, dtype=int), 1
+        while (tried < need).any():
+            more = tried < need
+            tried[more] += np.minimum(count, room[more] - tried[more])
+            count *= 2
+        work["halved"] += int(tried.sum())
+        depth[idx[improved]] = halvings[improved]
     converged = alive & (rn <= tol)
     return ti, tr, rn, converged
 
@@ -457,9 +476,25 @@ class TestNewtonBatch:
             assert np.array_equal(g, r, equal_nan=True)
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
 
-    @pytest.mark.parametrize("q", [15, 20, 25])
-    def test_line_search_evaluates_only_worse_seeds(self, params, target,
-                                                    monkeypatch, q):
+    @pytest.mark.parametrize("limits", [{"max_halvings": 0}, {"max_halvings": 3},
+                                        {"max_iter": 5}])
+    @pytest.mark.parametrize("q, phi, ratio", [(15, 0.0, 0.12), (24, 0.7, 0.06),
+                                               (31, 2.1, 0.18)])
+    def test_matches_reference_loop_with_limits(self, target, odd_seeds, q, phi,
+                                                ratio, limits):
+        p = FieldParams.from_ratio(E1, OMEGA, ratio, phi)
+        seeds = seed_grid(p, target)
+        ti = np.concatenate([seeds.ti, odd_seeds[0]])
+        tr = np.concatenate([seeds.tr, odd_seeds[1]])
+        got = _newton_batch(p, target, q, ti, tr, **limits)
+        ref = ref_newton_batch(p, target, q, ti, tr, **limits)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+    @staticmethod
+    def kernel_work(params, target, monkeypatch, q):
+        """The points of each kernel call of one solve_cycle, and the
+        reference loop's work on the same seeds."""
         points = []
 
         def counted(p, tgt, qa, ti, tr):
@@ -471,8 +506,21 @@ class TestNewtonBatch:
         seeds = seed_grid(params, target)
         work = {}
         ref_newton_batch(params, target, q, seeds.ti, seeds.tr, work=work)
-        assert sum(points) == work["seeds"] + work["first"] + work["halved"]
+        return points, work
+
+    @pytest.mark.parametrize("q", [15, 20, 25])
+    def test_line_search_evaluates_only_worse_seeds(self, params, target,
+                                                    monkeypatch, q):
+        points, work = self.kernel_work(params, target, monkeypatch, q)
+        assert sum(points) == work["seeds"] + work["prefix"] + work["halved"]
         assert work["halved"] > 0
+
+    @pytest.mark.parametrize("q", [15, 20, 25])
+    def test_one_kernel_call_per_iteration(self, params, target, monkeypatch, q):
+        # the predicted depth folds a step's halving rounds into the
+        # iteration's first kernel call, and a longer search doubles its rounds
+        points, work = self.kernel_work(params, target, monkeypatch, q)
+        assert len(points) <= 0.5 * work["rounds"]
 
 
 def assert_same_point(a, b):
