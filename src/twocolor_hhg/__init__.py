@@ -12,14 +12,14 @@ from .field import (ATOMIC_INTENSITY, NM_TO_OMEGA, SPEED_OF_LIGHT,
                     FieldParams, TargetParams, apot, apot_integral,
                     apot_sq_integral, convert_units, efield, lissajous)
 from .saddle import (BranchLostError, CoalescenceError, NoConvergenceError,
-                     SaddlePoint, action_value, continue_in, hessian,
+                     SaddlePoint, action_value, continue_branches, hessian,
                      newton_solve, saddle_residual, seed_grid, solve_cycle,
                      stationary_momentum)
 from .taxonomy import (OrbitLabel, classify, find_cutoff, relevance_mask,
-                       select_relevant, track_branches)
+                       track_branches)
 from .dipole import (DipoleContribution, HarmonicDipole, HarmonicSpectrum,
                      PoleError, contribution, dme, harmonic_dipole, intensity,
-                     ionisation_amplitude, spectrum)
+                     ionisation_amplitude, labelled_orbits, spectrum)
 from .polarization import (EllipseDecomposition, UndefinedEllipseError,
                            decompose, signed_axes, signed_axis_series)
 from .trajectory import Orbit, closure_defect, displacement

@@ -20,12 +20,12 @@ import numpy as np
 
 from . import __version__
 from .field import ATOMIC_INTENSITY, FieldParams, TargetParams, convert_units, lissajous
-from .dipole import build_history, history_orders
+from .dipole import labelled_orbits
 from .dipole import spectrum as saddle_spectrum
 from .oracle import OracleConfig, direct_dipole
 from .phasescan import (ClassificationRefusedError, align_shift,
                         classify_modality, fourier_fit, run_scan)
-from .taxonomy import amplitude, classify, relevance_mask
+from .taxonomy import amplitude
 from .trajectory import displacement
 
 # standard tabulated ionisation potentials (a.u.)
@@ -203,17 +203,6 @@ def _q_range(opts):
     return np.arange(opts["q_min"], opts["q_max"] + 1, dtype=float)
 
 
-def _labelled_orbits(p, tgt, qs):
-    """Yield (q, labelled saddles) for each order in ``qs`` that has saddles,
-    with relevance judged as in the spectrum (see ``history_orders``)."""
-    per_q, assignment, history = build_history(p, tgt, history_orders(qs))
-    for q in qs:
-        if per_q[q]:
-            mask = relevance_mask(p, tgt, q, per_q[q], history=history,
-                                  keys=assignment[q])
-            yield q, classify(p, per_q[q], mask)
-
-
 def cmd_spectrum(p, tgt, opts, echo, args):
     qs = _q_range(opts)
     spec = saddle_spectrum(p, tgt, qs, dme_form=opts["dme_form"])
@@ -302,7 +291,7 @@ def cmd_scan(p, tgt, opts, echo, args):
 
 def cmd_saddles(p, tgt, opts, echo, args):
     rows = []
-    for q, labelled in _labelled_orbits(p, tgt, _q_range(opts)):
+    for q, labelled in labelled_orbits(p, tgt, _q_range(opts)):
         for s2, label in labelled:
             rows.append((q, label.branch_id, s2.ti.real, s2.ti.imag,
                          s2.tr.real, s2.tr.imag, s2.ps[0].real, s2.ps[0].imag,
@@ -318,7 +307,7 @@ def cmd_saddles(p, tgt, opts, echo, args):
 
 def cmd_orbits(p, tgt, opts, echo, args):
     rows = []
-    for q, labelled in _labelled_orbits(p, tgt, _q_range(opts)):
+    for q, labelled in labelled_orbits(p, tgt, _q_range(opts)):
         for sp, label in labelled:
             if not label.relevant:
                 continue

@@ -163,47 +163,60 @@ def build_history(p: FieldParams, tgt: TargetParams, qs, solver=None):
     return per_q, assignment, history
 
 
-def history_orders(qs, pad=HISTORY_PAD):
+def history_orders(qs):
     """The orders whose branch histories judge relevance over ``qs``.
 
-    They run from min(qs) to ``pad`` orders beyond max(qs), so the cutoff
+    They run from min(qs) to HISTORY_PAD orders beyond max(qs), so the cutoff
     closest approach is visible from inside the range.
     """
     qs = np.asarray(sorted(qs), dtype=float)
-    return np.arange(qs[0], qs[-1] + pad + 1.0)
+    return np.arange(qs[0], qs[-1] + HISTORY_PAD + 1.0)
+
+
+def labelled_orbits(p: FieldParams, tgt: TargetParams, qs, solver=None,
+                    audit=None):
+    """Yield (q, labelled saddles) for every order in sorted ``qs``.
+
+    Relevance is judged on the branch histories over :func:`history_orders`
+    and ``labelled`` is :func:`classify`'s list, empty when the order has no
+    saddles.  The relevance discards of an order are appended to ``audit``
+    before that order is yielded.
+    """
+    qs = np.asarray(sorted(qs), dtype=float)
+    per_q, assignment, history = build_history(p, tgt, history_orders(qs),
+                                               solver=solver)
+    for q in qs:
+        saddles = per_q.get(q, [])
+        if saddles:
+            mask = relevance_mask(p, tgt, q, saddles, history=history,
+                                  keys=assignment[q], audit=audit)
+            saddles = classify(p, saddles, relevant_mask=mask)
+        yield q, saddles
 
 
 def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper",
-             history_pad=HISTORY_PAD, solver=None):
+             solver=None):
     """Saddle-point harmonic spectrum over the orders ``qs``.
 
-    Relevance is judged on the branch histories over
-    :func:`history_orders` (``history_pad`` orders beyond the range).
-    Per-order failures become audit entries, never aborts.
+    The orbits of each order come from :func:`labelled_orbits`.  Per-order
+    failures become audit entries, never aborts.
     """
     qs = np.asarray(sorted(qs), dtype=float)
-    per_q, assignment, history = build_history(
-        p, tgt, history_orders(qs, history_pad), solver=solver)
     audit = []
     dipoles = []
     ix = np.zeros(qs.size)
     iy = np.zeros(qs.size)
-    for n, q in enumerate(qs):
-        saddles = per_q.get(q, [])
-        if not saddles:
+    for n, (q, labelled) in enumerate(labelled_orbits(p, tgt, qs, solver=solver,
+                                                      audit=audit)):
+        hd = HarmonicDipole(q=q, Dx=0j, Dy=0j, contributions=(),
+                            below_threshold=True)
+        if not labelled:
             audit.append(f"q={q}: no saddles (below threshold or none converged)")
-            dipoles.append(HarmonicDipole(q=q, Dx=0j, Dy=0j, contributions=(),
-                                          below_threshold=True))
-            continue
-        try:
-            mask = relevance_mask(p, tgt, q, saddles, history=history,
-                                  keys=assignment[q], audit=audit)
-            labelled = classify(p, saddles, relevant_mask=mask)
-            hd = harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
-        except (PoleError, CoalescenceError) as exc:
-            audit.append(f"q={q}: skipped ({exc})")
-            hd = HarmonicDipole(q=q, Dx=0j, Dy=0j, contributions=(),
-                                below_threshold=True)
+        else:
+            try:
+                hd = harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+            except (PoleError, CoalescenceError) as exc:
+                audit.append(f"q={q}: skipped ({exc})")
         dipoles.append(hd)
         ix[n], iy[n], _ = intensity(hd, p.omega)
     return HarmonicSpectrum(qs=qs, Ix=ix, Iy=iy, Itotal=ix + iy,

@@ -27,7 +27,7 @@ from .saddle import (BranchLostError, CoalescenceError, NoConvergenceError,
                      continue_branches, solve_cycle)
 from .taxonomy import (MATCH_TOL_PERIODS, _symmetrize_mask, amplitude,
                        classify, relevance_mask)
-from .dipole import harmonic_dipole, intensity
+from .dipole import PoleError, harmonic_dipole, intensity
 from .polarization import (EllipseDecomposition, UndefinedEllipseError,
                            decompose, signed_axes)
 
@@ -147,12 +147,11 @@ def _mirror_decomposition(dec):
                                 gamma=dec.gamma, ellipticity=dec.ellipticity)
 
 
-def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi,
-             refresh_every=REFRESH_EVERY):
+def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
     """Sweep phi over ``n_phi`` uniform points for each order in ``q_list``.
 
     Saddles are carried from cell to cell by continuation; every
-    ``refresh_every``-th cell re-solves from a dense seed grid so branches
+    REFRESH_EVERY-th cell re-solves from a dense seed grid so branches
     born mid-scan are picked up.  Failed cells or lost branches become gap
     records, never aborts.
 
@@ -181,7 +180,7 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi,
             phi = phis[j]
             pj = p.with_phi(phi)
             try:
-                if prev_sads is None or j % refresh_every == 0:
+                if prev_sads is None or j % REFRESH_EVERY == 0:
                     sads = solve_cycle(pj, tgt, q)
                 else:
                     sads = []
@@ -193,7 +192,7 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi,
                             sads.append(res)
                 res = _scan_cell(pj, tgt, q, sads, gaps, phi,
                                  prev_sads=prev_sads, prev_banned=prev_banned)
-            except (NoConvergenceError, CoalescenceError, ValueError) as exc:
+            except (NoConvergenceError, CoalescenceError, PoleError) as exc:
                 gaps.append((q, phi, str(exc)))
                 prev_p, prev_sads, prev_banned = None, None, None
                 continue

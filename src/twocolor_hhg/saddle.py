@@ -71,7 +71,6 @@ class SeedGrid:
 
     ti: np.ndarray
     tr: np.ndarray
-    half_cycle: np.ndarray  # integer tag from Re(ti) binning by T/2
 
 
 # The saddle-equation kernel.  Its helpers take arrays or numpy scalars and do
@@ -385,9 +384,7 @@ def seed_grid(p: FieldParams, tgt: TargetParams, n_ti=48, n_tau=60, tau_max=None
     im_ti = np.sqrt(2.0 * tgt.Ip) / np.maximum(e_abs, e_floor)
     ti = (re_ti + 1j * im_ti)[:, None] + np.zeros_like(taus)[None, :]
     tr = (re_ti[:, None] + taus[None, :]).astype(complex)
-    half = (re_ti[:, None] // (t_period / 2.0)).astype(int) + np.zeros(
-        taus.shape, dtype=int)[None, :]
-    return SeedGrid(ti=ti.ravel(), tr=tr.ravel(), half_cycle=half.ravel())
+    return SeedGrid(ti=ti.ravel(), tr=tr.ravel())
 
 
 def below_threshold(p: FieldParams, tgt: TargetParams, q):
@@ -446,22 +443,13 @@ def _dedup(ti, tr, period):
 
 
 def _apply_param(p, q, name, value):
-    if name == "q":
-        return p, value
-    if name == "phi":
-        return p.with_phi(value), q
-    if name == "R":
-        return p.with_ratio(value), q
-    raise ValueError(f"unknown continuation parameter {name!r}")
-
-
-def _start_value(p, q, parameter):
-    return {"q": q, "phi": p.phi, "R": p.R}[parameter]
+    """(field, order) with the continuation parameter ``name`` set to ``value``."""
+    return (p, value) if name == "q" else (p.with_phi(value), q)
 
 
 def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
                       to_value, max_halvings=10, tol=RESIDUAL_TOL):
-    """Continue each saddle in q, phi, or R; per branch the result or the loss.
+    """Continue each saddle in q or phi; per branch the result or the loss.
 
     Returns a list parallel to ``saddles`` holding the continued SaddlePoint
     or the :class:`BranchLostError` of a branch that could not be recovered.
@@ -469,7 +457,9 @@ def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
     that fails it (diverges, or jumps by an unphysically large amount) goes
     on alone from its start, halving its step at each failure.
     """
-    start = _start_value(p, q, parameter)
+    if parameter not in ("q", "phi"):
+        raise ValueError(f"unknown continuation parameter {parameter!r}")
+    start = q if parameter == "q" else p.phi
     if to_value == start:
         return list(saddles)
     t_period = p.period
@@ -508,19 +498,3 @@ def _clamp(nxt, step, to_value):
         return to_value
     return nxt
 
-
-def continue_in(p: FieldParams, tgt: TargetParams, q, saddles, parameter, to_value,
-                max_halvings=10, tol=RESIDUAL_TOL):
-    """Homotopy continuation of a converged saddle list in q, phi, or R.
-
-    Branch identity is positional: the output list matches the input order.
-    The step is halved on divergence (or on an unphysically large jump); a
-    branch that cannot be recovered after ``max_halvings`` raises
-    :class:`BranchLostError` with the last good point.
-    """
-    out = continue_branches(p, tgt, q, saddles, parameter, to_value,
-                            max_halvings=max_halvings, tol=tol)
-    for res in out:
-        if isinstance(res, BranchLostError):
-            raise res
-    return out

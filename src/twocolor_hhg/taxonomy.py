@@ -15,8 +15,7 @@ dropped for larger orders.  Every discard is written to the audit log.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,8 +223,9 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
                    history=None, keys=None, audit=None):
     """Per-saddle relevance decisions (True = include in the dipole sum).
 
-    With ``history``/``keys`` from :func:`track_branches` the growth slopes
-    and the short/long closest-approach rule use the global branch data;
+    With ``history``/``keys`` from :func:`track_branches` over at least
+    MIN_BRANCH_SUPPORT orders, the growth slopes, the branch-support rule and
+    the short/long closest-approach rule use the global branch data;
     otherwise slopes come from warm-started neighbour solves.
     """
     if audit is None:
@@ -234,8 +234,8 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
     mask = np.ones(n, dtype=bool)
     reasons = [None] * n
     amps = np.array([amplitude(sp) for sp in saddles])
-    if history is not None and keys is not None and \
-            _range_size(history) >= MIN_BRANCH_SUPPORT:
+    tracked = history is not None and _range_size(history) >= MIN_BRANCH_SUPPORT
+    if tracked:
         slopes = np.array([growth_slope(history[k], q) for k in keys])
     else:
         slopes = local_growth_slopes(p, tgt, q, saddles)
@@ -255,11 +255,10 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
         elif slopes[i] > GROWTH_LOG_SLOPE:
             mask[i], reasons[i] = False, (
                 f"amplitude grows with order (log-slope {slopes[i]:.2f})")
-        elif history is not None and keys is not None and \
-                len(history[keys[i]]) < MIN_BRANCH_SUPPORT <= _range_size(history):
+        elif tracked and len(history[keys[i]]) < MIN_BRANCH_SUPPORT:
             mask[i], reasons[i] = False, (
                 f"branch persists for only {len(history[keys[i]])} orders")
-    if history is not None and keys is not None:
+    if tracked:
         _apply_pair_rule(p, q, saddles, keys, history, mask, reasons)
     # amplitude floor relative to the dominant relevant saddle per half-cycle
     halves = [_half_cycle_index(p, sp)[0] for sp in saddles]
@@ -328,23 +327,6 @@ def _symmetrize_mask(p, saddles, mask, reasons):
         if mask[i] and not paired[i]:
             mask[i] = False
             reasons[i] = "half-cycle partner missing (unpaired saddle)"
-
-
-def select_relevant(p: FieldParams, tgt: TargetParams, labelled, q,
-                    history=None, keys=None, audit=None):
-    """Set the `relevant` flag on a classified saddle list.
-
-    Without a continuation history a warning is emitted and the growth
-    slopes fall back to warm-started neighbour solves.
-    """
-    if history is None:
-        warnings.warn("no continuation history: growth slopes use local "
-                      "neighbour solves", stacklevel=2)
-    saddles = [sp for sp, _ in labelled]
-    mask = relevance_mask(p, tgt, q, saddles, history=history, keys=keys,
-                          audit=audit)
-    return [(sp, replace(label, relevant=bool(m)))
-            for (sp, label), m in zip(labelled, mask)]
 
 
 def find_cutoff(history, period):

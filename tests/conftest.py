@@ -1,13 +1,18 @@
 """Shared fixtures: the reference field configuration used across the suite.
 
 800 nm fundamental at 1.5e14 W/cm^2 with an orthogonal second harmonic at
-intensity ratio R = 0.12, argon target.  All values in atomic units.
+intensity ratio R = 0.12, argon target.  All values in atomic units.  The
+labelled-orbit fixtures hold :func:`labelled_orbits` over an order range, so
+relevance is judged as in the spectrum, on the branch history padded by
+HISTORY_PAD orders beyond the range.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from twocolor_hhg import FieldParams, TargetParams, convert_units
+from twocolor_hhg import FieldParams, TargetParams, convert_units, labelled_orbits
 
 LAMBDA_NM = 800.0
 I1_WCM2 = 1.5e14
@@ -32,6 +37,39 @@ def mono():
 @pytest.fixture(scope="session")
 def target():
     return TargetParams(Ip=AR_IP)
+
+
+class LabelledOrbits(NamedTuple):
+    by_q: dict      # order -> classify's (SaddlePoint, OrbitLabel) list
+    audit: list     # relevance discards over all orders, in order
+
+
+def labelled_run(p, tgt, qs):
+    audit = []
+    return LabelledOrbits(dict(labelled_orbits(p, tgt, qs, audit=audit)), audit)
+
+
+def relevant(labelled):
+    """The relevant (SaddlePoint, OrbitLabel) pairs of one order."""
+    return [(sp, lab) for sp, lab in labelled if lab.relevant]
+
+
+@pytest.fixture(scope="session")
+def plateau_orbits(params, target):
+    """Reference field, q = 20..25 (branch history over 20..28)."""
+    return labelled_run(params, target, np.arange(20, 26))
+
+
+@pytest.fixture(scope="session")
+def wide_orbits(params, target):
+    """Reference field, q = 16..26 (branch history over 16..29)."""
+    return labelled_run(params, target, np.arange(16, 27))
+
+
+@pytest.fixture(scope="session")
+def mono_orbits(mono, target):
+    """Monochromatic field, q = 20..35 (branch history over 20..38)."""
+    return labelled_run(mono, target, np.arange(20, 36))
 
 
 # Pass/fail lines recorded by the acceptance tests; echoed after the run so

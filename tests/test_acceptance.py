@@ -11,11 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
-from twocolor_hhg import (OracleConfig, classify, classify_modality,
-                          direct_dipole, displacement, find_cutoff, hessian,
-                          relevance_mask, run_scan, saddle_residual,
-                          solve_cycle, spectrum)
+from conftest import ACCEPTANCE_LINES, relevant
+from twocolor_hhg import (OracleConfig, classify_modality, direct_dipole,
+                          displacement, find_cutoff, hessian, run_scan,
+                          saddle_residual, solve_cycle, spectrum)
 from twocolor_hhg.dipole import build_history
 
 
@@ -32,19 +31,6 @@ def plateau_scan(params, target):
     t0 = time.perf_counter()
     scan = run_scan(params, target, range(14, 28), 32)
     return scan, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def plateau_history(params, target):
-    return build_history(params, target, np.arange(20, 29))
-
-
-def relevant_orbits(p, tgt, q, hist):
-    per_q, assignment, history = hist
-    sads = per_q[q]
-    mask = relevance_mask(p, tgt, q, sads, history=history, keys=assignment[q])
-    return [(sp, lab) for sp, lab in classify(p, sads, relevant_mask=mask)
-            if lab.relevant]
 
 
 def test_1_selection_rules(plateau_scan):
@@ -113,13 +99,12 @@ def test_4_ellipticity(plateau_scan):
            f"over {ells.size} grid cells")
 
 
-def test_5_trajectory_excursions(params, target, plateau_history):
+def test_5_trajectory_excursions(params, plateau_orbits):
     # short orbits of H24/H25 reach |sx| ~ 13 a.u., sy ~ 4.5 a.u., and the
     # half-cycle partner orbit is the x-flipped copy
     scale_ok, pair_defect = True, 0.0
     for q in (24, 25):
-        pair = sorted((t for t in relevant_orbits(params, target, q,
-                                                  plateau_history)
+        pair = sorted((t for t in relevant(plateau_orbits.by_q[q])
                        if t[1].family == "short"),
                       key=lambda t: t[0].ti.real)
         orbs = [displacement(params, sp, n_samples=512, label=lab)

@@ -5,23 +5,11 @@ import pytest
 
 from twocolor_hhg import (HarmonicDipole, PoleError, SaddlePoint, classify,
                           contribution, dme, harmonic_dipole, intensity,
-                          relevance_mask, solve_cycle, spectrum)
+                          solve_cycle, spectrum)
 from twocolor_hhg import dipole, saddle
-from twocolor_hhg.dipole import build_history, ionisation_amplitude
+from twocolor_hhg.dipole import ionisation_amplitude
 
 from conftest import AR_IP
-
-
-@pytest.fixture(scope="module")
-def two_hist(params, target):
-    return build_history(params, target, np.arange(16, 30))
-
-
-def relevant_labelled(p, tgt, q, hist):
-    per_q, assignment, history = hist
-    sads = per_q[q]
-    mask = relevance_mask(p, tgt, q, sads, history=history, keys=assignment[q])
-    return classify(p, sads, relevant_mask=mask)
 
 
 class TestDme:
@@ -53,22 +41,22 @@ class TestDme:
 
 
 class TestContribution:
-    def test_factorization_invariant(self, params, target, two_hist):
-        for sp, lab in relevant_labelled(params, target, 20, two_hist):
+    def test_factorization_invariant(self, params, target, wide_orbits):
+        for sp, lab in wide_orbits.by_q[20]:
             c = contribution(params, target, 20, sp, lab)
             rebuilt = (c.hess_factor * np.asarray(c.d_rec) * c.ion_amp
                        * c.spread * c.phase)
             assert np.max(np.abs(rebuilt - np.asarray(c.total))) \
                 <= 1e-12 * np.max(np.abs(c.total))
 
-    def test_relevant_phases_bounded(self, params, target, two_hist):
-        for sp, lab in relevant_labelled(params, target, 20, two_hist):
+    def test_relevant_phases_bounded(self, params, target, wide_orbits):
+        for sp, lab in wide_orbits.by_q[20]:
             if lab.relevant:
                 c = contribution(params, target, 20, sp, lab)
                 assert abs(c.phase) <= 1.0 + 1e-12
 
-    def test_long_spreads_more_than_short(self, params, target, two_hist):
-        labelled = relevant_labelled(params, target, 20, two_hist)
+    def test_long_spreads_more_than_short(self, params, target, wide_orbits):
+        labelled = wide_orbits.by_q[20]
         spreads = {}
         for sp, lab in labelled:
             if lab.relevant and lab.half_cycle == 0:
@@ -82,10 +70,10 @@ class TestContribution:
 
 
 class TestHarmonicDipole:
-    def test_half_cycle_partner_identity(self, params, target, two_hist):
+    def test_half_cycle_partner_identity(self, params, target, wide_orbits):
         # partner contribution = e^{i q pi} diag(-1, 1) (first contribution)
         for q in (20, 21):
-            labelled = relevant_labelled(params, target, q, two_hist)
+            labelled = wide_orbits.by_q[q]
             rel = [(sp, lab) for sp, lab in labelled if lab.relevant]
             for fam in ("short", "long"):
                 pair = sorted(((sp, lab) for sp, lab in rel
@@ -99,9 +87,9 @@ class TestHarmonicDipole:
                 err = np.max(np.abs(pred - np.asarray(c1.total)))
                 assert err < 1e-8 * np.max(np.abs(c0.total))
 
-    def test_even_q_purely_y_odd_purely_x(self, params, target, two_hist):
+    def test_even_q_purely_y_odd_purely_x(self, params, target, wide_orbits):
         for q, axis in ((20, 1), (21, 0)):
-            labelled = relevant_labelled(params, target, q, two_hist)
+            labelled = wide_orbits.by_q[q]
             hd = harmonic_dipole(params, target, q, labelled)
             d = np.array([hd.Dx, hd.Dy])
             assert abs(d[1 - axis]) < 1e-8 * abs(d[axis])

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from twocolor_hhg import (OracleConfig, ResolutionError, classify,
-                          contribution, direct_dipole, relevance_mask,
-                          windowed_dipole)
-from twocolor_hhg.dipole import build_history
+from twocolor_hhg import (OracleConfig, ResolutionError, contribution,
+                          direct_dipole, windowed_dipole)
 
 
 CFG = OracleConfig()
@@ -94,28 +92,22 @@ class TestWindowedDipole:
         assert np.linalg.norm(short) > np.linalg.norm(long_)
 
     def test_family_amplitudes_match_saddle_contributions(self, params,
-                                                          target):
+                                                          target, wide_orbits):
         # windowed-band amplitude vs summed saddle contributions of the same
         # family (methods are independent; the saddle side is rescaled by
         # the projection-window convention factor T).  The short band is
         # clean and agrees within a factor of 2; the long band additionally
         # integrates the longer-excursion families the saddle long pair
         # excludes, so only order-of-magnitude agreement is asserted there.
-        per_q, assignment, history = build_history(params, target,
-                                                   np.arange(16, 30))
         mid = 0.65 * params.period
         taper = 0.4 * params.period
         tau_top = CFG.tau_max_periods * params.period
         bands = {"short": (0.0, mid), "long": (mid, tau_top)}
         windows = {"short": (0.5, 2.0), "long": (0.1, 10.0)}
         for q in (18, 20, 22, 24):
-            sads = per_q[q]
-            mask = relevance_mask(params, target, q, sads, history=history,
-                                  keys=assignment[q])
-            labelled = classify(params, sads, relevant_mask=mask)
             fam_sum = {"short": np.zeros(2, complex),
                        "long": np.zeros(2, complex)}
-            for sp, lab in labelled:
+            for sp, lab in wide_orbits.by_q[q]:
                 if lab.relevant and lab.family in fam_sum:
                     fam_sum[lab.family] += np.asarray(
                         contribution(params, target, q, sp, lab).total)

@@ -5,7 +5,7 @@ import pytest
 
 from twocolor_hhg import (ClassificationRefusedError, IllConditionedFitError,
                           align_shift, classify_modality, fourier_fit,
-                          run_scan)
+                          phasescan, run_scan)
 
 
 GRID64 = 2.0 * np.pi * np.arange(64) / 64
@@ -125,3 +125,14 @@ class TestRunScan:
     def test_unknown_order_rejected(self, scan17):
         with pytest.raises(KeyError):
             scan17.series(23)
+
+    def test_programming_error_in_a_cell_propagates(self, params, target,
+                                                    monkeypatch):
+        # only a cell's solver failure modes become gaps; any other error,
+        # such as a shape mismatch, must not turn into a silent gap
+        def broken_cell(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(phasescan, "_scan_cell", broken_cell)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_scan(params, target, [17], 32)

@@ -4,23 +4,15 @@ import numpy as np
 import pytest
 
 from twocolor_hhg import (UndefinedEllipseError, classify, contribution,
-                          decompose, relevance_mask, signed_axes,
-                          signed_axis_series)
-from twocolor_hhg.dipole import build_history
+                          decompose, signed_axes, signed_axis_series)
+
+from conftest import relevant
 
 
-@pytest.fixture(scope="module")
-def two_hist(params, target):
-    return build_history(params, target, np.arange(20, 29))
-
-
-def short_pair_decompositions(p, tgt, q, hist):
-    per_q, assignment, history = hist
-    sads = per_q[q]
-    mask = relevance_mask(p, tgt, q, sads, history=history, keys=assignment[q])
-    labelled = classify(p, sads, relevant_mask=mask)
-    pair = sorted(((sp, lab) for sp, lab in labelled
-                   if lab.relevant and lab.family == "short"),
+def short_pair_decompositions(p, tgt, q, orbits):
+    """Ellipses of the two relevant short orbits of order q, by Re(ti)."""
+    pair = sorted(((sp, lab) for sp, lab in relevant(orbits.by_q[q])
+                   if lab.family == "short"),
                   key=lambda t: t[0].ti.real)
     return [decompose(np.asarray(contribution(p, tgt, q, sp, lab).total))
             for sp, lab in pair]
@@ -85,22 +77,25 @@ class TestDecompose:
 
 
 class TestOrbitAxes:
-    def test_even_q_partner_axes_mirror_in_x(self, params, target, two_hist):
+    def test_even_q_partner_axes_mirror_in_x(self, params, target,
+                                             plateau_orbits):
         # partners: Mx opposite, My equal (up to the +-M representative)
-        a, b = short_pair_decompositions(params, target, 24, two_hist)
+        a, b = short_pair_decompositions(params, target, 24, plateau_orbits)
         flip = np.array([-a.M[0], a.M[1]])
         d = min(np.max(np.abs(b.M - flip)), np.max(np.abs(b.M + flip)))
         assert d < 1e-8 * np.max(np.abs(a.M))
 
-    def test_odd_q_partner_axes_mirror_in_y(self, params, target, two_hist):
-        a, b = short_pair_decompositions(params, target, 25, two_hist)
+    def test_odd_q_partner_axes_mirror_in_y(self, params, target,
+                                            plateau_orbits):
+        a, b = short_pair_decompositions(params, target, 25, plateau_orbits)
         flip = np.array([a.M[0], -a.M[1]])
         d = min(np.max(np.abs(b.M - flip)), np.max(np.abs(b.M + flip)))
         assert d < 1e-8 * np.max(np.abs(a.M))
 
-    def test_dominant_orbit_ellipticity_small(self, params, target, two_hist):
+    def test_dominant_orbit_ellipticity_small(self, params, target,
+                                              plateau_orbits):
         for q in (24, 25):
-            a, b = short_pair_decompositions(params, target, q, two_hist)
+            a, b = short_pair_decompositions(params, target, q, plateau_orbits)
             assert a.ellipticity < 0.15
             assert b.ellipticity < 0.15
 

@@ -1,7 +1,5 @@
 """Saddle-point solver: residuals, identities, continuation, Hessian."""
 
-import re
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,7 +7,7 @@ from scipy.optimize import brentq
 
 from twocolor_hhg import (BranchLostError, CoalescenceError, NoConvergenceError,
                           SaddlePoint, action_value, apot, apot_integral,
-                          continue_in, efield, hessian, newton_solve,
+                          efield, hessian, newton_solve,
                           saddle_residual, solve_cycle, stationary_momentum)
 from twocolor_hhg import saddle
 from twocolor_hhg.field import FieldParams
@@ -206,16 +204,22 @@ class TestNewtonSolve:
             newton_solve(params, target, 20, 3.0 + 1j, 3.0 + 1j)
 
 
+def assert_no_branch_lost(out):
+    assert not any(isinstance(res, BranchLostError) for res in out)
+
+
 class TestContinuation:
     def test_noop(self, params, target):
         sads = solve_cycle(params, target, 17)
-        out = continue_in(params, target, 17, sads, "q", 17)
+        out = continue_branches(params, target, 17, sads, "q", 17)
+        assert_no_branch_lost(out)
         for a, b in zip(sads, out):
             assert abs(a.ti - b.ti) + abs(a.tr - b.tr) < 1e-12
 
     def test_phi_closed_loop(self, params, target):
         sads = solve_cycle(params, target, 20)
-        back = continue_in(params, target, 20, sads, "phi", 2 * np.pi)
+        back = continue_branches(params, target, 20, sads, "phi", 2 * np.pi)
+        assert_no_branch_lost(back)
         assert len(back) == len(sads)
         d = max(abs(a.ti - b.ti) + abs(a.tr - b.tr)
                 for a, b in zip(sads, back))
@@ -227,7 +231,8 @@ class TestContinuation:
         sads = [sp for sp in solve_cycle(params, target, 19)
                 if 0.3 < sp.excursion / params.period < 0.95]
         assert len(sads) >= 4
-        moved = continue_in(params, target, 19, sads, "q", 21)
+        moved = continue_branches(params, target, 19, sads, "q", 21)
+        assert_no_branch_lost(moved)
         direct = solve_cycle(params, target, 21)
         for sp in moved:
             d = min(abs(sp.ti - ref.ti) + abs(sp.tr - ref.tr)
@@ -677,13 +682,6 @@ class TestContinueBranches:
                 assert_same_point(g, ref)
         if max_halvings == 0:
             assert any(isinstance(g, BranchLostError) for g in got)
-
-    def test_continue_in_raises_first_lost_branch(self, params, target, h24):
-        got = continue_branches(params, target, 24, h24, "phi", 0.8,
-                                max_halvings=0)
-        first = next(g for g in got if isinstance(g, BranchLostError))
-        with pytest.raises(BranchLostError, match=re.escape(str(first))):
-            continue_in(params, target, 24, h24, "phi", 0.8, max_halvings=0)
 
     def test_empty_branch_list(self, params, target):
         assert continue_branches(params, target, 24, [], "phi", 0.5) == []

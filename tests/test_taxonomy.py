@@ -5,20 +5,10 @@ import pytest
 
 from twocolor_hhg import (CoalescenceError, NoConvergenceError, SaddlePoint,
                           classify, find_cutoff, newton_solve, relevance_mask,
-                          select_relevant, solve_cycle, track_branches)
+                          solve_cycle, track_branches)
 from twocolor_hhg.dipole import build_history
 from twocolor_hhg.taxonomy import (MATCH_TOL_PERIODS, amplitude,
                                    local_growth_slopes)
-
-
-@pytest.fixture(scope="module")
-def mono_hist(mono, target):
-    return build_history(mono, target, np.arange(20, 39))
-
-
-@pytest.fixture(scope="module")
-def two_hist(params, target):
-    return build_history(params, target, np.arange(16, 30))
 
 
 class TestClassify:
@@ -83,39 +73,31 @@ class TestTrackBranches:
 
 
 class TestRelevance:
-    def test_plateau_all_principal_relevant(self, params, target, two_hist):
-        per_q, assignment, history = two_hist
-        sads = per_q[20]
-        mask = relevance_mask(params, target, 20, sads, history=history,
-                              keys=assignment[20])
-        labelled = classify(params, sads, relevant_mask=mask)
+    def test_plateau_all_principal_relevant(self, wide_orbits):
         rel = sorted((lab.half_cycle, lab.family)
-                     for _, lab in labelled if lab.relevant)
+                     for _, lab in wide_orbits.by_q[20] if lab.relevant)
         assert rel == [(0, "long"), (0, "short"), (1, "long"), (1, "short")]
 
-    def test_mono_beyond_cutoff_short_discarded(self, mono, target, mono_hist):
+    def test_mono_beyond_cutoff_short_discarded(self, mono, mono_orbits):
         # identify the short/long branches by their plateau labels, then
         # check that past the cutoff the short continuation is dropped and
         # the long one kept (branch identity, not the degenerate post-cutoff
         # excursion ordering)
-        per_q, assignment, history = mono_hist
-        sads25 = per_q[25]
-        mask25 = relevance_mask(mono, target, 25, sads25, history=history,
-                                keys=assignment[25])
+        by_q = mono_orbits.by_q
+        assignment, _ = track_branches(
+            {q: [sp for sp, _ in labelled] for q, labelled in by_q.items()},
+            mono.period)
         fam_key = {}
-        for (sp, lab), key in zip(classify(mono, sads25, relevant_mask=mask25),
-                                  assignment[25]):
+        for (sp, lab), key in zip(by_q[25], assignment[25]):
             if lab.relevant and lab.half_cycle == 0:
                 fam_key[lab.family] = key
         assert set(fam_key) == {"short", "long"}
-        audit = []
-        sads = per_q[35]
-        mask = relevance_mask(mono, target, 35, sads, history=history,
-                              keys=assignment[35], audit=audit)
-        key_to_mask = dict(zip(assignment[35], mask))
+        key_to_mask = {key: lab.relevant
+                       for (_, lab), key in zip(by_q[35], assignment[35])}
         assert key_to_mask[fam_key["short"]] == False  # noqa: E712
         assert key_to_mask[fam_key["long"]] == True    # noqa: E712
-        assert any("closest approach" in line for line in audit)
+        assert any(line.startswith("q=35.0 ") and "closest approach" in line
+                   for line in mono_orbits.audit)
 
     def test_negative_im_ti_irrelevant(self, params, target):
         sads = solve_cycle(params, target, 20)
@@ -125,41 +107,27 @@ class TestRelevance:
         mask = relevance_mask(params, target, 20, [bad])
         assert not mask[0]
 
-    def test_partner_symmetry(self, params, target, two_hist):
-        per_q, assignment, history = two_hist
+    def test_partner_symmetry(self, params, wide_orbits):
         half = params.period / 2
         for q in (18, 22, 26):
-            sads = per_q[q]
-            mask = relevance_mask(params, target, q, sads, history=history,
-                                  keys=assignment[q])
-            for i, sp in enumerate(sads):
-                for k, other in enumerate(sads):
+            labelled = wide_orbits.by_q[q]
+            for sp, lab in labelled:
+                for other, other_lab in labelled:
                     d = min(abs(other.ti - sp.ti - s) + abs(other.tr - sp.tr - s)
                             for s in (half, -half))
                     if d < 1e-6 * half:
-                        assert mask[i] == mask[k]
+                        assert lab.relevant == other_lab.relevant
 
-    def test_select_relevant_warns_without_history(self, params, target):
-        sads = solve_cycle(params, target, 20)
-        labelled = classify(params, sads)
-        with pytest.warns(UserWarning, match="history"):
-            out = select_relevant(params, target, labelled, 20)
-        assert len(out) == len(labelled)
-        assert any(lab.relevant for _, lab in out)
-
-    def test_audit_lines_have_reasons(self, params, target, two_hist):
-        per_q, assignment, history = two_hist
-        audit = []
-        relevance_mask(params, target, 20, per_q[20], history=history,
-                       keys=assignment[20], audit=audit)
+    def test_audit_lines_have_reasons(self, wide_orbits):
+        audit = [line for line in wide_orbits.audit if line.startswith("q=20.0 ")]
         assert audit
         for line in audit:
             assert "discarded" in line
 
 
 class TestFindCutoff:
-    def test_mono_flag_near_cutoff(self, mono, target, mono_hist):
-        _, _, history = mono_hist
+    def test_mono_flag_near_cutoff(self, mono, target):
+        _, _, history = build_history(mono, target, np.arange(20, 39))
         hit = find_cutoff(history, mono.period)
         assert hit is not None
         q_c, d_min = hit

@@ -3,40 +3,27 @@
 import numpy as np
 import pytest
 
-from twocolor_hhg import (classify, closure_defect, displacement,
-                          relevance_mask, solve_cycle)
-from twocolor_hhg.dipole import build_history
+from twocolor_hhg import closure_defect, displacement, solve_cycle
 
-
-@pytest.fixture(scope="module")
-def two_hist(params, target):
-    return build_history(params, target, np.arange(20, 29))
-
-
-def relevant_orbits(p, tgt, q, hist):
-    per_q, assignment, history = hist
-    sads = per_q[q]
-    mask = relevance_mask(p, tgt, q, sads, history=history, keys=assignment[q])
-    return [(sp, lab) for sp, lab in classify(p, sads, relevant_mask=mask)
-            if lab.relevant]
+from conftest import relevant
 
 
 class TestDisplacement:
-    def test_sample_endpoints(self, params, target, two_hist):
-        sp, lab = relevant_orbits(params, target, 24, two_hist)[0]
+    def test_sample_endpoints(self, params, plateau_orbits):
+        sp, lab = relevant(plateau_orbits.by_q[24])[0]
         orb = displacement(params, sp, n_samples=64, label=lab)
         assert orb.t[0] == pytest.approx(sp.ti.real)
         assert orb.t[-1] == pytest.approx(sp.tr.real)
         assert orb.sx.shape == orb.t.shape == orb.sy.shape
 
-    def test_minimum_samples(self, params, target, two_hist):
-        sp, _ = relevant_orbits(params, target, 24, two_hist)[0]
+    def test_minimum_samples(self, params, plateau_orbits):
+        sp, _ = relevant(plateau_orbits.by_q[24])[0]
         with pytest.raises(ValueError):
             displacement(params, sp, n_samples=8)
 
-    def test_closure_defect_zero(self, params, target, two_hist):
+    def test_closure_defect_zero(self, params, plateau_orbits):
         for q in (20, 24, 25):
-            for sp, _ in relevant_orbits(params, target, q, two_hist):
+            for sp, _ in relevant(plateau_orbits.by_q[q]):
                 assert closure_defect(params, sp) < 1e-10
 
     def test_monochromatic_no_y_motion(self, mono, target):
@@ -44,23 +31,22 @@ class TestDisplacement:
             orb = displacement(mono, sp, n_samples=64)
             assert np.max(np.abs(orb.sy)) == 0.0
 
-    def test_short_orbit_excursion_scale(self, params, target, two_hist):
+    def test_short_orbit_excursion_scale(self, params, plateau_orbits):
         # dominant short orbits of the H24/H25 plateau region reach
         # |sx| ~ 13 a.u. and sy ~ 4.5 a.u.
         for q in (24, 25):
-            pair = [t for t in relevant_orbits(params, target, q, two_hist)
+            pair = [t for t in relevant(plateau_orbits.by_q[q])
                     if t[1].family == "short"]
             for sp, lab in pair:
                 orb = displacement(params, sp, n_samples=512, label=lab)
                 assert 9.0 <= np.max(np.abs(orb.sx)) <= 17.0
                 assert 3.5 <= np.max(orb.sy) <= 6.5
 
-    def test_half_cycle_partner_orbit_flipped(self, params, target, two_hist):
+    def test_half_cycle_partner_orbit_flipped(self, params, plateau_orbits):
         # partner orbit = diag(-1, 1) x first orbit, shifted by T/2
         half = params.period / 2
         for q in (24, 25):
-            pair = sorted((t for t in relevant_orbits(params, target, q,
-                                                      two_hist)
+            pair = sorted((t for t in relevant(plateau_orbits.by_q[q])
                            if t[1].family == "short"),
                           key=lambda t: t[0].ti.real)
             (sa, la), (sb, lb) = pair
