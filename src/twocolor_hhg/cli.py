@@ -230,9 +230,15 @@ def cmd_spectrum(p, tgt, opts, echo, args):
         good = (spec.Itotal > 0) & (direct.Itotal > 0)
         r = float(np.corrcoef(np.log10(spec.Itotal[good]),
                               np.log10(direct.Itotal[good]))[0, 1])
-        (outdir / "comparison.txt").write_text(
-            f"log-intensity Pearson correlation (saddle vs direct, "
-            f"{int(good.sum())} orders): {r:.6f}\n")
+        ratio = np.log10(spec.Itotal[good] / direct.Itotal[good])
+        lines = [f"q={q:g} log10(I_saddle/I_direct) = {x:+.6f}"
+                 for q, x in zip(qs[good], ratio)]
+        lines.append(f"median log10(I_saddle/I_direct) = {np.median(ratio):+.6f}, "
+                     f"max |log10(I_saddle/I_direct)| = {np.max(np.abs(ratio)):.6f}")
+        # the correlation stays the last line, ending in ": <value>"
+        lines.append(f"log-intensity Pearson correlation (saddle vs direct, "
+                     f"{int(good.sum())} orders): {r:.6f}")
+        (outdir / "comparison.txt").write_text("\n".join(lines) + "\n")
     if n_fail:
         print(f"{n_fail} orders produced no dipole; see audit.txt",
               file=sys.stderr)

@@ -8,7 +8,9 @@ where d is the bound-continuum dipole matrix element, Y the (constant)
 ionisation amplitude and tau = tr - ti.  The Hessian square root is taken as
 the product of the two per-eigenvalue Gaussian factors sqrt(2 pi / (-i l_k)),
 which fixes the branch smoothly away from coalescences; only the
-positive-frequency part is kept, so intensities absorb the "+ c.c.".
+positive-frequency part is kept, so intensities absorb the "+ c.c.".  The
+D_s of one period approximate the integral over t in [0, T); the harmonic
+dipole is the Fourier coefficient, their sum divided by T.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ def contribution(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint,
 
 def harmonic_dipole(p: FieldParams, tgt: TargetParams, q, labelled,
                     dme_form="paper"):
-    """Sum relevant per-orbit contributions into the harmonic dipole."""
+    """Sum relevant per-orbit contributions into the harmonic dipole,
+    divided by the period T (a Fourier coefficient over one period)."""
     contribs = []
     total = np.zeros(2, dtype=complex)
     for sp, label in labelled:
@@ -136,6 +139,7 @@ def harmonic_dipole(p: FieldParams, tgt: TargetParams, q, labelled,
         contribs.append(c)
         if label.relevant:
             total = total + c.total
+    total = total / p.period
     empty = not any(label.relevant for _, label in labelled)
     return HarmonicDipole(q=float(q), Dx=complex(total[0]), Dy=complex(total[1]),
                           contributions=tuple(contribs), below_threshold=empty)

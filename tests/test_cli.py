@@ -47,6 +47,9 @@ class TestSpectrumCommand:
         assert "Pearson" in text
         r = float(text.rsplit(":", 1)[1])
         assert r > 0.9
+        lines = text.splitlines()
+        assert [ln.split()[0] for ln in lines[:3]] == ["q=19", "q=20", "q=21"]
+        assert lines[3].startswith("median log10(I_saddle/I_direct) = ")
 
     def test_dme_form_switch_keeps_selection_rules(self, tmp_path):
         assert run(["spectrum", "--q-min", "20", "--q-max", "21",

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from twocolor_hhg import (OracleConfig, ResolutionError, contribution,
-                          direct_dipole, windowed_dipole)
+from twocolor_hhg import (FieldParams, OracleConfig, ResolutionError,
+                          contribution, direct_dipole, spectrum,
+                          windowed_dipole)
+
+from conftest import E1, OMEGA
 
 
 CFG = OracleConfig()
+# (phi, R) fields and orders of the absolute saddle-versus-oracle check
+NORM_FIELDS = ((0.0, 0.12), (np.pi / 2, 0.12), (0.7, 0.06), (2.1, 0.18))
+NORM_ORDERS = np.arange(15, 28)
 
 
 class TestConfig:
@@ -118,6 +124,34 @@ class TestWindowedDipole:
                 saddle_amp = np.linalg.norm(fam_sum[fam]) / params.period
                 lo, hi = windows[fam]
                 assert lo < saddle_amp / oracle_amp < hi
+
+
+@pytest.fixture(scope="module")
+def log_ratios(target):
+    """log10(I_saddle / I_direct) over NORM_ORDERS at each of NORM_FIELDS."""
+    out = {}
+    for phi, ratio in NORM_FIELDS:
+        p = FieldParams.from_ratio(E1, OMEGA, ratio, phi)
+        sad = spectrum(p, target, NORM_ORDERS)
+        dirc = direct_dipole(p, target, CFG, NORM_ORDERS)
+        out[(phi, ratio)] = np.log10(sad.Itotal / dirc.Itotal)
+    return out
+
+
+class TestAbsoluteNormalisation:
+    def test_median_offset_within_015_decades(self, log_ratios):
+        # both sides are Fourier coefficients over one period; a saddle sum
+        # not divided by T sits log10 T^2 = 4.09 decades above the oracle
+        for field, lr in log_ratios.items():
+            assert abs(np.median(lr)) <= 0.15, (field, lr)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "single orders are still up to 1.3 decades off the oracle: q = 15 "
+        "at (0, 0.12), (pi/2, 0.12) and (2.1, 0.18), q = 18 and 19 at "
+        "(pi/2, 0.12), q = 26 at (0.7, 0.06), q = 18 at (2.1, 0.18)"))
+    def test_every_order_within_half_a_decade(self, log_ratios):
+        for field, lr in log_ratios.items():
+            assert np.max(np.abs(lr)) <= 0.5, (field, lr)
 
 
 class TestConvergence:
