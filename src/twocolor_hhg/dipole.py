@@ -191,11 +191,12 @@ def labelled_orbits(p: FieldParams, tgt: TargetParams, qs, solver=None,
                                                solver=solver)
     for q in qs:
         saddles = per_q.get(q, [])
-        if saddles:
-            mask = relevance_mask(p, tgt, q, saddles, history=history,
-                                  keys=assignment[q], audit=audit)
-            saddles = classify(p, saddles, relevant_mask=mask)
-        yield q, saddles
+        if not saddles:
+            yield q, []
+            continue
+        mask = relevance_mask(p, tgt, q, saddles, history=history,
+                              keys=assignment[q], audit=audit)
+        yield q, classify(p, saddles, relevant_mask=mask)
 
 
 def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper",

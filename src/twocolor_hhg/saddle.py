@@ -497,4 +497,3 @@ def _clamp(nxt, step, to_value):
     if (step > 0 and nxt > to_value) or (step < 0 and nxt < to_value):
         return to_value
     return nxt
-
