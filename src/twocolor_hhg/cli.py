@@ -248,7 +248,7 @@ def cmd_spectrum(p, tgt, opts, echo, args):
 
 def cmd_scan(p, tgt, opts, echo, args):
     qs = list(range(opts["q_min"], opts["q_max"] + 1))
-    scan = run_scan(p, tgt, qs, opts["n_phi"])
+    scan = run_scan(p, tgt, qs, opts["n_phi"], dme_form=opts["dme_form"])
     rows = []
     for m, q in enumerate(scan.qs):
         for j, phi in enumerate(scan.phis):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SPEED_OF_LIGHT, FieldParams, TargetParams, apot
-from .saddle import CoalescenceError, SaddlePoint, hessian, solve_cycle
+from .field import SPEED_OF_LIGHT, FieldParams, TargetParams
+from .saddle import CoalescenceError, SaddlePoint, solve_cycle
 from .taxonomy import OrbitLabel, classify, relevance_mask, track_branches
 
 DME_FORMS = ("paper", "hydrogenic")
@@ -113,12 +113,8 @@ def contribution(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint,
                  label: OrbitLabel, dme_form="paper"):
     """Assemble the factorized dipole contribution of one saddle."""
     tau = sp.tr - sp.ti
-    if sp.hess is None:     # a point built by hand, not by the solver
-        hess, k_rec = hessian(p, tgt, q, sp)[0], sp.ps + apot(p, sp.tr)
-    else:
-        hess, k_rec = sp.hess, sp.k_rec
-    hess_factor = _hess_prefactor(hess)
-    d_rec = dme(k_rec, tgt.Ip, form=dme_form)
+    hess_factor = _hess_prefactor(sp.hess)
+    d_rec = dme(sp.k_rec, tgt.Ip, form=dme_form)
     ion_amp = ionisation_amplitude(tgt)
     spread = (2.0 * np.pi / (1j * tau)) ** 1.5
     phase = np.exp(1j * sp.action)
@@ -153,16 +149,15 @@ def intensity(hd: HarmonicDipole, omega):
     return ix, iy, ix + iy
 
 
-def build_history(p: FieldParams, tgt: TargetParams, qs, solver=None):
+def build_history(p: FieldParams, tgt: TargetParams, qs):
     """Solve each order and track branches across orders by continuity.
 
-    Returns (per_q, assignment, history): ``per_q[q]`` is the raw saddle
-    list, ``assignment[q]`` the parallel branch keys, ``history[key]`` the
-    q-sorted (q, SaddlePoint) series of one branch.
+    Returns (per_q, assignment, history): ``per_q[q]`` is the
+    :func:`.saddle.solve_cycle` list, ``assignment[q]`` the parallel branch
+    keys, ``history[key]`` the q-sorted (q, SaddlePoint) series of one
+    branch.
     """
-    if solver is None:
-        solver = solve_cycle
-    per_q = {q: solver(p, tgt, q) for q in qs}
+    per_q = {q: solve_cycle(p, tgt, q) for q in qs}
     assignment, history = track_branches(per_q, p.period)
     return per_q, assignment, history
 
@@ -170,37 +165,42 @@ def build_history(p: FieldParams, tgt: TargetParams, qs, solver=None):
 def history_orders(qs):
     """The orders whose branch histories judge relevance over ``qs``.
 
-    They run from min(qs) to HISTORY_PAD orders beyond max(qs), so the cutoff
-    closest approach is visible from inside the range.
+    They run in unit steps from min(qs) to HISTORY_PAD orders beyond
+    max(qs), so the cutoff closest approach is visible from inside the range.
+    An order of ``qs`` off that grid raises ValueError.
     """
     qs = np.asarray(sorted(qs), dtype=float)
-    return np.arange(qs[0], qs[-1] + HISTORY_PAD + 1.0)
+    orders = np.arange(qs[0], qs[-1] + HISTORY_PAD + 1.0)
+    off = qs[~np.isin(qs, orders)]
+    if off.size:
+        raise ValueError(f"orders {off.tolist()} are off the unit grid "
+                         f"from q = {qs[0]:g}")
+    return orders
 
 
-def labelled_orbits(p: FieldParams, tgt: TargetParams, qs, solver=None,
-                    audit=None):
+def labelled_orbits(p: FieldParams, tgt: TargetParams, qs, audit=None):
     """Yield (q, labelled saddles) for every order in sorted ``qs``.
 
-    Relevance is judged on the branch histories over :func:`history_orders`
-    and ``labelled`` is :func:`classify`'s list, empty when the order has no
-    saddles.  The relevance discards of an order are appended to ``audit``
-    before that order is yielded.
+    Branches are tracked over :func:`history_orders` on the full saddle
+    lists; relevance is judged on the representatives and copied to their
+    partners.  ``labelled`` is :func:`classify`'s list, empty when the order
+    has no saddles.  The relevance discards of an order are appended to
+    ``audit`` before that order is yielded.
     """
     qs = np.asarray(sorted(qs), dtype=float)
-    per_q, assignment, history = build_history(p, tgt, history_orders(qs),
-                                               solver=solver)
+    per_q, assignment, history = build_history(p, tgt, history_orders(qs))
     for q in qs:
-        saddles = per_q.get(q, [])
+        saddles = per_q[q]
         if not saddles:
             yield q, []
             continue
-        mask = relevance_mask(p, tgt, q, saddles, history=history,
-                              keys=assignment[q], audit=audit)
-        yield q, classify(p, saddles, relevant_mask=mask)
+        n = len(saddles) // 2
+        mask = relevance_mask(p, tgt, q, saddles[:n], history=history,
+                              keys=assignment[q][:n], audit=audit)
+        yield q, classify(p, saddles, relevant_mask=np.concatenate([mask, mask]))
 
 
-def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper",
-             solver=None):
+def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper"):
     """Saddle-point harmonic spectrum over the orders ``qs``.
 
     The orbits of each order come from :func:`labelled_orbits`.  Per-order
@@ -211,8 +211,7 @@ def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper",
     dipoles = []
     ix = np.zeros(qs.size)
     iy = np.zeros(qs.size)
-    for n, (q, labelled) in enumerate(labelled_orbits(p, tgt, qs, solver=solver,
-                                                      audit=audit)):
+    for n, (q, labelled) in enumerate(labelled_orbits(p, tgt, qs, audit=audit)):
         hd = HarmonicDipole(q=q, Dx=0j, Dy=0j, contributions=(),
                             below_threshold=True)
         if not labelled:

@@ -24,9 +24,8 @@ from scipy.optimize import minimize_scalar
 
 from .field import FieldParams, TargetParams
 from .saddle import (BranchLostError, CoalescenceError, NoConvergenceError,
-                     continue_branches, solve_cycle)
-from .taxonomy import (MATCH_TOL_PERIODS, _symmetrize_mask, amplitude,
-                       classify, relevance_mask)
+                     continue_branches, solve_cycle, with_partners)
+from .taxonomy import MATCH_TOL_PERIODS, amplitude, classify, relevance_mask
 from .dipole import PoleError, harmonic_dipole, intensity
 from .polarization import (EllipseDecomposition, UndefinedEllipseError,
                            decompose, signed_axes)
@@ -92,41 +91,49 @@ class PhaseScan:
         return self.Itotal[idx]
 
 
-def _match_indices(prev_sads, saddles, period):
-    """Index of each saddle's predecessor in the previous cell (-1 if new)."""
-    out = np.full(len(saddles), -1, dtype=int)
-    for i, sp in enumerate(saddles):
-        d = [abs(sp.ti - ref.ti) + abs(sp.tr - ref.tr) for ref in prev_sads]
+def _match_indices(prev_reps, reps, period):
+    """Index of each representative's predecessor in the previous cell (-1 if
+    new), matched modulo T/2: a dense refresh folds a representative that
+    continuation carried out of [0, T/2) back onto its partner's times."""
+    half = 0.5 * period
+    out = np.full(len(reps), -1, dtype=int)
+    for i, sp in enumerate(reps):
+        d = []
+        for ref in prev_reps:
+            s = half * np.round((sp.ti - ref.ti).real / half)
+            d.append(abs(sp.ti - ref.ti - s) + abs(sp.tr - ref.tr - s))
         if d and min(d) < MATCH_TOL_PERIODS * period:
             out[i] = int(np.argmin(d))
     return out
 
 
-def _scan_cell(p, tgt, q, saddles, gaps, phi, prev_sads=None, prev_banned=None):
+def _scan_cell(p, tgt, q, reps, gaps, phi, dme_form, prev_reps=None,
+               prev_banned=None):
     """Relevance + classification + dipole sum for one (q, phi) cell.
 
-    Returns the cell result plus the `banned` flags to carry to the next
-    cell: a branch whose amplitude explodes between neighbouring phi cells
-    is an anti-Stokes partner crossing in phi — invisible to the per-order
-    growth test — and stays excluded for as long as it is tracked.
+    Relevance is judged on the representatives ``reps`` and copied to their
+    partners.  Returns the cell result plus the `banned` flags to carry to
+    the next cell: a branch whose amplitude explodes between neighbouring
+    phi cells is an anti-Stokes partner crossing in phi — invisible to the
+    per-order growth test — and stays excluded for as long as it is tracked.
     """
-    mask = relevance_mask(p, tgt, q, saddles)
-    banned = np.zeros(len(saddles), dtype=bool)
-    match = _match_indices(prev_sads or [], saddles, p.period)
-    for i, sp in enumerate(saddles):
+    mask = relevance_mask(p, tgt, q, reps)
+    banned = np.zeros(len(reps), dtype=bool)
+    match = _match_indices(prev_reps or [], reps, p.period)
+    for i, sp in enumerate(reps):
         k = match[i]
         if k < 0:
             continue
         if prev_banned is not None and prev_banned[k]:
             banned[i] = True
-        elif amplitude(sp) > PHI_GROWTH_FACTOR * amplitude(prev_sads[k]):
+        elif amplitude(sp) > PHI_GROWTH_FACTOR * amplitude(prev_reps[k]):
             banned[i] = True
             gaps.append((q, phi, f"branch at ti={sp.ti:.2f} grows with phi "
                                  "(anti-Stokes crossing)"))
     mask &= ~banned
-    _symmetrize_mask(p, saddles, mask, [None] * len(saddles))
-    labelled = classify(p, saddles, relevant_mask=mask)
-    hd = harmonic_dipole(p, tgt, q, labelled)
+    labelled = classify(p, with_partners(p, reps),
+                        relevant_mask=np.concatenate([mask, mask]))
+    hd = harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
     ix, iy, itot = intensity(hd, p.omega)
     cell_axes = {}
     for c in hd.contributions:
@@ -147,13 +154,14 @@ def _mirror_decomposition(dec):
                                 gamma=dec.gamma, ellipticity=dec.ellipticity)
 
 
-def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
+def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper"):
     """Sweep phi over ``n_phi`` uniform points for each order in ``q_list``.
 
-    Saddles are carried from cell to cell by continuation; every
+    The representative saddles are carried from cell to cell by
+    continuation and each cell appends their exact partners; every
     REFRESH_EVERY-th cell re-solves from a dense seed grid so branches
     born mid-scan are picked up.  Failed cells or lost branches become gap
-    records, never aborts.
+    records, never aborts.  ``dme_form`` is passed to :func:`.dipole.dme`.
 
     Shifting phi by pi reflects the driving field in y exactly, so only the
     half grid [0, pi) is computed and the second half is tiled from it:
@@ -175,26 +183,27 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
     raw_axes = {}
     gaps = []
     for m, q in enumerate(qs):
-        prev_p, prev_sads, prev_banned = None, None, None
+        prev_p, prev_reps, prev_banned = None, None, None
         for j in range(half):
             phi = phis[j]
             pj = p.with_phi(phi)
             try:
-                if prev_sads is None or j % REFRESH_EVERY == 0:
+                if prev_reps is None or j % REFRESH_EVERY == 0:
                     sads = solve_cycle(pj, tgt, q)
+                    reps = sads[:len(sads) // 2]
                 else:
-                    sads = []
-                    for res in continue_branches(prev_p, tgt, q, prev_sads,
+                    reps = []
+                    for res in continue_branches(prev_p, tgt, q, prev_reps,
                                                  "phi", phi):
                         if isinstance(res, BranchLostError):
                             gaps.append((q, phi, str(res)))
                         else:
-                            sads.append(res)
-                res = _scan_cell(pj, tgt, q, sads, gaps, phi,
-                                 prev_sads=prev_sads, prev_banned=prev_banned)
+                            reps.append(res)
+                res = _scan_cell(pj, tgt, q, reps, gaps, phi, dme_form,
+                                 prev_reps=prev_reps, prev_banned=prev_banned)
             except (NoConvergenceError, CoalescenceError, PoleError) as exc:
                 gaps.append((q, phi, str(exc)))
-                prev_p, prev_sads, prev_banned = None, None, None
+                prev_p, prev_reps, prev_banned = None, None, None
                 continue
             ix[m, j], iy[m, j], itot[m, j], cell_axes, banned = res
             ix[m, j + half] = ix[m, j]
@@ -204,7 +213,7 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
                 store = raw_axes.setdefault((q, bid), {})
                 store[j] = dec
                 store[j + half] = _mirror_decomposition(dec)
-            prev_p, prev_sads, prev_banned = pj, sads, banned
+            prev_p, prev_reps, prev_banned = pj, reps, banned
     axes, minor, gam, ell = _signed_axis_tables(raw_axes, n_phi)
     return PhaseScan(phis=phis, qs=qs, Ix=ix, Iy=iy, Itotal=itot, axes=axes,
                      minor=minor, gamma=gam, ellipticity=ell, gaps=tuple(gaps))
@@ -331,13 +340,14 @@ def align_shift(reference_fit: ModulationFit, measured, phase_grid):
     return tau
 
 
-def classify_modality(series, phase_grid, tol=PERIODICITY_TOL):
+def classify_modality(series, phase_grid):
     """Count modulation maxima per pi period: 1 -> monomodal, >=2 -> bimodal.
 
-    The series must be pi-periodic on its uniform 2pi grid (within ``tol``
-    relative to its peak-to-peak) and non-constant; otherwise classification
-    is refused.  Maxima are counted on the Fourier-smoothed series (extended
-    model) so grid noise cannot split a peak.
+    The series must be pi-periodic on its uniform 2pi grid (within
+    PERIODICITY_TOL relative to its peak-to-peak) and non-constant;
+    otherwise classification is refused.  Maxima are counted on the
+    Fourier-smoothed series (extended model) so grid noise cannot split a
+    peak.
     """
     y = np.asarray(series, dtype=float)
     phis = np.asarray(phase_grid, dtype=float)
@@ -350,7 +360,7 @@ def classify_modality(series, phase_grid, tol=PERIODICITY_TOL):
         raise ClassificationRefusedError("constant series (degenerate)")
     half = y.size // 2
     defect = np.max(np.abs(y - np.roll(y, half)))
-    if defect > tol * ptp:
+    if defect > PERIODICITY_TOL * ptp:
         raise ClassificationRefusedError(
             f"series not pi-periodic (defect {defect:.3e} vs ptp {ptp:.3e})")
     fit = fourier_fit(y, phis, extended=True)

@@ -70,10 +70,7 @@ def signed_axis_series(ms):
     lead = first[0] if first[0] != 0.0 else first[1]
     start_flip = -1.0 if lead < 0 else 1.0
     ms[0] *= start_flip
-    for n in range(1, ms.shape[0]):
-        if np.linalg.norm(ms[n] - ms[n - 1]) > np.linalg.norm(ms[n] + ms[n - 1]):
-            ms[n] *= -1.0
-    return ms, start_flip
+    return _continue_signs(ms), start_flip
 
 
 def signed_axes(pair_series):
@@ -86,9 +83,13 @@ def signed_axes(pair_series):
     """
     lead, partner = (np.array(s, dtype=float) for s in pair_series)
     lead_signed, flip = signed_axis_series(lead)
-    partner = partner * flip
-    for n in range(1, partner.shape[0]):
-        if np.linalg.norm(partner[n] - partner[n - 1]) > np.linalg.norm(
-                partner[n] + partner[n - 1]):
-            partner[n] *= -1.0
-    return lead_signed, partner
+    return lead_signed, _continue_signs(partner * flip)
+
+
+def _continue_signs(ms):
+    """Flip each sample after the first, in place, to the sign closer to its
+    predecessor; returns ``ms``."""
+    for n in range(1, ms.shape[0]):
+        if np.linalg.norm(ms[n] - ms[n - 1]) > np.linalg.norm(ms[n] + ms[n - 1]):
+            ms[n] *= -1.0
+    return ms

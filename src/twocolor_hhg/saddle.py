@@ -10,12 +10,14 @@ All dot products of 2-vectors are unconjugated (analytic continuation).
 
 The solver is a damped Newton iteration with the analytic Jacobian; the
 public entry points are scalar, but internally everything is vectorized so
-that a dense seed grid over one optical cycle is cheap.
+that a dense seed grid over one half-cycle is cheap.  Shifting time by T/2
+maps the field to (-x, y), so the saddles of the other half-cycle are the
+exact partners of those of the first (:func:`with_partners`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .field import (FieldParams, TargetParams, _apot, _apot_integral, _efield, _
 
 RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
+TAU_MAX_PERIODS = 1.05     # excursion cap: the single-return scope
 
 
 class CoalescenceError(ValueError):
@@ -54,10 +57,9 @@ class SaddlePoint:
     hessdet: complex
     q: float
     residual: float
-    # the kernel's values at the point, so the dipole need not recompute them;
-    # None for a point built by hand (the dipole then calls :func:`hessian`)
-    hess: np.ndarray | None = None      # complex (2, 2) Hessian of S wrt (ti, tr)
-    k_rec: np.ndarray | None = None     # complex (2,) return momentum p_s + A(tr)
+    # the kernel's values at the point, so the dipole need not recompute them
+    hess: np.ndarray        # complex (2, 2) Hessian of S wrt (ti, tr)
+    k_rec: np.ndarray       # complex (2,) return momentum p_s + A(tr)
 
     @property
     def excursion(self):
@@ -67,7 +69,7 @@ class SaddlePoint:
 
 @dataclass(frozen=True)
 class SeedGrid:
-    """Initial guesses (ti, tr) within one fundamental period."""
+    """Initial guesses (ti, tr) with Re(ti) in the first half-cycle."""
 
     ti: np.ndarray
     tr: np.ndarray
@@ -224,7 +226,7 @@ def _line_search(p, tgt, q, ti, tr, dti, dtr, base, first, count):
     return k[pick], norm[pick], state[:, pick]
 
 
-def _newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100, max_halvings=8):
+def _newton_batch(p, tgt, q, ti, tr, max_iter=100, max_halvings=8):
     """Damped Newton on a batch of seeds. Returns (ti, tr, resnorm, converged).
 
     A step d from t is cut to t + 2^-k d with the least k <= ``max_halvings``
@@ -243,7 +245,7 @@ def _newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100, max_halving
     alive = np.isfinite(rn)
     depth = np.zeros(ti.shape, dtype=int)
     for _ in range(max_iter):
-        idx = np.flatnonzero(alive & (rn > tol))
+        idx = np.flatnonzero(alive & (rn > RESIDUAL_TOL))
         if not idx.size:
             break
         (f_rec, f_ion), ((j00, j01), (j10, j11)) = _jacobian(state[:, idx])
@@ -286,7 +288,7 @@ def _newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100, max_halving
         depth[moved] = halvings[improved]
         # a trial that is not better (no longer finite, or not improved) ends the seed
         alive[idx[~improved]] = False
-    converged = alive & (rn <= tol)
+    converged = alive & (rn <= RESIDUAL_TOL)
     return ti, tr, rn, converged
 
 
@@ -305,7 +307,7 @@ def _make_point(p, tgt, q, ti, tr):
 
 
 def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
-                   tol=RESIDUAL_TOL, max_iter=100):
+                   max_iter=100):
     """One damped-Newton run over a batch of seeds, judged seed by seed.
 
     ``q`` is a scalar or one order per seed.  Returns (q, ti, tr, errors):
@@ -317,8 +319,7 @@ def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
     seed_ti = np.atleast_1d(np.asarray(seed_ti, dtype=complex))
     seed_tr = np.atleast_1d(np.asarray(seed_tr, dtype=complex))
     q = np.broadcast_to(np.asarray(q, dtype=float), seed_ti.shape)
-    ti, tr, rn, conv = _newton_batch(p, tgt, q, seed_ti, seed_tr, tol=tol,
-                                     max_iter=max_iter)
+    ti, tr, rn, conv = _newton_batch(p, tgt, q, seed_ti, seed_tr, max_iter=max_iter)
     errors = []
     for k in range(ti.size):
         if abs(seed_tr[k] - seed_ti[k]) < 1e-12:
@@ -341,44 +342,42 @@ def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
 
 
 def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
-                tol=RESIDUAL_TOL, max_iter=100):
+                max_iter=100):
     """Batched :func:`newton_solve`: per seed a SaddlePoint or the exception.
 
     The points are built one at a time on numpy scalars, so each is
     bit-identical to the one a single-seed solve returns.
     """
-    q, ti, tr, out = converge_seeds(p, tgt, q, seed_ti, seed_tr, tol=tol,
-                                    max_iter=max_iter)
+    q, ti, tr, out = converge_seeds(p, tgt, q, seed_ti, seed_tr, max_iter=max_iter)
     return [_make_point(p, tgt, q[k], ti[k], tr[k]) if err is None else err
             for k, err in enumerate(out)]
 
 
 def newton_solve(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
-                 tol=RESIDUAL_TOL, max_iter=100):
+                 max_iter=100):
     """Solve the saddle system from one seed; returns a converged SaddlePoint.
 
     Solutions with Im(ti) < 0 are the complex-conjugate (growing) partners
     and are rejected.
     """
-    (out,) = solve_seeds(p, tgt, q, [seed_ti], [seed_tr], tol=tol,
-                         max_iter=max_iter)
+    (out,) = solve_seeds(p, tgt, q, [seed_ti], [seed_tr], max_iter=max_iter)
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def seed_grid(p: FieldParams, tgt: TargetParams, n_ti=48, n_tau=60, tau_max=None):
-    """Dense (ti, tr) guesses over one period, lifted off the real axis.
+def seed_grid(p: FieldParams, tgt: TargetParams, n_ti=48, n_tau=60):
+    """Dense (ti, tr) guesses over the first half-cycle, lifted off the real axis.
 
-    Im(ti) is initialised with the tunnelling-time estimate
-    sqrt(2 Ip)/|E(Re ti)|, with the field magnitude floored to avoid blowup
-    at its zero crossings.
+    The birth times are the first-half points of an ``n_ti``-point grid over
+    the period; the excursions run up to TAU_MAX_PERIODS periods.  Im(ti) is
+    initialised with the tunnelling-time estimate sqrt(2 Ip)/|E(Re ti)|, with
+    the field magnitude floored to avoid blowup at its zero crossings.
     """
     t_period = p.period
-    if tau_max is None:
-        tau_max = 1.05 * t_period
     re_ti = np.linspace(0.0, t_period, n_ti, endpoint=False)
-    taus = np.linspace(0.05 * t_period, tau_max, n_tau)
+    re_ti = re_ti[re_ti < 0.5 * t_period]
+    taus = np.linspace(0.05 * t_period, TAU_MAX_PERIODS * t_period, n_tau)
     e_abs = np.linalg.norm(efield(p, re_ti).real, axis=0)
     e_floor = 0.2 * max(p.E1, p.E2)
     im_ti = np.sqrt(2.0 * tgt.Ip) / np.maximum(e_abs, e_floor)
@@ -392,34 +391,50 @@ def below_threshold(p: FieldParams, tgt: TargetParams, q):
     return q * p.omega <= tgt.Ip
 
 
-def solve_cycle(p: FieldParams, tgt: TargetParams, q, n_ti=48, n_tau=60,
-                tau_max=None, tol=RESIDUAL_TOL):
-    """All distinct saddles with Re(ti) in one fundamental period.
+def with_partners(p: FieldParams, representatives):
+    """The representatives followed by their half-cycle partners, in order.
 
-    Below the Ip threshold the result is empty (see :func:`below_threshold`
-    for the flag).  Excursions are capped at ``tau_max`` (default 1.05 T,
-    the single-return scope) so multi-cycle returns are excluded; solutions
+    Shifting time by T/2 maps E and A to (-x, y), so a saddle's image
+    (ti + T/2, tr + T/2) is a saddle with p_s and the return momentum
+    mirrored in x, the action raised by q pi (the q w tr term) and the same
+    Hessian.
+    """
+    half = 0.5 * p.period
+    mirror = np.array([-1.0, 1.0])
+    return list(representatives) + [
+        replace(sp, ti=sp.ti + half, tr=sp.tr + half, ps=sp.ps * mirror,
+                action=sp.action + sp.q * np.pi, k_rec=sp.k_rec * mirror)
+        for sp in representatives]
+
+
+def solve_cycle(p: FieldParams, tgt: TargetParams, q, n_ti=48, n_tau=60):
+    """All distinct saddles with Re(ti) in one fundamental period: the
+    representatives, then their partners (:func:`with_partners`).
+
+    The representatives are solved from :func:`seed_grid`, folded to Re(ti)
+    in [0, T/2), deduplicated and sorted by (Re ti, Re tr).  Below the Ip
+    threshold the result is empty (see :func:`below_threshold`).  Excursions
+    are capped at TAU_MAX_PERIODS periods (no multi-cycle returns); solutions
     with Im(ti) < 0 or Im(S) < 0 are the exponentially growing conjugate
-    partners and are discarded.  Survivors are deduplicated after folding by
-    the field period and sorted by (Re ti, Re tr).
+    partners and are discarded.
     """
     if below_threshold(p, tgt, q):
         return []
-    t_period = p.period
-    if tau_max is None:
-        tau_max = 1.05 * t_period
-    seeds = seed_grid(p, tgt, n_ti=n_ti, n_tau=n_tau, tau_max=tau_max)
-    ti, tr, rn, conv = _newton_batch(p, tgt, q, seeds.ti, seeds.tr, tol=tol)
+    half = 0.5 * p.period
+    tau_max = TAU_MAX_PERIODS * p.period
+    seeds = seed_grid(p, tgt, n_ti=n_ti, n_tau=n_tau)
+    ti, tr, rn, conv = _newton_batch(p, tgt, q, seeds.ti, seeds.tr)
     good = conv & (ti.imag > 0) & (tr.real > ti.real) & (tr.real - ti.real <= tau_max)
     ti, tr = ti[good], tr[good]
     im_s = action_value(p, tgt, q, ti, tr).imag if ti.size else np.empty(0)
     keep = im_s >= 0.0
     ti, tr = ti[keep], tr[keep]
-    # fold Re(ti) into [0, T)
-    shift = np.floor(ti.real / t_period) * t_period
+    # fold Re(ti) into [0, T/2): a shift by T/2 lands on the partner saddle
+    shift = np.floor(ti.real / half) * half
     ti = ti - shift
     tr = tr - shift
-    return [_make_point(p, tgt, q, ti[k], tr[k]) for k in _dedup(ti, tr, t_period)]
+    return with_partners(p, [_make_point(p, tgt, q, ti[k], tr[k])
+                             for k in _dedup(ti, tr, half)])
 
 
 def _dedup(ti, tr, period):
@@ -427,7 +442,7 @@ def _dedup(ti, tr, period):
 
     Greedy in (Re ti, Re tr) order: the first surviving pair is accepted and
     every pair within DEDUP_TOL of it, also after shifting both times by
-    +-period, is dropped; this repeats once per distinct pair.
+    +-``period``, is dropped; this repeats once per distinct pair.
     """
     order = np.lexsort((tr.real, ti.real))
     ti, tr = ti[order], tr[order]
@@ -448,7 +463,7 @@ def _apply_param(p, q, name, value):
 
 
 def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
-                      to_value, max_halvings=10, tol=RESIDUAL_TOL):
+                      to_value, max_halvings=10):
     """Continue each saddle in q or phi; per branch the result or the loss.
 
     Returns a list parallel to ``saddles`` holding the continued SaddlePoint
@@ -466,7 +481,7 @@ def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
     step = to_value - start
     p2, q2 = _apply_param(p, q, parameter, _clamp(start + step, step, to_value))
     first = solve_seeds(p2, tgt, q2, [sp.ti for sp in saddles],
-                        [sp.tr for sp in saddles], tol=tol)
+                        [sp.tr for sp in saddles])
     out = []
     for idx, (sp, cand) in enumerate(zip(saddles, first)):
         cur, cur_val, step, halvings = sp, start, to_value - start, 0
@@ -474,7 +489,7 @@ def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
             nxt = _clamp(cur_val + step, step, to_value)
             if cand is None:    # only the first full step is solved already
                 p2, q2 = _apply_param(p, q, parameter, nxt)
-                (cand,) = solve_seeds(p2, tgt, q2, [cur.ti], [cur.tr], tol=tol)
+                (cand,) = solve_seeds(p2, tgt, q2, [cur.ti], [cur.tr])
             if isinstance(cand, SaddlePoint) and abs(cand.ti - cur.ti) > 0.25 * t_period:
                 cand = NoConvergenceError("branch jump during continuation")
             if isinstance(cand, SaddlePoint):

@@ -25,7 +25,6 @@ from .saddle import SaddlePoint, action_value, converge_seeds
 BOUNDARY_TOL = 1e-6
 EXTRA_AMPLITUDE_CUT = 1e-6
 GROWTH_LOG_SLOPE = np.log(2.0)   # per harmonic order
-PAIR_TOL = 1e-6
 MATCH_TOL_PERIODS = 0.12         # branch identification step tolerance
 MIN_EXCURSION_PERIODS = 0.1      # stationary-phase validity floor on tau
 IM_TI_FLOOR = 0.3                # fraction of the Keldysh time sqrt(2 Ip)/E
@@ -223,7 +222,10 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
                    history=None, keys=None, audit=None):
     """Per-saddle relevance decisions (True = include in the dipole sum).
 
-    With ``history``/``keys`` from :func:`track_branches` over at least
+    The pipelines pass the representatives of :func:`.saddle.solve_cycle`
+    and give each partner its representative's flag, so half-cycle partners
+    agree by construction and each discard is audited once.  With
+    ``history``/``keys`` from :func:`track_branches` over at least
     MIN_BRANCH_SUPPORT orders, the growth slopes, the branch-support rule and
     the short/long closest-approach rule use the global branch data;
     otherwise slopes come from warm-started neighbour solves.
@@ -260,20 +262,16 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
                 f"branch persists for only {len(history[keys[i]])} orders")
     if tracked:
         _apply_pair_rule(p, q, saddles, keys, history, mask, reasons)
-    # amplitude floor relative to the dominant relevant saddle per half-cycle
-    halves = [_half_cycle_index(p, sp)[0] for sp in saddles]
-    for h in set(halves):
-        idx = [i for i in range(n) if halves[i] == h and mask[i]]
-        if not idx:
-            continue
-        dom = max(amps[i] for i in idx)
-        ranked = sorted(idx, key=lambda i: -amps[i])
-        for i in ranked[2:]:
-            if amps[i] < EXTRA_AMPLITUDE_CUT * dom:
-                mask[i] = False
-                reasons[i] = (f"extra family below amplitude threshold "
-                              f"({amps[i]:.3e} vs dominant {dom:.3e})")
-    _symmetrize_mask(p, saddles, mask, reasons)
+    # amplitude floor relative to the dominant relevant saddle; the
+    # representatives are the orbits of one half-cycle, wherever continuation
+    # has carried their Re(ti)
+    ranked = sorted(np.flatnonzero(mask), key=lambda i: -amps[i])
+    for i in ranked[2:]:
+        dom = amps[ranked[0]]
+        if amps[i] < EXTRA_AMPLITUDE_CUT * dom:
+            mask[i] = False
+            reasons[i] = (f"extra family below amplitude threshold "
+                          f"({amps[i]:.3e} vs dominant {dom:.3e})")
     for i, sp in enumerate(saddles):
         if not mask[i]:
             audit.append(f"q={q} ti={sp.ti:.3f}: discarded ({reasons[i]})")
@@ -300,33 +298,6 @@ def _apply_pair_rule(p, q, saddles, keys, history, mask, reasons):
                 mask[i] = False
                 reasons[i] = f"grows past short/long closest approach at q={q_c}"
                 break
-
-
-def _symmetrize_mask(p, saddles, mask, reasons):
-    """Force half-cycle partners to share the relevance flag (AND).
-
-    A relevant saddle whose T/2 partner is missing from the list would break
-    the exact even/odd selection rules, so unpaired saddles are dropped.
-    """
-    half_t = p.period / 2.0
-    paired = np.zeros(len(saddles), dtype=bool)
-    for i, sp in enumerate(saddles):
-        for k in range(i + 1, len(saddles)):
-            other = saddles[k]
-            for s in (half_t, -half_t):
-                if (abs(other.ti - sp.ti - s)
-                        + abs(other.tr - sp.tr - s)) < PAIR_TOL * half_t:
-                    paired[i] = paired[k] = True
-                    joint = mask[i] and mask[k]
-                    if mask[i] != joint:
-                        reasons[i] = "relevance symmetrized with half-cycle partner"
-                    if mask[k] != joint:
-                        reasons[k] = "relevance symmetrized with half-cycle partner"
-                    mask[i] = mask[k] = joint
-    for i in range(len(saddles)):
-        if mask[i] and not paired[i]:
-            mask[i] = False
-            reasons[i] = "half-cycle partner missing (unpaired saddle)"
 
 
 def find_cutoff(history, period):

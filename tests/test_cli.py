@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twocolor_hhg import FieldParams, run_scan
+from twocolor_hhg import FieldParams, run_scan, spectrum
 from twocolor_hhg.cli import main, read_table
 
 from conftest import E1, OMEGA
@@ -101,6 +101,22 @@ class TestScanCommand:
         for name in ("scan.csv", "axes.csv"):
             assert ((tmp_path / "out" / name).read_bytes()
                     == (GOLDEN_SCAN / name).read_bytes()), name
+
+    def test_dme_form_reaches_the_scan(self, tmp_path, params, target):
+        # the hydrogenic matrix element changes the H24 intensities, and the
+        # phi = 0 cell agrees with the spectrum computed with it
+        rows = {}
+        for form in ("paper", "hydrogenic"):
+            out = tmp_path / form
+            assert run(["scan", "--q-min", "24", "--q-max", "24", "--n-phi", "32",
+                        "--dme-form", form, "--outdir", out]) == 0
+            rows[form] = [ln for ln in (out / "scan.csv").read_text().splitlines()
+                          if not ln.startswith("#")]
+            assert len(rows[form]) == 33
+        assert rows["paper"][1:] != rows["hydrogenic"][1:]
+        _, cols = read_table(tmp_path / "hydrogenic" / "scan.csv")
+        ref = spectrum(params, target, [24], dme_form="hydrogenic").Itotal[0]
+        assert cols["Itotal"][0] == pytest.approx(ref, rel=1e-9)
 
     def test_audit_lists_every_gap(self, tmp_path, target):
         # at R = 0.06 the H24 scan loses branches in continuation; their

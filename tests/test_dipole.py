@@ -159,20 +159,30 @@ class TestSpectrum:
         assert np.all(spec.Itotal == 0.0)
         assert all(hd.below_threshold for hd in spec.dipoles)
 
-    def test_coalescent_saddle_is_audited(self, params, target):
-        # a saddle with tr == ti fails inside the Hessian (stationary
-        # momentum undefined); the order is skipped with an audit entry
-        def solver(p, tgt, q):
+    def test_coalescent_saddle_is_audited(self, params, target, monkeypatch):
+        # a saddle whose Hessian is singular (two saddles merged) fails in
+        # the stationary-phase prefactor; the order is skipped with an audit
+        # entry, not a traceback
+        def solve_cycle(p, tgt, q):
             t = 20.0 + 5.0j
-            return [SaddlePoint(ti=t, tr=t, ps=np.zeros(2, dtype=complex),
-                                action=0j, hessdet=0j, q=float(q),
-                                residual=0.0)]
+            sp = SaddlePoint(ti=t, tr=t + 30.0, ps=np.zeros(2, dtype=complex),
+                             action=0j, hessdet=0j, q=float(q), residual=0.0,
+                             hess=np.ones((2, 2), dtype=complex),
+                             k_rec=np.ones(2, dtype=complex))
+            return saddle.with_partners(p, [sp])
 
-        spec = spectrum(params, target, [20, 21], solver=solver)
+        monkeypatch.setattr(dipole, "solve_cycle", solve_cycle)
+        spec = spectrum(params, target, [20, 21])
         assert np.all(spec.Itotal == 0.0)
         skipped = [line for line in spec.audit if "skipped" in line]
         assert len(skipped) == 2
-        assert all("coincide" in line for line in skipped)
+        assert all("coalesced" in line for line in skipped)
+
+    def test_off_grid_order_rejected(self, params, target):
+        # branch histories run in unit steps from the lowest order, so 20.5
+        # would never be solved
+        with pytest.raises(ValueError, match=r"20\.5"):
+            spectrum(params, target, [20, 20.5, 21])
 
     def test_one_coalescence_error(self):
         assert dipole.CoalescenceError is saddle.CoalescenceError

@@ -5,7 +5,7 @@ import pytest
 
 from twocolor_hhg import (ClassificationRefusedError, IllConditionedFitError,
                           align_shift, classify_modality, fourier_fit,
-                          phasescan, run_scan)
+                          harmonic_dipole, phasescan, run_scan)
 
 
 GRID64 = 2.0 * np.pi * np.arange(64) / 64
@@ -136,3 +136,23 @@ class TestRunScan:
         monkeypatch.setattr(phasescan, "_scan_cell", broken_cell)
         with pytest.raises(ValueError, match="broadcast"):
             run_scan(params, target, [17], 32)
+
+    def test_partners_share_relevance_in_every_cell(self, params, target,
+                                                    monkeypatch):
+        # the H14-H27 scan over 32 phases of acceptance criterion 1: in every
+        # cell each saddle has its exact t + T/2 image, with the same flag
+        cells = []
+
+        def recording_dipole(p, tgt, q, labelled, dme_form="paper"):
+            cells.append((p.period, labelled))
+            return harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+
+        monkeypatch.setattr(phasescan, "harmonic_dipole", recording_dipole)
+        scan = run_scan(params, target, range(14, 28), 32)
+        assert len(cells) == np.count_nonzero(np.isfinite(scan.Itotal[:, :16]))
+        for period, labelled in cells:
+            flags = {sp.ti: lab.relevant for sp, lab in labelled}
+            pairs = [(lab.relevant, flags[sp.ti + period / 2])
+                     for sp, lab in labelled if sp.ti + period / 2 in flags]
+            assert 2 * len(pairs) == len(labelled)
+            assert all(a == b for a, b in pairs)

@@ -127,20 +127,32 @@ class TestSolveCycle:
             val = apot_integral(params, sp.ti, sp.tr) + sp.ps * (sp.tr - sp.ti)
             assert np.max(np.abs(val)) < 1e-12 * max(1.0, abs(sp.tr))
 
-    def test_two_colour_half_cycle_pairing(self, params, two20):
-        # set invariant under (ti, tr) -> (ti + T/2, tr + T/2), ps -> diag(-1,1) ps
-        assert len(two20) % 2 == 0
-        half = params.period / 2
-        for sp in two20:
-            ti2 = sp.ti + half
-            if ti2.real >= params.period:
-                ti2 -= params.period
-            partner = min(two20, key=lambda s: abs(s.ti - ti2))
-            assert abs(partner.ti - ti2) < 1e-8
-            assert abs(partner.tr - (sp.tr + half)
-                       + (sp.ti + half - ti2)) < 1e-8
-            assert abs(partner.ps[0] + sp.ps[0]) < 1e-8
-            assert abs(partner.ps[1] - sp.ps[1]) < 1e-8
+    def test_two_colour_half_cycle_pairing(self, params, target, two20):
+        # element i + n/2 is the image of element i under (ti, tr) ->
+        # (ti + T/2, tr + T/2), ps -> diag(-1, 1) ps, S -> S + q pi, exactly;
+        # and each image is a saddle of its own
+        n = len(two20) // 2
+        assert len(two20) == 2 * n
+        for rep, img in zip(two20[:n], two20[n:]):
+            assert_exact_partner(params, rep, img)
+            res = saddle_residual(params, target, 20, img.ti, img.tr)
+            assert np.max(np.abs(res)) < 1e-10
+            ps = stationary_momentum(params, img.ti, img.tr)
+            assert np.max(np.abs(ps - img.ps)) < 1e-12
+            s = action_value(params, target, 20, img.ti, img.tr)
+            assert abs(s - img.action) < 1e-10 * abs(s)
+
+    @pytest.mark.parametrize("phi, ratio", [(0.0, 0.12), (0.7, 0.06), (2.1, 0.18)])
+    def test_representatives_then_partners(self, target, phi, ratio):
+        p = FieldParams.from_ratio(E1, OMEGA, ratio, phi)
+        half = p.period / 2
+        for q in (15, 24, 33):
+            sads = solve_cycle(p, target, q)
+            n = len(sads) // 2
+            assert n > 0 and len(sads) == 2 * n
+            for rep, img in zip(sads[:n], sads[n:]):
+                assert 0.0 <= rep.ti.real < half
+                assert_exact_partner(p, rep, img)
 
     def test_dense_seed_brute_force_agrees(self, params, target, two20):
         # denser seeding reproduces every default solution; anything extra
@@ -180,6 +192,18 @@ class TestSolveCycle:
         short = min(first, key=lambda s: s.excursion)
         crest_phase = np.degrees(mono.omega * short.ti.real) - 90.0
         assert 10.0 < crest_phase < 30.0
+
+
+def assert_exact_partner(p, rep, img):
+    """``img`` is the t -> t + T/2 image of ``rep``, bit for bit."""
+    half = p.period / 2
+    assert img.ti == rep.ti + half and img.tr == rep.tr + half
+    assert img.ps[0] == -rep.ps[0] and img.ps[1] == rep.ps[1]
+    assert img.k_rec[0] == -rep.k_rec[0] and img.k_rec[1] == rep.k_rec[1]
+    assert img.action == rep.action + rep.q * np.pi
+    assert img.hess.tobytes() == rep.hess.tobytes()
+    assert img.hessdet == rep.hessdet and img.residual == rep.residual
+    assert img.q == rep.q
 
 
 class TestNewtonSolve:
@@ -312,17 +336,23 @@ class TestKernel:
         assert f_rec.tobytes() == res[0].tobytes()
         assert f_ion.tobytes() == res[1].tobytes()
 
-    def test_point_matches_public_functions(self, params, target, saddles):
-        for sp in saddles:
-            h, det = hessian(params, target, sp.q, sp)
-            res = saddle_residual(params, target, sp.q, sp.ti, sp.tr)
-            assert sp.hess.tobytes() == h.tobytes()
-            assert sp.k_rec.tobytes() == (sp.ps + apot(params, sp.tr)).tobytes()
-            assert sp.ps.tobytes() == stationary_momentum(
-                params, sp.ti, sp.tr).tobytes()
-            assert sp.action == action_value(params, target, sp.q, sp.ti, sp.tr)
-            assert sp.hessdet == det
-            assert sp.residual == np.max(np.abs(res))
+    def test_point_matches_public_functions(self, params, target):
+        # a representative's stored fields equal the public functions' values
+        # bit for bit; its partner is its exact image
+        for q in (18, 24, 30):
+            sads = solve_cycle(params, target, q)
+            n = len(sads) // 2
+            for sp, img in zip(sads[:n], sads[n:]):
+                assert_exact_partner(params, sp, img)
+                h, det = hessian(params, target, sp.q, sp)
+                res = saddle_residual(params, target, sp.q, sp.ti, sp.tr)
+                assert sp.hess.tobytes() == h.tobytes()
+                assert sp.k_rec.tobytes() == (sp.ps + apot(params, sp.tr)).tobytes()
+                assert sp.ps.tobytes() == stationary_momentum(
+                    params, sp.ti, sp.tr).tobytes()
+                assert sp.action == action_value(params, target, sp.q, sp.ti, sp.tr)
+                assert sp.hessdet == det
+                assert sp.residual == np.max(np.abs(res))
 
     def test_resnorm_is_residual_max_norm(self, params, target):
         seeds = seed_grid(params, target, n_ti=8, n_tau=10)
@@ -509,6 +539,7 @@ class TestNewtonBatch:
         monkeypatch.setattr(saddle, "_evaluate", counted)
         solve_cycle(params, target, q)
         seeds = seed_grid(params, target)
+        assert (seeds.ti.real < params.period / 2).all()
         work = {}
         ref_newton_batch(params, target, q, seeds.ti, seeds.tr, work=work)
         return points, work

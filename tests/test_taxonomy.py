@@ -1,5 +1,7 @@
 """Orbit labelling, branch tracking, relevance selection, cutoff flag."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,9 +103,7 @@ class TestRelevance:
 
     def test_negative_im_ti_irrelevant(self, params, target):
         sads = solve_cycle(params, target, 20)
-        bad = SaddlePoint(ti=sads[0].ti.conjugate(), tr=sads[0].tr,
-                          ps=sads[0].ps, action=sads[0].action,
-                          hessdet=sads[0].hessdet, q=20.0, residual=0.0)
+        bad = replace(sads[0], ti=sads[0].ti.conjugate(), residual=0.0)
         mask = relevance_mask(params, target, 20, [bad])
         assert not mask[0]
 
@@ -169,7 +169,9 @@ class TestLocalGrowthSlopes:
         # a coalescent entry loses both neighbours
         t = 20.0 + 5.0j
         sads.append(SaddlePoint(ti=t, tr=t, ps=np.zeros(2, dtype=complex),
-                                action=0j, hessdet=0j, q=27.0, residual=0.0))
+                                action=0j, hessdet=0j, q=27.0, residual=0.0,
+                                hess=np.zeros((2, 2), dtype=complex),
+                                k_rec=np.zeros(2, dtype=complex)))
         got = local_growth_slopes(params, target, 27, sads)
         ref = reference_slopes(params, target, 27, sads)
         assert got.tobytes() == ref.tobytes()
