@@ -22,7 +22,7 @@ from . import __version__
 from .field import ATOMIC_INTENSITY, FieldParams, TargetParams, convert_units, lissajous
 from .dipole import labelled_orbits
 from .dipole import spectrum as saddle_spectrum
-from .oracle import OracleConfig, direct_dipole
+from .oracle import OracleConfig, ResolutionError, direct_dipole
 from .phasescan import (ClassificationRefusedError, align_shift,
                         classify_modality, fourier_fit, run_scan)
 from .taxonomy import amplitude
@@ -205,6 +205,8 @@ def _q_range(opts):
 
 def cmd_spectrum(p, tgt, opts, echo, args):
     qs = _q_range(opts)
+    if args.oracle:     # before any output is written
+        OracleConfig().validate(p, qs[-1])
     spec = saddle_spectrum(p, tgt, qs, dme_form=opts["dme_form"])
     rows = []
     n_fail = 0
@@ -453,7 +455,7 @@ def main(argv=None):
     opts["outdir"].mkdir(parents=True, exist_ok=True)
     try:
         return args.func(p, tgt, opts, echo, args)
-    except UsageError as exc:
+    except (UsageError, ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import SPEED_OF_LIGHT, FieldParams, TargetParams
-from .saddle import CoalescenceError, SaddlePoint, solve_cycle
+from .saddle import CoalescenceError, SaddlePoint, solve_cycles
 from .taxonomy import OrbitLabel, classify, relevance_mask, track_branches
 
 DME_FORMS = ("paper", "hydrogenic")
@@ -150,14 +150,14 @@ def intensity(hd: HarmonicDipole, omega):
 
 
 def build_history(p: FieldParams, tgt: TargetParams, qs):
-    """Solve each order and track branches across orders by continuity.
+    """Solve the orders and track branches across orders by continuity.
 
     Returns (per_q, assignment, history): ``per_q[q]`` is the
-    :func:`.saddle.solve_cycle` list, ``assignment[q]`` the parallel branch
-    keys, ``history[key]`` the q-sorted (q, SaddlePoint) series of one
-    branch.
+    :func:`.saddle.solve_cycle` list, from one :func:`.saddle.solve_cycles`
+    call; ``assignment[q]`` the parallel branch keys, ``history[key]`` the
+    q-sorted (q, SaddlePoint) series of one branch.
     """
-    per_q = {q: solve_cycle(p, tgt, q) for q in qs}
+    per_q = dict(zip(qs, solve_cycles(p, tgt, qs)))
     assignment, history = track_branches(per_q, p.period)
     return per_q, assignment, history
 

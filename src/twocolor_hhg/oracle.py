@@ -5,7 +5,9 @@ integral over real recombination time and excursion tau is discretized with
 plain rectangle rules (tau on midpoints, tr commensurate with the period, so
 exact field symmetries survive discretization and disjoint tau bands add
 exactly).  The tau -> 0 spreading singularity is regularized by the complex
-shift tau -> tau + i*eps.  Slow by design; correctness only.
+shift tau -> tau + i*eps.  The tau integral is done once for all orders, a
+block of tr rows at a time, and each order is then a Fourier coefficient
+over the n_cycles periods of tr.  No saddle-point approximation is made.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .field import (FieldParams, TargetParams, apot, apot_integral,
                     apot_sq_integral)
 from .dipole import HarmonicSpectrum, dme, ionisation_amplitude
 from .field import SPEED_OF_LIGHT
+
+BLOCK_POINTS = 1 << 15     # (tr, tau) grid points built at a time
 
 
 class ResolutionError(ValueError):
@@ -37,7 +41,9 @@ class OracleConfig:
     steps_per_period: int = 512
     eps: float = 1e-2
 
-    def validate(self, p: FieldParams):
+    def validate(self, p: FieldParams, q_max=0.0):
+        """ValueError for a bad configuration, ResolutionError when the step
+        does not resolve order ``q_max`` (q w dt > 0.5)."""
         if self.steps_per_period < 400:
             raise ValueError("dt must be at most T/400")
         if self.tau_max_periods < 1.2:
@@ -46,35 +52,49 @@ class OracleConfig:
             raise ValueError("eps must be positive")
         if self.n_cycles < 1:
             raise ValueError("need at least one cycle")
+        if q_max * p.omega * self.dt(p) > 0.5:
+            raise ResolutionError(f"step {self.dt(p):.3f} too coarse for "
+                                  f"q={q_max:g} (q w dt > 0.5)")
 
     def dt(self, p: FieldParams):
         return p.period / self.steps_per_period
 
 
-def _integrand_rows(p, tgt, cfg, dme_form="paper"):
-    """Q-independent part of the integrand on the (tr, tau) grid.
+def _grid(p, cfg):
+    """The recombination times tr and the tau midpoints of the grid."""
+    dt = cfg.dt(p)
+    n_tau = int(round(cfg.tau_max_periods * cfg.steps_per_period))
+    tr = dt * np.arange(cfg.n_cycles * cfg.steps_per_period)
+    return tr, dt * (np.arange(n_tau) + 0.5)
 
-    Returns (tr_grid, g) where g has shape (2, n_tr): the tau integral of
-    d(p_s + A(tr)) * Y * spread * e^{i S0}, with S0 the action without the
-    q w tr term.
+
+def _tau_sums(p, tgt, cfg, dme_form="paper", weight=None):
+    """(tr, g): the tau integral of the q-independent integrand at each tr.
+
+    g has shape (2, n_tr): the tau sum of d(p_s + A(tr)) * Y * spread *
+    e^{i S0} * dt, each term times ``weight`` (one per tau) when given, with
+    S0 the action without the q w tr term.  The grid is built BLOCK_POINTS
+    points (whole tr rows) at a time; every term is elementwise and each row
+    sums the same contiguous tau terms, so g does not depend on the block.
     """
     dt = cfg.dt(p)
-    n_tr = cfg.n_cycles * cfg.steps_per_period
-    tr = dt * np.arange(n_tr)
-    n_tau = int(round(cfg.tau_max_periods * cfg.steps_per_period))
-    tau = dt * (np.arange(n_tau) + 0.5)
-    trg = tr[:, None]
+    tr, tau = _grid(p, cfg)
     taug = tau[None, :]
-    tig = trg - taug
-    integral_a = apot_integral(p, tig, trg)
-    ps = -integral_a / taug
-    k = ps + apot(p, trg)
-    d_rec = dme(k, tgt.Ip, form=dme_form)
     spread = (2.0 * np.pi / (1j * (taug + 1j * cfg.eps))) ** 1.5
-    ps2 = (ps * ps).sum(axis=0)
-    s0 = -tgt.Ip * taug + 0.5 * ps2 * taug - 0.5 * apot_sq_integral(p, tig, trg)
-    rows = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0))
-    return tr, rows * dt  # tau weight absorbed
+    g = np.empty((2, tr.size), dtype=complex)
+    n_rows = max(1, BLOCK_POINTS // tau.size)
+    for start in range(0, tr.size, n_rows):
+        trg = tr[start:start + n_rows, None]
+        tig = trg - taug
+        ps = -apot_integral(p, tig, trg) / taug
+        d_rec = dme(ps + apot(p, trg), tgt.Ip, form=dme_form)
+        ps2 = (ps * ps).sum(axis=0)
+        s0 = -tgt.Ip * taug + 0.5 * ps2 * taug - 0.5 * apot_sq_integral(p, tig, trg)
+        terms = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0)) * dt
+        if weight is not None:
+            terms = terms * weight
+        g[:, start:start + n_rows] = terms.sum(axis=-1)
+    return tr, g
 
 
 def _project(p, cfg, tr, rows_tau_summed, q):
@@ -86,14 +106,9 @@ def _project(p, cfg, tr, rows_tau_summed, q):
 def direct_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, qs,
                   dme_form="paper"):
     """Direct-integration harmonic spectrum over the orders ``qs``."""
-    cfg.validate(p)
     qs = np.asarray(sorted(qs), dtype=float)
-    dt = cfg.dt(p)
-    if qs[-1] * p.omega * dt > 0.5:
-        raise ResolutionError(
-            f"step {dt:.3f} too coarse for q={qs[-1]} (q w dt > 0.5)")
-    tr, rows = _integrand_rows(p, tgt, cfg, dme_form=dme_form)
-    g = rows.sum(axis=-1)   # tau integral done
+    cfg.validate(p, qs[-1])
+    tr, g = _tau_sums(p, tgt, cfg, dme_form=dme_form)
     ix = np.zeros(qs.size)
     iy = np.zeros(qs.size)
     dips = []
@@ -119,18 +134,13 @@ def windowed_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, q,
     non-stationary boundary contribution a sharp cut introduces; bands that
     share an edge (and taper) still sum exactly to the unrestricted result.
     """
-    cfg.validate(p)
+    cfg.validate(p, q)
     lo, hi = tau_band
     if not (0.0 <= lo < hi <= cfg.tau_max_periods * p.period + 1e-12):
         raise ValueError(f"invalid tau band ({lo}, {hi})")
     if taper < 0:
         raise ValueError(f"taper width must be nonnegative, got {taper}")
-    dt = cfg.dt(p)
-    if q * p.omega * dt > 0.5:
-        raise ResolutionError(f"step {dt:.3f} too coarse for q={q}")
-    tr, rows = _integrand_rows(p, tgt, cfg, dme_form=dme_form)
-    n_tau = rows.shape[-1]
-    tau = dt * (np.arange(n_tau) + 0.5)
+    _, tau = _grid(p, cfg)
     tau_top = cfg.tau_max_periods * p.period
     if taper == 0.0:
         weight = ((tau > lo) & (tau <= hi)).astype(float)
@@ -143,5 +153,5 @@ def windowed_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, q,
             weight = weight * rise(lo)
         if hi < tau_top - 1e-12:
             weight = weight * (1.0 - rise(hi))
-    g = (rows * weight).sum(axis=-1)
+    tr, g = _tau_sums(p, tgt, cfg, dme_form=dme_form, weight=weight)
     return _project(p, cfg, tr, g, q)

@@ -27,6 +27,7 @@ from .field import (FieldParams, TargetParams, _apot, _apot_integral, _efield, _
 RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
 TAU_MAX_PERIODS = 1.05     # excursion cap: the single-return scope
+BATCH_SEEDS = 16384        # seeds per Newton run of solve_cycles (11 orders)
 
 
 class CoalescenceError(ValueError):
@@ -418,23 +419,39 @@ def solve_cycle(p: FieldParams, tgt: TargetParams, q, n_ti=48, n_tau=60):
     with Im(ti) < 0 or Im(S) < 0 are the exponentially growing conjugate
     partners and are discarded.
     """
-    if below_threshold(p, tgt, q):
-        return []
-    half = 0.5 * p.period
-    tau_max = TAU_MAX_PERIODS * p.period
+    return solve_cycles(p, tgt, [q], n_ti=n_ti, n_tau=n_tau)[0]
+
+
+def solve_cycles(p: FieldParams, tgt: TargetParams, qs, n_ti=48, n_tau=60):
+    """:func:`solve_cycle` at each order of ``qs``, as a parallel list.
+
+    The seed grid is tiled over the orders above threshold, and up to
+    BATCH_SEEDS seeds go to one Newton run; each seed's iterates do not
+    depend on the batch it is in.
+    """
+    half, tau_max = 0.5 * p.period, TAU_MAX_PERIODS * p.period
     seeds = seed_grid(p, tgt, n_ti=n_ti, n_tau=n_tau)
-    ti, tr, rn, conv = _newton_batch(p, tgt, q, seeds.ti, seeds.tr)
-    good = conv & (ti.imag > 0) & (tr.real > ti.real) & (tr.real - ti.real <= tau_max)
-    ti, tr = ti[good], tr[good]
-    im_s = action_value(p, tgt, q, ti, tr).imag if ti.size else np.empty(0)
-    keep = im_s >= 0.0
-    ti, tr = ti[keep], tr[keep]
-    # fold Re(ti) into [0, T/2): a shift by T/2 lands on the partner saddle
-    shift = np.floor(ti.real / half) * half
-    ti = ti - shift
-    tr = tr - shift
-    return with_partners(p, [_make_point(p, tgt, q, ti[k], tr[k])
-                             for k in _dedup(ti, tr, half)])
+    n, q_of = seeds.ti.size, np.asarray(qs, dtype=float)
+    out = [[] for _ in qs]
+    todo = [k for k, q in enumerate(qs) if not below_threshold(p, tgt, q)]
+    step = max(1, BATCH_SEEDS // n)
+    for group in (todo[i:i + step] for i in range(0, len(todo), step)):
+        owner = np.repeat(group, n)
+        ti, tr, _, conv = _newton_batch(p, tgt, q_of[owner],
+                                        np.tile(seeds.ti, len(group)),
+                                        np.tile(seeds.tr, len(group)))
+        good = conv & (ti.imag > 0) & (tr.real > ti.real) & (tr.real - ti.real <= tau_max)
+        ti, tr, owner = ti[good], tr[good], owner[good]
+        keep = action_value(p, tgt, q_of[owner], ti, tr).imag >= 0.0
+        ti, tr, owner = ti[keep], tr[keep], owner[keep]
+        # fold Re(ti) into [0, T/2): a shift by T/2 lands on the partner saddle
+        shift = np.floor(ti.real / half) * half
+        ti, tr = ti - shift, tr - shift
+        for k in group:
+            ti_k, tr_k = ti[owner == k], tr[owner == k]
+            out[k] = with_partners(p, [_make_point(p, tgt, qs[k], ti_k[m], tr_k[m])
+                                       for m in _dedup(ti_k, tr_k, half)])
+    return out
 
 
 def _dedup(ti, tr, period):

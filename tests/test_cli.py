@@ -135,12 +135,16 @@ class TestGoldenTables:
     @pytest.mark.parametrize("command, names", [
         ("spectrum", ("spectrum.csv", "audit.txt")),
         ("saddles", ("saddles.csv",)),
+        pytest.param("spectrum --oracle", ("spectrum.csv", "audit.txt",
+                                           "spectrum_direct.csv",
+                                           "comparison.txt"),
+                     id="spectrum-oracle"),
     ])
     def test_golden_bytes(self, command, names, tmp_path, monkeypatch):
         # reference tables of q = 20..23 at the default configuration; the
         # relative --outdir keeps the config echo in the header identical
         monkeypatch.chdir(tmp_path)
-        assert run([command, "--q-min", "20", "--q-max", "23",
+        assert run([*command.split(), "--q-min", "20", "--q-max", "23",
                     "--outdir", "out"]) == 0
         for name in names:
             assert ((tmp_path / "out" / name).read_bytes()
@@ -210,6 +214,17 @@ class TestConfigValidation:
     def test_unknown_species(self, tmp_path):
         assert run(["spectrum", "--species", "Unobtainium",
                     "--outdir", tmp_path]) == 2
+
+    @pytest.mark.parametrize("command", ["oracle", "spectrum --oracle"],
+                             ids=["oracle", "spectrum-oracle"])
+    def test_order_too_high_for_the_oracle_step(self, command, tmp_path, capsys):
+        # at 800 nm the default step resolves orders up to q = 40.7
+        assert run([*command.split(), "--q-min", "41", "--q-max", "42",
+                    "--outdir", tmp_path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "q=42" in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_fit_rejects_unknown_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"

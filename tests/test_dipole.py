@@ -163,15 +163,15 @@ class TestSpectrum:
         # a saddle whose Hessian is singular (two saddles merged) fails in
         # the stationary-phase prefactor; the order is skipped with an audit
         # entry, not a traceback
-        def solve_cycle(p, tgt, q):
+        def solve_cycles(p, tgt, qs):
             t = 20.0 + 5.0j
-            sp = SaddlePoint(ti=t, tr=t + 30.0, ps=np.zeros(2, dtype=complex),
-                             action=0j, hessdet=0j, q=float(q), residual=0.0,
-                             hess=np.ones((2, 2), dtype=complex),
-                             k_rec=np.ones(2, dtype=complex))
-            return saddle.with_partners(p, [sp])
+            return [saddle.with_partners(p, [SaddlePoint(
+                ti=t, tr=t + 30.0, ps=np.zeros(2, dtype=complex), action=0j,
+                hessdet=0j, q=float(q), residual=0.0,
+                hess=np.ones((2, 2), dtype=complex),
+                k_rec=np.ones(2, dtype=complex))]) for q in qs]
 
-        monkeypatch.setattr(dipole, "solve_cycle", solve_cycle)
+        monkeypatch.setattr(dipole, "solve_cycles", solve_cycles)
         spec = spectrum(params, target, [20, 21])
         assert np.all(spec.Itotal == 0.0)
         skipped = [line for line in spec.audit if "skipped" in line]

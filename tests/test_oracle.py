@@ -1,11 +1,16 @@
 """Direct-integration oracle: symmetries, additivity, cross-method checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from twocolor_hhg import (FieldParams, OracleConfig, ResolutionError,
                           contribution, direct_dipole, spectrum,
                           windowed_dipole)
+from twocolor_hhg import oracle
+from twocolor_hhg.dipole import dme, ionisation_amplitude
+from twocolor_hhg.field import apot, apot_integral, apot_sq_integral
 
 from conftest import E1, OMEGA
 
@@ -50,6 +55,73 @@ class TestDirectDipole:
     def test_method_tag(self, params, target):
         spec = direct_dipole(params, target, CFG, [19])
         assert spec.method == "direct"
+
+
+def whole_grid_rows(p, tgt, cfg, dme_form="paper"):
+    """(tr, rows): every tau term of every tr row in one (2, n_tr, n_tau)
+    array, times dt, in the oracle's arithmetic order."""
+    dt = cfg.dt(p)
+    tr = dt * np.arange(cfg.n_cycles * cfg.steps_per_period)
+    n_tau = int(round(cfg.tau_max_periods * cfg.steps_per_period))
+    tau = dt * (np.arange(n_tau) + 0.5)
+    trg = tr[:, None]
+    taug = tau[None, :]
+    tig = trg - taug
+    ps = -apot_integral(p, tig, trg) / taug
+    d_rec = dme(ps + apot(p, trg), tgt.Ip, form=dme_form)
+    spread = (2.0 * np.pi / (1j * (taug + 1j * cfg.eps))) ** 1.5
+    ps2 = (ps * ps).sum(axis=0)
+    s0 = -tgt.Ip * taug + 0.5 * ps2 * taug - 0.5 * apot_sq_integral(p, tig, trg)
+    rows = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0))
+    return tr, rows * dt
+
+
+class TestBlockedGrid:
+    QS = [19, 20, 21]
+
+    @pytest.fixture(scope="class", params=[(512, 1), (1024, 1), (512, 2)])
+    def whole_grid(self, request, params, target):
+        steps, n_cycles = request.param
+        cfg = OracleConfig(steps_per_period=steps, n_cycles=n_cycles)
+        return cfg, *whole_grid_rows(params, target, cfg)
+
+    @staticmethod
+    def on_whole_grid(monkeypatch, tr, rows):
+        """Make the oracle take its tau sums from the whole-grid rows."""
+        def tau_sums(p, tgt, cfg, dme_form="paper", weight=None):
+            return tr, (rows if weight is None else rows * weight).sum(axis=-1)
+        monkeypatch.setattr(oracle, "_tau_sums", tau_sums)
+
+    def test_direct_dipole_bytes(self, params, target, whole_grid, monkeypatch):
+        cfg, tr, rows = whole_grid
+        got = direct_dipole(params, target, cfg, self.QS)
+        self.on_whole_grid(monkeypatch, tr, rows)
+        ref = direct_dipole(params, target, cfg, self.QS)
+        assert got.Itotal.tobytes() == ref.Itotal.tobytes()
+        for a, b in zip(got.dipoles, ref.dipoles):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("taper_periods", [0.0, 0.1, 0.4])
+    def test_windowed_dipole_bytes(self, params, target, whole_grid,
+                                   monkeypatch, taper_periods):
+        cfg, tr, rows = whole_grid
+        band = (0.3 * params.period, 0.9 * params.period)
+        taper = taper_periods * params.period
+        got = windowed_dipole(params, target, cfg, 20, band, taper=taper)
+        self.on_whole_grid(monkeypatch, tr, rows)
+        ref = windowed_dipole(params, target, cfg, 20, band, taper=taper)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_memory_bounded_by_the_block(self, params, target):
+        # the whole grid at T/1024 would hold about 300 MB of temporaries
+        tracemalloc.start()
+        try:
+            direct_dipole(params, target, OracleConfig(steps_per_period=1024),
+                          [20])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestWindowedDipole:
@@ -152,6 +224,16 @@ class TestAbsoluteNormalisation:
     def test_every_order_within_half_a_decade(self, log_ratios):
         for field, lr in log_ratios.items():
             assert np.max(np.abs(lr)) <= 0.5, (field, lr)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "at (2.1, 0.18) a spurious branch past the cutoff is judged relevant "
+        "at q = 34 and 35, which sit 6.5 and 4.1 decades above the oracle"))
+    def test_cutoff_orders_within_half_a_decade(self, target):
+        p = FieldParams.from_ratio(E1, OMEGA, 0.18, 2.1)
+        qs = np.arange(30, 36)
+        lr = np.log10(spectrum(p, target, qs).Itotal
+                      / direct_dipole(p, target, CFG, qs).Itotal)
+        assert np.max(np.abs(lr)) <= 0.5, lr
 
 
 class TestConvergence:

@@ -1,5 +1,7 @@
 """Saddle-point solver: residuals, identities, continuation, Hessian."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -26,7 +28,7 @@ def classical_return(p, t0):
         return (apot_integral(p, t0, t)[0].real - a0 * (t - t0)).real
 
     ts = np.linspace(t0 + 1e-3, t0 + p.period, 2000)
-    xs = np.array([x(t) for t in ts])
+    xs = x(ts)      # one array call; brentq refines on the scalar x
     sign_change = np.nonzero(np.sign(xs[:-1]) != np.sign(xs[1:]))[0]
     if sign_change.size == 0:
         return None
@@ -557,6 +559,56 @@ class TestNewtonBatch:
         # iteration's first kernel call, and a longer search doubles its rounds
         points, work = self.kernel_work(params, target, monkeypatch, q)
         assert len(points) <= 0.5 * work["rounds"]
+
+
+class TestSolveCycles:
+    # a 6-order band and its 3-order pad: one branch history of spectrum
+    HISTORY = np.arange(24.0, 33.0)
+
+    @pytest.fixture(scope="class", params=[(0.0, 0.12), (0.7, 0.06), (2.1, 0.18)])
+    def history(self, request, target):
+        """The history solved in one call and order by order, with the
+        kernel calls of each."""
+        p = FieldParams.from_ratio(E1, OMEGA, request.param[1], request.param[0])
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _evaluate(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saddle, "_evaluate", counted)
+            batched = saddle.solve_cycles(p, target, self.HISTORY)
+            n_batched = len(calls)
+            single = [saddle.solve_cycles(p, target, [q])[0] for q in self.HISTORY]
+        return batched, single, n_batched, len(calls) - n_batched
+
+    def test_batch_equals_per_order_solves(self, history):
+        batched, single, _, _ = history
+        assert len(batched) == len(single)
+        for got, ref in zip(batched, single):
+            assert got and len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert_identical_fields(a, b)
+
+    def test_batch_halves_kernel_calls(self, history):
+        # the tails of the per-order Newton runs, a few seeds per call,
+        # run as one
+        _, _, n_batched, n_single = history
+        assert n_batched <= 0.5 * n_single
+
+    def test_orders_below_threshold_stay_empty(self, params, target, two20):
+        below, at20 = saddle.solve_cycles(params, target, [5, 20])
+        assert below == [] and len(at20) == len(two20)
+        for a, b in zip(at20, two20):
+            assert_identical_fields(a, b)
+
+
+def assert_identical_fields(a, b):
+    """Every SaddlePoint field of ``a`` and ``b`` holds the same bytes."""
+    for f in dataclasses.fields(SaddlePoint):
+        va, vb = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), f.name
 
 
 def assert_same_point(a, b):
