@@ -9,7 +9,7 @@ oracle.  All quantities are in atomic units.
 """
 
 from .field import (ATOMIC_INTENSITY, NM_TO_OMEGA, SPEED_OF_LIGHT,
-                    FieldParams, TargetParams, apot, apot_integral,
+                    FieldParams, SamplingError, TargetParams, apot, apot_integral,
                     apot_sq_integral, convert_units, efield, lissajous)
 from .saddle import (BranchLostError, CoalescenceError, NoConvergenceError,
                      SaddlePoint, action_value, continue_branches, hessian,

@@ -19,14 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .field import ATOMIC_INTENSITY, FieldParams, TargetParams, convert_units, lissajous
+from .field import (ATOMIC_INTENSITY, FieldParams, SamplingError, TargetParams,
+                    _check_samples, convert_units, lissajous)
 from .dipole import labelled_orbits
 from .dipole import spectrum as saddle_spectrum
 from .oracle import OracleConfig, ResolutionError, direct_dipole
 from .phasescan import (ClassificationRefusedError, align_shift,
                         classify_modality, fourier_fit, run_scan)
 from .taxonomy import amplitude
-from .trajectory import displacement
+from .trajectory import MIN_SAMPLES, displacement
 
 # standard tabulated ionisation potentials (a.u.)
 SPECIES = {
@@ -222,24 +223,20 @@ def cmd_spectrum(p, tgt, opts, echo, args):
                 {"method": "saddle"})
     (outdir / "audit.txt").write_text("\n".join(spec.audit) + "\n")
     if args.oracle:
-        cfg = OracleConfig()
-        direct = direct_dipole(p, tgt, cfg, qs, dme_form=opts["dme_form"])
-        drows = [(q, ix, iy, it, 0, "ok") for q, ix, iy, it in
-                 zip(direct.qs, direct.Ix, direct.Iy, direct.Itotal)]
-        write_table(outdir / "spectrum_direct.csv", echo,
-                    ["q", "Ix", "Iy", "Itotal", "n_saddles", "flags"], drows,
-                    {"method": "direct"})
+        direct = _write_direct(p, tgt, qs, opts, echo)
         good = (spec.Itotal > 0) & (direct.Itotal > 0)
-        r = float(np.corrcoef(np.log10(spec.Itotal[good]),
-                              np.log10(direct.Itotal[good]))[0, 1])
         ratio = np.log10(spec.Itotal[good] / direct.Itotal[good])
         lines = [f"q={q:g} log10(I_saddle/I_direct) = {x:+.6f}"
                  for q, x in zip(qs[good], ratio)]
-        lines.append(f"median log10(I_saddle/I_direct) = {np.median(ratio):+.6f}, "
-                     f"max |log10(I_saddle/I_direct)| = {np.max(np.abs(ratio)):.6f}")
-        # the correlation stays the last line, ending in ": <value>"
+        if ratio.size:
+            lines.append(f"median log10(I_saddle/I_direct) = {np.median(ratio):+.6f}, "
+                         f"max |log10(I_saddle/I_direct)| = {np.max(np.abs(ratio)):.6f}")
+        # no correlation below two orders; the line stays last, ending in ": <value>"
+        r = (float(np.corrcoef(np.log10(spec.Itotal[good]),
+                               np.log10(direct.Itotal[good]))[0, 1])
+             if ratio.size > 1 else float("nan"))
         lines.append(f"log-intensity Pearson correlation (saddle vs direct, "
-                     f"{int(good.sum())} orders): {r:.6f}")
+                     f"{ratio.size} orders): {r:.6f}")
         (outdir / "comparison.txt").write_text("\n".join(lines) + "\n")
     if n_fail:
         print(f"{n_fail} orders produced no dipole; see audit.txt",
@@ -314,6 +311,7 @@ def cmd_saddles(p, tgt, opts, echo, args):
 
 
 def cmd_orbits(p, tgt, opts, echo, args):
+    _check_samples(args.n_samples, MIN_SAMPLES)     # before the saddles are solved
     rows = []
     for q, labelled in labelled_orbits(p, tgt, _q_range(opts)):
         for sp, label in labelled:
@@ -376,15 +374,19 @@ def cmd_fit(p, tgt, opts, echo, args):
     return 0
 
 
-def cmd_oracle(p, tgt, opts, echo, args):
-    cfg = OracleConfig()
-    qs = _q_range(opts)
-    direct = direct_dipole(p, tgt, cfg, qs, dme_form=opts["dme_form"])
+def _write_direct(p, tgt, qs, opts, echo):
+    """The oracle spectrum at ``qs``, also written to spectrum_direct.csv."""
+    direct = direct_dipole(p, tgt, OracleConfig(), qs, dme_form=opts["dme_form"])
     rows = [(q, ix, iy, it, 0, "ok") for q, ix, iy, it in
             zip(direct.qs, direct.Ix, direct.Iy, direct.Itotal)]
     write_table(opts["outdir"] / "spectrum_direct.csv", echo,
                 ["q", "Ix", "Iy", "Itotal", "n_saddles", "flags"], rows,
                 {"method": "direct"})
+    return direct
+
+
+def cmd_oracle(p, tgt, opts, echo, args):
+    _write_direct(p, tgt, _q_range(opts), opts, echo)
     return 0
 
 
@@ -455,7 +457,7 @@ def main(argv=None):
     opts["outdir"].mkdir(parents=True, exist_ok=True)
     try:
         return args.func(p, tgt, opts, echo, args)
-    except (UsageError, ResolutionError) as exc:
+    except (UsageError, ResolutionError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

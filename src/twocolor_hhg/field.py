@@ -23,6 +23,15 @@ NM_TO_OMEGA = 45.5633              # omega[a.u.] = 45.5633 / lambda[nm]
 TWO_PI = 2.0 * np.pi
 
 
+class SamplingError(ValueError):
+    """A sampler was asked for a number of points it cannot use."""
+
+
+def _check_samples(n_samples, least, what="samples"):
+    if n_samples < least:
+        raise SamplingError(f"need at least {least} {what}, got {n_samples}")
+
+
 @dataclass(frozen=True)
 class FieldParams:
     """Two-colour field amplitudes (a.u.), fundamental frequency and phase.
@@ -62,11 +71,6 @@ class FieldParams:
     def period(self):
         """Fundamental optical period T = 2 pi / omega."""
         return TWO_PI / self.omega
-
-    @property
-    def up(self):
-        """Ponderomotive energy of the fundamental component, E1^2/(4 w^2)."""
-        return self.E1 ** 2 / (4.0 * self.omega ** 2)
 
     def with_phi(self, phi):
         return FieldParams(self.E1, self.E2, self.omega, phi)
@@ -168,7 +172,6 @@ def lissajous(p: FieldParams, n_samples):
     Returns an array of shape (n_samples, 2); the curve closes because the
     field is T-periodic.
     """
-    if n_samples < 8:
-        raise ValueError(f"need at least 8 samples, got {n_samples}")
+    _check_samples(n_samples, 8)
     ts = np.linspace(0.0, p.period, n_samples, endpoint=False)
     return efield(p, ts).real.T.copy()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .field import FieldParams, TargetParams
+from .field import FieldParams, SamplingError, TargetParams, _check_samples
 from .saddle import (BranchLostError, CoalescenceError, NoConvergenceError,
                      continue_branches, solve_cycle, with_partners)
 from .taxonomy import MATCH_TOL_PERIODS, amplitude, classify, relevance_mask
@@ -170,10 +170,9 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     response free of path-dependent branch-tracking hysteresis (the
     underlying symmetry is verified independently at the spectrum level).
     """
-    if n_phi < 32:
-        raise ValueError(f"need at least 32 phase points, got {n_phi}")
+    _check_samples(n_phi, 32, "phase points")
     if n_phi % 2:
-        raise ValueError(f"need an even number of phase points, got {n_phi}")
+        raise SamplingError(f"need an even number of phase points, got {n_phi}")
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     half = n_phi // 2
     qs = np.asarray(sorted(q_list), dtype=float)

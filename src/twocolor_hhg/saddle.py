@@ -28,6 +28,12 @@ RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
 TAU_MAX_PERIODS = 1.05     # excursion cap: the single-return scope
 BATCH_SEEDS = 16384        # seeds per Newton run of solve_cycles (11 orders)
+# solver settings, read at call time: rebinding one here changes it everywhere
+NEWTON_MAX_ITER = 100      # Newton iterations per seed
+NEWTON_MAX_HALVINGS = 8    # line-search halvings per Newton step
+SEED_TI = 48               # birth times per period; the first 24 lie in [0, T/2)
+SEED_TAU = 60              # excursions per birth time
+CONTINUATION_HALVINGS = 10  # step halvings before a continued branch is lost
 
 
 class CoalescenceError(ValueError):
@@ -39,12 +45,7 @@ class NoConvergenceError(RuntimeError):
 
 
 class BranchLostError(RuntimeError):
-    """Continuation lost a branch; carries the last converged point."""
-
-    def __init__(self, message, last_good, last_value):
-        super().__init__(message)
-        self.last_good = last_good
-        self.last_value = last_value
+    """Continuation lost a branch; the message names where it stalled."""
 
 
 @dataclass(frozen=True)
@@ -227,17 +228,17 @@ def _line_search(p, tgt, q, ti, tr, dti, dtr, base, first, count):
     return k[pick], norm[pick], state[:, pick]
 
 
-def _newton_batch(p, tgt, q, ti, tr, max_iter=100, max_halvings=8):
+def _newton_batch(p, tgt, q, ti, tr):
     """Damped Newton on a batch of seeds. Returns (ti, tr, resnorm, converged).
 
-    A step d from t is cut to t + 2^-k d with the least k <= ``max_halvings``
-    that lowers the residual max-norm; a seed with no such k stops.  Each
-    seed's trials 1, 1/2, ..., 2^-depth, where depth is the k of its last
-    accepted step, go to the kernel in one call; a seed still no better after
-    them tries the next 1, 2, 4, ... halvings in further calls.  Each seed's
-    iterates are those of a solve of that seed alone with plain step halving:
-    every trial point is t + 2^-k d elementwise, and the first better trial is
-    taken.
+    Each seed takes at most NEWTON_MAX_ITER steps.  A step d from t is cut to
+    t + 2^-k d with the least k <= NEWTON_MAX_HALVINGS that lowers the
+    residual max-norm; a seed with no such k stops.  Each seed's trials 1,
+    1/2, ..., 2^-depth, where depth is the k of its last accepted step, go to
+    the kernel in one call; a seed still no better after them tries the next
+    1, 2, 4, ... halvings in further calls.  Each seed's iterates are those of
+    a solve of that seed alone with plain step halving: every trial point is
+    t + 2^-k d elementwise, and the first better trial is taken.
     """
     ti = np.array(ti, dtype=complex)
     tr = np.array(tr, dtype=complex)
@@ -245,7 +246,7 @@ def _newton_batch(p, tgt, q, ti, tr, max_iter=100, max_halvings=8):
     rn, state = _evaluate(p, tgt, q, ti, tr)
     alive = np.isfinite(rn)
     depth = np.zeros(ti.shape, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         idx = np.flatnonzero(alive & (rn > RESIDUAL_TOL))
         if not idx.size:
             break
@@ -271,13 +272,13 @@ def _newton_batch(p, tgt, q, ti, tr, max_iter=100, max_halvings=8):
             p, tgt, qa, ti0, tr0, dti, dtr, base, 0, depth[idx] + 1)
         count = 1
         while True:
-            worse = np.flatnonzero(~(trial < base) & (halvings < max_halvings))
+            worse = np.flatnonzero(~(trial < base) & (halvings < NEWTON_MAX_HALVINGS))
             if not worse.size:
                 break
             halvings[worse], trial[worse], trial_state[:, worse] = _line_search(
                 p, tgt, qa[worse], ti0[worse], tr0[worse], dti[worse], dtr[worse],
                 base[worse], halvings[worse] + 1,
-                np.minimum(count, max_halvings - halvings[worse]))
+                np.minimum(count, NEWTON_MAX_HALVINGS - halvings[worse]))
             count *= 2
         improved = trial < base
         moved = idx[improved]
@@ -307,8 +308,7 @@ def _make_point(p, tgt, q, ti, tr):
                        hess=np.array([[a, b], [b, c]]), k_rec=vr)
 
 
-def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
-                   max_iter=100):
+def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
     """One damped-Newton run over a batch of seeds, judged seed by seed.
 
     ``q`` is a scalar or one order per seed.  Returns (q, ti, tr, errors):
@@ -320,7 +320,7 @@ def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
     seed_ti = np.atleast_1d(np.asarray(seed_ti, dtype=complex))
     seed_tr = np.atleast_1d(np.asarray(seed_tr, dtype=complex))
     q = np.broadcast_to(np.asarray(q, dtype=float), seed_ti.shape)
-    ti, tr, rn, conv = _newton_batch(p, tgt, q, seed_ti, seed_tr, max_iter=max_iter)
+    ti, tr, rn, conv = _newton_batch(p, tgt, q, seed_ti, seed_tr)
     errors = []
     for k in range(ti.size):
         if abs(seed_tr[k] - seed_ti[k]) < 1e-12:
@@ -342,43 +342,42 @@ def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
     return q, ti, tr, errors
 
 
-def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
-                max_iter=100):
+def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
     """Batched :func:`newton_solve`: per seed a SaddlePoint or the exception.
 
     The points are built one at a time on numpy scalars, so each is
     bit-identical to the one a single-seed solve returns.
     """
-    q, ti, tr, out = converge_seeds(p, tgt, q, seed_ti, seed_tr, max_iter=max_iter)
+    q, ti, tr, out = converge_seeds(p, tgt, q, seed_ti, seed_tr)
     return [_make_point(p, tgt, q[k], ti[k], tr[k]) if err is None else err
             for k, err in enumerate(out)]
 
 
-def newton_solve(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr,
-                 max_iter=100):
+def newton_solve(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
     """Solve the saddle system from one seed; returns a converged SaddlePoint.
 
     Solutions with Im(ti) < 0 are the complex-conjugate (growing) partners
     and are rejected.
     """
-    (out,) = solve_seeds(p, tgt, q, [seed_ti], [seed_tr], max_iter=max_iter)
+    (out,) = solve_seeds(p, tgt, q, [seed_ti], [seed_tr])
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def seed_grid(p: FieldParams, tgt: TargetParams, n_ti=48, n_tau=60):
+def seed_grid(p: FieldParams, tgt: TargetParams):
     """Dense (ti, tr) guesses over the first half-cycle, lifted off the real axis.
 
-    The birth times are the first-half points of an ``n_ti``-point grid over
-    the period; the excursions run up to TAU_MAX_PERIODS periods.  Im(ti) is
-    initialised with the tunnelling-time estimate sqrt(2 Ip)/|E(Re ti)|, with
-    the field magnitude floored to avoid blowup at its zero crossings.
+    The birth times are the first-half points of a SEED_TI-point grid over
+    the period; SEED_TAU excursions per birth time run up to TAU_MAX_PERIODS
+    periods.  Im(ti) is initialised with the tunnelling-time estimate
+    sqrt(2 Ip)/|E(Re ti)|, with the field magnitude floored to avoid blowup
+    at its zero crossings.
     """
     t_period = p.period
-    re_ti = np.linspace(0.0, t_period, n_ti, endpoint=False)
+    re_ti = np.linspace(0.0, t_period, SEED_TI, endpoint=False)
     re_ti = re_ti[re_ti < 0.5 * t_period]
-    taus = np.linspace(0.05 * t_period, TAU_MAX_PERIODS * t_period, n_tau)
+    taus = np.linspace(0.05 * t_period, TAU_MAX_PERIODS * t_period, SEED_TAU)
     e_abs = np.linalg.norm(efield(p, re_ti).real, axis=0)
     e_floor = 0.2 * max(p.E1, p.E2)
     im_ti = np.sqrt(2.0 * tgt.Ip) / np.maximum(e_abs, e_floor)
@@ -408,7 +407,7 @@ def with_partners(p: FieldParams, representatives):
         for sp in representatives]
 
 
-def solve_cycle(p: FieldParams, tgt: TargetParams, q, n_ti=48, n_tau=60):
+def solve_cycle(p: FieldParams, tgt: TargetParams, q):
     """All distinct saddles with Re(ti) in one fundamental period: the
     representatives, then their partners (:func:`with_partners`).
 
@@ -419,10 +418,10 @@ def solve_cycle(p: FieldParams, tgt: TargetParams, q, n_ti=48, n_tau=60):
     with Im(ti) < 0 or Im(S) < 0 are the exponentially growing conjugate
     partners and are discarded.
     """
-    return solve_cycles(p, tgt, [q], n_ti=n_ti, n_tau=n_tau)[0]
+    return solve_cycles(p, tgt, [q])[0]
 
 
-def solve_cycles(p: FieldParams, tgt: TargetParams, qs, n_ti=48, n_tau=60):
+def solve_cycles(p: FieldParams, tgt: TargetParams, qs):
     """:func:`solve_cycle` at each order of ``qs``, as a parallel list.
 
     The seed grid is tiled over the orders above threshold, and up to
@@ -430,7 +429,7 @@ def solve_cycles(p: FieldParams, tgt: TargetParams, qs, n_ti=48, n_tau=60):
     depend on the batch it is in.
     """
     half, tau_max = 0.5 * p.period, TAU_MAX_PERIODS * p.period
-    seeds = seed_grid(p, tgt, n_ti=n_ti, n_tau=n_tau)
+    seeds = seed_grid(p, tgt)
     n, q_of = seeds.ti.size, np.asarray(qs, dtype=float)
     out = [[] for _ in qs]
     todo = [k for k, q in enumerate(qs) if not below_threshold(p, tgt, q)]
@@ -480,14 +479,15 @@ def _apply_param(p, q, name, value):
 
 
 def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
-                      to_value, max_halvings=10):
+                      to_value):
     """Continue each saddle in q or phi; per branch the result or the loss.
 
     Returns a list parallel to ``saddles`` holding the continued SaddlePoint
     or the :class:`BranchLostError` of a branch that could not be recovered.
     The first full step of all branches is one batched Newton run; a branch
     that fails it (diverges, or jumps by an unphysically large amount) goes
-    on alone from its start, halving its step at each failure.
+    on alone from its start, halving its step at each failure, and is lost
+    after CONTINUATION_HALVINGS halvings.
     """
     if parameter not in ("q", "phi"):
         raise ValueError(f"unknown continuation parameter {parameter!r}")
@@ -513,10 +513,10 @@ def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
                 cur, cur_val = cand, nxt
             else:
                 halvings += 1
-                if halvings > max_halvings:
+                if halvings > CONTINUATION_HALVINGS:
                     cur = BranchLostError(
                         f"branch {idx} lost continuing {parameter} -> {to_value} "
-                        f"(stalled at {cur_val})", cur, cur_val)
+                        f"(stalled at {cur_val})")
                     break
                 step *= 0.5
             cand = None

@@ -37,7 +37,6 @@ class OrbitLabel:
     family: str                # "short", "long", "extra-3", ...
     relevant: bool
     excursion: float
-    note: str | None = None
 
     @property
     def branch_id(self):
@@ -54,17 +53,13 @@ def _weight(action):
 
 
 def _half_cycle_index(p, sp):
+    """The half-cycle bin of Re(ti); within BOUNDARY_TOL of an edge, the earlier."""
     half_t = p.period / 2.0
     x = sp.ti.real / half_t
     idx = int(np.floor(x))
-    frac = x - idx
-    note = None
-    if frac < BOUNDARY_TOL / half_t and idx > 0:
+    if x - idx < BOUNDARY_TOL / half_t and idx > 0:
         idx -= 1
-        note = "half-cycle boundary ambiguity resolved toward earlier bin"
-    elif 1.0 - frac < BOUNDARY_TOL / half_t:
-        note = "half-cycle boundary ambiguity resolved toward earlier bin"
-    return idx, note
+    return idx
 
 
 def _family_names(n_principal):
@@ -82,27 +77,24 @@ def classify(p: FieldParams, saddles, relevant_mask=None):
     principal.  Within a half-cycle the principal orbits are ordered by
     travel time (short, long, extra-3, ...) and the remaining ones continue
     the extra numbering.  Saddles within the boundary tolerance of a
-    half-cycle edge go to the earlier bin and are flagged in the label note.
+    half-cycle edge go to the earlier bin.
     """
     if relevant_mask is None:
         relevant_mask = [True] * len(saddles)
-    items = []
-    for sp, rel in zip(saddles, relevant_mask):
-        idx, note = _half_cycle_index(p, sp)
-        items.append((sp, rel, idx, note))
+    items = [(sp, rel, _half_cycle_index(p, sp))
+             for sp, rel in zip(saddles, relevant_mask)]
     out = []
-    for half in sorted({idx for _, _, idx, _ in items}):
-        members = [(sp, rel, note) for sp, rel, idx, note in items if idx == half]
+    for half in sorted({idx for _, _, idx in items}):
+        members = [(sp, rel) for sp, rel, idx in items if idx == half]
         principal = sorted((m for m in members if m[1]), key=lambda m: m[0].excursion)
         rest = sorted((m for m in members if not m[1]), key=lambda m: m[0].excursion)
         names = _family_names(len(principal))
         start = max(len(principal), 2) + 1   # short/long stay reserved
         ordered = list(zip(principal, names)) + [
             (m, f"extra-{start + k}") for k, m in enumerate(rest)]
-        for (sp, rel, note), family in ordered:
+        for (sp, rel), family in ordered:
             out.append((sp, OrbitLabel(half_cycle=half, family=family,
-                                       relevant=rel, excursion=sp.excursion,
-                                       note=note)))
+                                       relevant=rel, excursion=sp.excursion)))
     out.sort(key=lambda t: (t[0].ti.real, t[0].tr.real))
     return out
 

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldParams, apot_integral
+from .field import FieldParams, _check_samples, apot_integral
 from .saddle import SaddlePoint
 from .taxonomy import OrbitLabel
+
+MIN_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -28,8 +30,7 @@ class Orbit:
 
 def displacement(p: FieldParams, sp: SaddlePoint, n_samples=256, label=None):
     """Sample the orbit of one saddle at real times in [Re(ti), Re(tr)]."""
-    if n_samples < 16:
-        raise ValueError(f"need at least 16 samples, got {n_samples}")
+    _check_samples(n_samples, MIN_SAMPLES)
     ts = np.linspace(sp.ti.real, sp.tr.real, n_samples)
     disp = sp.ps[:, None] * (ts - sp.ti) + apot_integral(p, sp.ti, ts)
     return Orbit(label=label, t=ts, sx=disp[0].real.copy(), sy=disp[1].real.copy())

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twocolor_hhg import FieldParams, run_scan, spectrum
+from twocolor_hhg import FieldParams, run_scan, saddle, spectrum
 from twocolor_hhg.cli import main, read_table
 
 from conftest import E1, OMEGA
@@ -50,6 +50,21 @@ class TestSpectrumCommand:
         lines = text.splitlines()
         assert [ln.split()[0] for ln in lines[:3]] == ["q=19", "q=20", "q=21"]
         assert lines[3].startswith("median log10(I_saddle/I_direct) = ")
+
+    @pytest.mark.parametrize("q_min, q_max, n_lines", [(5, 8, 1), (12, 12, 3)])
+    def test_oracle_comparison_with_too_few_orders(self, tmp_path, q_min, q_max,
+                                                   n_lines):
+        # q = 5..8 lie below the Ar threshold, so no order compares; one
+        # order has a median but no correlation
+        assert run(["spectrum", "--q-min", q_min, "--q-max", q_max, "--oracle",
+                    "--outdir", tmp_path]) == 0
+        lines = (tmp_path / "comparison.txt").read_text().splitlines()
+        assert len(lines) == n_lines
+        if n_lines == 3:
+            assert lines[0].startswith("q=12 ")
+            assert lines[1].startswith("median log10(I_saddle/I_direct) = ")
+        assert lines[-1].startswith("log-intensity Pearson correlation")
+        assert lines[-1].endswith(f"{n_lines // 2} orders): nan")
 
     def test_dme_form_switch_keeps_selection_rules(self, tmp_path):
         assert run(["spectrum", "--q-min", "20", "--q-max", "21",
@@ -224,6 +239,24 @@ class TestConfigValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "q=42" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, message", [
+        ("scan --n-phi 31", "need at least 32 phase points, got 31"),
+        ("scan --n-phi 16", "need at least 32 phase points, got 16"),
+        ("scan --n-phi 33", "need an even number of phase points, got 33"),
+        ("lissajous --n-samples 4", "need at least 8 samples, got 4"),
+        ("orbits --n-samples 8", "need at least 16 samples, got 8"),
+    ], ids=["scan-31", "scan-16", "scan-33", "lissajous-4", "orbits-8"])
+    def test_unusable_sample_counts(self, command, message, tmp_path, capsys,
+                                    monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a saddle was solved")
+
+        monkeypatch.setattr(saddle, "_evaluate", no_solve)
+        assert run([*command.split(), "--q-min", "24", "--q-max", "24",
+                    "--outdir", tmp_path]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert list(tmp_path.iterdir()) == []
 
     def test_fit_rejects_unknown_columns(self, tmp_path):

@@ -156,11 +156,14 @@ class TestSolveCycle:
                 assert 0.0 <= rep.ti.real < half
                 assert_exact_partner(p, rep, img)
 
-    def test_dense_seed_brute_force_agrees(self, params, target, two20):
+    def test_dense_seed_brute_force_agrees(self, params, target, two20,
+                                           monkeypatch):
         # denser seeding reproduces every default solution; anything extra
         # it digs up sits below the tunnelling-depth floor (shallow Im(ti))
         # and is never part of the dipole sum
-        dense = solve_cycle(params, target, 20, n_ti=80, n_tau=100)
+        monkeypatch.setattr(saddle, "SEED_TI", 80)
+        monkeypatch.setattr(saddle, "SEED_TAU", 100)
+        dense = solve_cycle(params, target, 20)
         for sp in two20:
             d = min(abs(sp.ti - b.ti) + abs(sp.tr - b.tr) for b in dense)
             assert d < 1e-8
@@ -356,8 +359,10 @@ class TestKernel:
                 assert sp.hessdet == det
                 assert sp.residual == np.max(np.abs(res))
 
-    def test_resnorm_is_residual_max_norm(self, params, target):
-        seeds = seed_grid(params, target, n_ti=8, n_tau=10)
+    def test_resnorm_is_residual_max_norm(self, params, target, monkeypatch):
+        monkeypatch.setattr(saddle, "SEED_TI", 8)
+        monkeypatch.setattr(saddle, "SEED_TAU", 10)
+        seeds = seed_grid(params, target)
         rn, _ = _evaluate(params, target, 24.0, seeds.ti, seeds.tr)
         res = saddle_residual(params, target, 24.0, seeds.ti, seeds.tr)
         assert np.isfinite(rn).all()
@@ -518,12 +523,15 @@ class TestNewtonBatch:
     @pytest.mark.parametrize("q, phi, ratio", [(15, 0.0, 0.12), (24, 0.7, 0.06),
                                                (31, 2.1, 0.18)])
     def test_matches_reference_loop_with_limits(self, target, odd_seeds, q, phi,
-                                                ratio, limits):
+                                                ratio, limits, monkeypatch):
         p = FieldParams.from_ratio(E1, OMEGA, ratio, phi)
         seeds = seed_grid(p, target)
         ti = np.concatenate([seeds.ti, odd_seeds[0]])
         tr = np.concatenate([seeds.tr, odd_seeds[1]])
-        got = _newton_batch(p, target, q, ti, tr, **limits)
+        names = {"max_halvings": "NEWTON_MAX_HALVINGS", "max_iter": "NEWTON_MAX_ITER"}
+        for key, value in limits.items():
+            monkeypatch.setattr(saddle, names[key], value)
+        got = _newton_batch(p, target, q, ti, tr)
         ref = ref_newton_batch(p, target, q, ti, tr, **limits)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
@@ -628,10 +636,10 @@ def assert_same_outcome(got, ref):
         assert_same_point(got, ref)
 
 
-def single_solve(p, tgt, q, ti, tr, **kw):
+def single_solve(p, tgt, q, ti, tr):
     """newton_solve's point, or the exception it raises."""
     try:
-        return newton_solve(p, tgt, q, ti, tr, **kw)
+        return newton_solve(p, tgt, q, ti, tr)
     except (NoConvergenceError, CoalescenceError) as exc:
         return exc
 
@@ -650,11 +658,12 @@ class TestSolveSeeds:
         ]
 
     @pytest.mark.parametrize("max_iter", [100, 2])
-    def test_matches_newton_solve(self, params, target, mixed_seeds, max_iter):
+    def test_matches_newton_solve(self, params, target, mixed_seeds, max_iter,
+                                  monkeypatch):
         ti, tr = zip(*mixed_seeds)
-        got = solve_seeds(params, target, 24, ti, tr, max_iter=max_iter)
-        ref = [single_solve(params, target, 24, a, b, max_iter=max_iter)
-               for a, b in mixed_seeds]
+        monkeypatch.setattr(saddle, "NEWTON_MAX_ITER", max_iter)
+        got = solve_seeds(params, target, 24, ti, tr)
+        ref = [single_solve(params, target, 24, a, b) for a, b in mixed_seeds]
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert_same_outcome(g, r)
@@ -750,10 +759,10 @@ class TestContinueBranches:
 
     @pytest.mark.parametrize("max_halvings", [10, 0])
     def test_batched_step_matches_per_branch(self, params, target, h24,
-                                             max_halvings):
+                                             max_halvings, monkeypatch):
         # a 0.8 rad phi step makes some H24 branches halve their step
-        got = continue_branches(params, target, 24, h24, "phi", 0.8,
-                                max_halvings=max_halvings)
+        monkeypatch.setattr(saddle, "CONTINUATION_HALVINGS", max_halvings)
+        got = continue_branches(params, target, 24, h24, "phi", 0.8)
         refs = [reference_continuation(params, target, 24, sp, 0.8,
                                        max_halvings=max_halvings)
                 for sp in h24]
