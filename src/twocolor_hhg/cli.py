@@ -21,11 +21,11 @@ import numpy as np
 from . import __version__
 from .field import (ATOMIC_INTENSITY, FieldParams, SamplingError, TargetParams,
                     _check_samples, convert_units, lissajous)
-from .dipole import labelled_orbits
+from .dipole import DME_FORMS, labelled_orbits
 from .dipole import spectrum as saddle_spectrum
 from .oracle import OracleConfig, ResolutionError, direct_dipole
-from .phasescan import (ClassificationRefusedError, align_shift,
-                        classify_modality, fourier_fit, run_scan)
+from .phasescan import (ClassificationRefusedError, IllConditionedFitError,
+                        align_shift, classify_modality, fourier_fit, run_scan)
 from .taxonomy import amplitude
 from .trajectory import MIN_SAMPLES, displacement
 
@@ -83,6 +83,8 @@ def resolve_config(args):
 
     For each alternative pair (wavelength/omega, I1/E1, ratio/I2,
     species/Ip) at most one member may be supplied; defaults fill the rest.
+    A value that does not parse, or an unknown dme_form, is a UsageError
+    naming its key.
     """
     supplied = {}
     if getattr(args, "config", None):
@@ -97,32 +99,34 @@ def resolve_config(args):
         if a in supplied and b in supplied:
             raise UsageError(f"supply only one of --{a} / --{b}")
 
-    def num(key):
-        v = supplied.get(key)
-        return None if v is None else float(v)
+    def value(key, kind=float):
+        """The supplied (else default) value of ``key`` as ``kind``."""
+        v = supplied.get(key, _DEFAULTS.get(key))
+        try:
+            return kind(v)
+        except ValueError:
+            raise UsageError(f"{key}: expected {kind.__name__}, got {v!r}") from None
 
     if "omega" in supplied:
-        omega = num("omega")
+        omega = value("omega")
     else:
-        lam = num("lambda_nm") if "lambda_nm" in supplied else _DEFAULTS["lambda_nm"]
-        omega, _ = convert_units(lam, _DEFAULTS["i1"])
+        omega, _ = convert_units(value("lambda_nm"), _DEFAULTS["i1"])
     if "e1" in supplied:
-        e1 = num("e1")
+        e1 = value("e1")
     else:
-        i1 = num("i1") if "i1" in supplied else _DEFAULTS["i1"]
-        e1 = np.sqrt(i1 / ATOMIC_INTENSITY)
+        e1 = np.sqrt(value("i1") / ATOMIC_INTENSITY)
     if "i2" in supplied:
-        e2 = np.sqrt(num("i2") / ATOMIC_INTENSITY)
+        e2 = np.sqrt(value("i2") / ATOMIC_INTENSITY)
     else:
-        ratio = num("ratio") if "ratio" in supplied else _DEFAULTS["ratio"]
+        ratio = value("ratio")
         if ratio < 0:
             raise UsageError(f"intensity ratio must be nonnegative, got {ratio}")
         e2 = e1 * np.sqrt(ratio)
-    phi = num("phi") if "phi" in supplied else _DEFAULTS["phi"]
+    phi = value("phi")
     if "ip" in supplied:
-        ip = num("ip")
+        ip = value("ip")
     else:
-        species = str(supplied.get("species", _DEFAULTS["species"]))
+        species = value("species", str)
         if species not in SPECIES:
             raise UsageError(f"unknown species {species!r}; known: "
                              + ", ".join(sorted(SPECIES)))
@@ -133,12 +137,15 @@ def resolve_config(args):
     except ValueError as exc:
         raise UsageError(str(exc))
     opts = {
-        "q_min": int(supplied.get("q_min", _DEFAULTS["q_min"])),
-        "q_max": int(supplied.get("q_max", _DEFAULTS["q_max"])),
-        "n_phi": int(supplied.get("n_phi", _DEFAULTS["n_phi"])),
-        "dme_form": str(supplied.get("dme_form", _DEFAULTS["dme_form"])),
-        "outdir": Path(str(supplied.get("outdir", _DEFAULTS["outdir"]))),
+        "q_min": value("q_min", int),
+        "q_max": value("q_max", int),
+        "n_phi": value("n_phi", int),
+        "dme_form": value("dme_form", str),
+        "outdir": Path(value("outdir", str)),
     }
+    if opts["dme_form"] not in DME_FORMS:
+        raise UsageError(f"dme_form: unknown form {opts['dme_form']!r}; known: "
+                         + ", ".join(DME_FORMS))
     if opts["q_min"] > opts["q_max"]:
         raise UsageError("q_min must not exceed q_max")
     echo = {
@@ -181,7 +188,11 @@ def write_table(path, echo, columns, rows, extra_meta=None):
 def read_table(path):
     """Read back an emitted CSV: (metadata lines, column dict of arrays)."""
     meta, header, data = [], None, []
-    for line in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    for line in text.splitlines():
         if line.startswith("#"):
             meta.append(line)
         elif header is None:
@@ -413,7 +424,7 @@ def build_parser():
     common.add_argument("--n-phi", dest="n_phi", type=int,
                         help="phase points per 2 pi")
     common.add_argument("--dme-form", dest="dme_form",
-                        choices=["paper", "hydrogenic"],
+                        choices=DME_FORMS,
                         help="dipole matrix element denominator form")
     common.add_argument("--outdir", help="output directory")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -457,7 +468,8 @@ def main(argv=None):
     opts["outdir"].mkdir(parents=True, exist_ok=True)
     try:
         return args.func(p, tgt, opts, echo, args)
-    except (UsageError, ResolutionError, SamplingError) as exc:
+    except (UsageError, ResolutionError, SamplingError,
+            IllConditionedFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -281,8 +281,7 @@ def fourier_fit(series, phase_grid, extended=None):
     """
     y = np.asarray(series, dtype=float)
     phis = np.asarray(phase_grid, dtype=float)
-    if y.size < 8:
-        raise ValueError(f"need at least 8 points, got {y.size}")
+    _check_samples(y.size, 8, "points")
     if y.shape != phis.shape:
         raise ValueError("series and phase grid differ in length")
 

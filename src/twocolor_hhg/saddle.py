@@ -308,49 +308,37 @@ def _make_point(p, tgt, q, ti, tr):
                        hess=np.array([[a, b], [b, c]]), k_rec=vr)
 
 
-def converge_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
-    """One damped-Newton run over a batch of seeds, judged seed by seed.
+def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
+    """Batched :func:`newton_solve`: per seed a SaddlePoint or the exception.
 
-    ``q`` is a scalar or one order per seed.  Returns (q, ti, tr, errors):
-    the per-seed orders and end points, and for each seed None when the
-    solution is accepted or the exception :func:`newton_solve` raises for it.
-    A seed is accepted when tr != ti, the iteration converged, Im(ti) >= 0
-    and the converged |tr - ti| >= 1e-14.
+    ``q`` is a scalar or one order per seed.  All seeds go to one
+    damped-Newton run and are judged seed by seed: a seed is accepted when
+    tr != ti, the iteration converged, Im(ti) >= 0 and the converged
+    |tr - ti| >= 1e-14.  The points are built one at a time on numpy scalars,
+    so each is bit-identical to the one a single-seed solve returns.
     """
     seed_ti = np.atleast_1d(np.asarray(seed_ti, dtype=complex))
     seed_tr = np.atleast_1d(np.asarray(seed_tr, dtype=complex))
     q = np.broadcast_to(np.asarray(q, dtype=float), seed_ti.shape)
     ti, tr, rn, conv = _newton_batch(p, tgt, q, seed_ti, seed_tr)
-    errors = []
+    out = []
     for k in range(ti.size):
         if abs(seed_tr[k] - seed_ti[k]) < 1e-12:
-            err = CoalescenceError("seed has tr == ti")
+            out.append(CoalescenceError("seed has tr == ti"))
         elif not conv[k]:
-            err = NoConvergenceError(
+            out.append(NoConvergenceError(
                 f"no convergence from seed ({seed_ti[k]}, {seed_tr[k]}) at "
-                f"q={q[k]}: residual {rn[k]:.3e}")
+                f"q={q[k]}: residual {rn[k]:.3e}"))
         elif ti[k].imag < 0:
-            err = NoConvergenceError(
+            out.append(NoConvergenceError(
                 f"seed ({seed_ti[k]}, {seed_tr[k]}) converged to an Im(ti) < 0 "
-                "conjugate solution")
+                "conjugate solution"))
         elif abs(tr[k] - ti[k]) < 1e-14:
-            err = CoalescenceError(
-                "tr and ti coincide; stationary momentum undefined")
+            out.append(CoalescenceError(
+                "tr and ti coincide; stationary momentum undefined"))
         else:
-            err = None
-        errors.append(err)
-    return q, ti, tr, errors
-
-
-def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
-    """Batched :func:`newton_solve`: per seed a SaddlePoint or the exception.
-
-    The points are built one at a time on numpy scalars, so each is
-    bit-identical to the one a single-seed solve returns.
-    """
-    q, ti, tr, out = converge_seeds(p, tgt, q, seed_ti, seed_tr)
-    return [_make_point(p, tgt, q[k], ti[k], tr[k]) if err is None else err
-            for k, err in enumerate(out)]
+            out.append(_make_point(p, tgt, q[k], ti[k], tr[k]))
+    return out
 
 
 def newton_solve(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):

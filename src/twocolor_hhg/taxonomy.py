@@ -4,13 +4,16 @@ Orbits are binned into half-cycles by Re(ti) and, within each half-cycle,
 ordered by travel time Re(tr - ti); the two leading *relevant* families are
 "short" and "long", further ones "extra-3", "extra-4", ...
 
-Relevance is decided in two tiers.  Tier (a) is a hard filter: Im(ti) > 0
-and |e^{iS}| <= 1 (no exponential growth), plus an amplitude floor for extra
-families.  Tier (b) tracks branches across harmonic order: a branch whose
-amplitude grows faster than a factor 2 per order is the anti-Stokes partner
-of a physical orbit and is discarded; and once a short/long pair passes its
-closest approach in ti (the cutoff), the branch growing beyond that point is
-dropped for larger orders.  Every discard is written to the audit log.
+Relevance is decided in two tiers.  Tier (a) judges each saddle alone:
+Im(ti) > 0, |e^{iS}| <= 1 (no exponential growth), and an amplitude that
+does not grow faster than a factor 2 per harmonic order, the signature of
+the anti-Stokes partner of a physical orbit; extra families also face an
+amplitude floor.  The growth slope is exact: at a saddle dS/dti = dS/dtr = 0,
+so dS/dq is the explicit q w tr term and d ln|e^{iS}|/dq = -w Im(tr).
+Tier (b) tracks branches across harmonic order: a branch must persist for
+MIN_BRANCH_SUPPORT orders, and once a short/long pair passes its closest
+approach in ti (the cutoff), the branch growing beyond that point is dropped
+for larger orders.  Every discard is written to the audit log.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldParams, TargetParams
-from .saddle import SaddlePoint, action_value, converge_seeds
+from .saddle import SaddlePoint
 
 BOUNDARY_TOL = 1e-6
 EXTRA_AMPLITUDE_CUT = 1e-6
@@ -45,11 +48,7 @@ class OrbitLabel:
 
 def amplitude(sp: SaddlePoint):
     """|e^{iS}|, the bare exponential weight of a saddle."""
-    return _weight(sp.action)
-
-
-def _weight(action):
-    return float(np.exp(-complex(action).imag))
+    return float(np.exp(-complex(sp.action).imag))
 
 
 def _half_cycle_index(p, sp):
@@ -146,53 +145,6 @@ def track_branches(per_q, period):
     return assignment, history
 
 
-def growth_slope(history_entry, q):
-    """Local d(ln |e^{iS}|)/dq of one branch around order q."""
-    qs = np.array([qq for qq, _ in history_entry])
-    amps = np.log([amplitude(sp) for _, sp in history_entry])
-    if qs.size < 2:
-        return 0.0
-    k = int(np.argmin(np.abs(qs - q)))
-    lo = max(k - 1, 0)
-    hi = min(k + 1, qs.size - 1)
-    if hi == lo:
-        return 0.0
-    return float((amps[hi] - amps[lo]) / (qs[hi] - qs[lo]))
-
-
-def local_growth_slopes(p: FieldParams, tgt: TargetParams, q, saddles):
-    """Growth slopes from warm-started solves at q-1 and q+1.
-
-    Cheap per-cell alternative to a full continuation history: each saddle
-    is re-converged at the neighbouring orders and the centered log-slope of
-    |e^{iS}| is returned (one-sided when a neighbour is lost, 0 when both
-    are).
-    """
-    n = len(saddles)
-    qs = np.repeat([q - 1.0, q + 1.0], n)
-    qs, ti, tr, errors = converge_seeds(p, tgt, qs, [sp.ti for sp in saddles] * 2,
-                                        [sp.tr for sp in saddles] * 2)
-    log_amp = {}
-    for k, err in enumerate(errors):
-        sp = saddles[k % n]
-        if err is None and abs(complex(ti[k]) - sp.ti) < MATCH_TOL_PERIODS * p.period:
-            s = action_value(p, tgt, qs[k], ti[k], tr[k])
-            log_amp[k] = np.log(_weight(s))
-    slopes = []
-    for i, sp in enumerate(saddles):
-        lo, hi = log_amp.get(i), log_amp.get(i + n)
-        a0 = np.log(amplitude(sp))
-        if lo is not None and hi is not None:
-            slopes.append(0.5 * (hi - lo))
-        elif hi is not None:
-            slopes.append(hi - a0)
-        elif lo is not None:
-            slopes.append(a0 - lo)
-        else:
-            slopes.append(0.0)
-    return np.array(slopes)
-
-
 def closest_approach(entry_a, entry_b):
     """Interior minimum of |ti_a - ti_b| over the common q support.
 
@@ -218,9 +170,9 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
     and give each partner its representative's flag, so half-cycle partners
     agree by construction and each discard is audited once.  With
     ``history``/``keys`` from :func:`track_branches` over at least
-    MIN_BRANCH_SUPPORT orders, the growth slopes, the branch-support rule and
-    the short/long closest-approach rule use the global branch data;
-    otherwise slopes come from warm-started neighbour solves.
+    MIN_BRANCH_SUPPORT orders, the branch-support rule and the short/long
+    closest-approach rule also apply.  The growth slope needs no solve on
+    either path: it is d ln|e^{iS}|/dq = -w Im(tr), exact at a saddle.
     """
     if audit is None:
         audit = []
@@ -229,13 +181,10 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
     reasons = [None] * n
     amps = np.array([amplitude(sp) for sp in saddles])
     tracked = history is not None and _range_size(history) >= MIN_BRANCH_SUPPORT
-    if tracked:
-        slopes = np.array([growth_slope(history[k], q) for k in keys])
-    else:
-        slopes = local_growth_slopes(p, tgt, q, saddles)
     im_floor = IM_TI_FLOOR * np.sqrt(2.0 * tgt.Ip) / max(p.E1, p.E2)
     tau_floor = MIN_EXCURSION_PERIODS * p.period
     for i, sp in enumerate(saddles):
+        slope = -p.omega * sp.tr.imag
         if sp.ti.imag <= 0:
             mask[i], reasons[i] = False, "Im(ti) <= 0 (conjugate solution)"
         elif amps[i] > 1.0 + 1e-12:
@@ -246,9 +195,9 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
         elif sp.ti.imag < im_floor:
             mask[i], reasons[i] = False, (
                 f"Im(ti) = {sp.ti.imag:.2f} too shallow for a tunnelling orbit")
-        elif slopes[i] > GROWTH_LOG_SLOPE:
+        elif slope > GROWTH_LOG_SLOPE:
             mask[i], reasons[i] = False, (
-                f"amplitude grows with order (log-slope {slopes[i]:.2f})")
+                f"amplitude grows with order (log-slope {slope:.2f})")
         elif tracked and len(history[keys[i]]) < MIN_BRANCH_SUPPORT:
             mask[i], reasons[i] = False, (
                 f"branch persists for only {len(history[keys[i]])} orders")

@@ -265,6 +265,67 @@ class TestConfigValidation:
         assert run(["fit", bad, "--reference", bad,
                     "--outdir", tmp_path]) == 2
 
+    @pytest.mark.parametrize("line, key", [
+        ("q_min = twelve", "q_min"),
+        ("ratio = abc", "ratio"),
+        ("dme_form = foo", "dme_form"),
+    ], ids=["q_min", "ratio", "dme_form"])
+    def test_bad_config_file_values(self, line, key, tmp_path, capsys,
+                                    monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a saddle was solved")
+
+        monkeypatch.setattr(saddle, "_evaluate", no_solve)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\n{line}\n")
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", cfg, "--outdir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}")
+        assert not out.exists()
+
+
+def _phase_table(path, phis, q=24):
+    """A minimal scan-like CSV: one order sampled at ``phis``."""
+    rows = [f"{phi:.17g},{q},{1.0 + 0.5 * np.cos(2 * phi) + 0.1 * k:.17g}"
+            for k, phi in enumerate(phis)]
+    path.write_text("phi,q,Itotal\n" + "\n".join(rows) + "\n")
+    return path
+
+
+class TestFitInputErrors:
+    """Each bad fit input gives one error line, status 2 and no report."""
+
+    def fit_fails(self, data, reference, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["fit", data, "--reference", reference, "--outdir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (out / "fit_report.json").exists()
+        return err[0]
+
+    def test_reference_with_too_few_phases(self, tmp_path, capsys):
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        data = _phase_table(tmp_path / "data.csv", grid)
+        ref = _phase_table(tmp_path / "ref.csv", grid[:6])
+        assert self.fit_fails(data, ref, tmp_path, capsys) == \
+            "error: need at least 8 points, got 6"
+
+    def test_reference_that_cannot_resolve_the_model(self, tmp_path, capsys):
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        data = _phase_table(tmp_path / "data.csv", grid)
+        ref = _phase_table(tmp_path / "ref.csv", np.zeros(16))
+        assert self.fit_fails(data, ref, tmp_path, capsys) == \
+            "error: degenerate design matrix column"
+
+    @pytest.mark.parametrize("missing", ["data", "reference"])
+    def test_missing_input_file(self, missing, tmp_path, capsys):
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        present = _phase_table(tmp_path / "present.csv", grid)
+        absent = tmp_path / "absent.csv"
+        data, ref = (absent, present) if missing == "data" else (present, absent)
+        assert str(absent) in self.fit_fails(data, ref, tmp_path, capsys)
+
 
 class TestRoundTrip:
     def test_all_emitted_tables_reingest(self, tmp_path):

@@ -5,12 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twocolor_hhg import (CoalescenceError, NoConvergenceError, SaddlePoint,
-                          classify, find_cutoff, newton_solve, relevance_mask,
-                          solve_cycle, track_branches)
+from twocolor_hhg import (SaddlePoint, classify, find_cutoff, relevance_mask,
+                          saddle, solve_cycle, taxonomy, track_branches)
 from twocolor_hhg.dipole import build_history
-from twocolor_hhg.taxonomy import (MATCH_TOL_PERIODS, amplitude,
-                                   local_growth_slopes)
+from twocolor_hhg.saddle import solve_seeds
 
 
 class TestClassify:
@@ -139,43 +137,58 @@ class TestFindCutoff:
         assert find_cutoff(history, params.period) is None
 
 
-def reference_slopes(p, tgt, q, saddles):
-    """Growth slopes from one newton_solve per saddle and neighbour order."""
-    slopes = []
-    for sp in saddles:
-        a0 = np.log(amplitude(sp))
-        vals = {}
-        for dq in (-1.0, 1.0):
-            try:
-                nb = newton_solve(p, tgt, q + dq, sp.ti, sp.tr)
-            except (NoConvergenceError, CoalescenceError):
-                continue
-            if abs(nb.ti - sp.ti) < MATCH_TOL_PERIODS * p.period:
-                vals[dq] = np.log(amplitude(nb))
-        if len(vals) == 2:
-            slopes.append(0.5 * (vals[1.0] - vals[-1.0]))
-        elif 1.0 in vals:
-            slopes.append(vals[1.0] - a0)
-        elif -1.0 in vals:
-            slopes.append(a0 - vals[-1.0])
-        else:
-            slopes.append(0.0)
-    return np.array(slopes)
+class TestGrowthSlope:
+    """relevance_mask's growth slope is the exact d ln|e^{iS}|/dq = -w Im(tr)."""
+
+    CASES = [(0.0, 0.12, 20), (0.7, 0.06, 26), (2.1, 0.18, 31)]
+
+    @pytest.mark.parametrize("phi,ratio,q", CASES)
+    def test_matches_centred_difference(self, params, target, phi, ratio, q):
+        p = params.with_ratio(ratio).with_phi(phi)
+        sads = solve_cycle(p, target, q)
+        reps = sads[:len(sads) // 2]
+        assert reps
+        h = 1e-3
+        for sp in reps:
+            lo, hi = solve_seeds(p, target, [q - h, q + h], [sp.ti] * 2, [sp.tr] * 2)
+            assert isinstance(lo, SaddlePoint) and isinstance(hi, SaddlePoint)
+            centred = (lo.action.imag - hi.action.imag) / (2 * h)
+            assert abs(-p.omega * sp.tr.imag - centred) < 1e-7
+
+    @pytest.mark.parametrize("phi,ratio,q", CASES)
+    def test_audit_quotes_the_exact_slope(self, params, target, monkeypatch,
+                                          phi, ratio, q):
+        # with the growth bound at -inf, every saddle that reaches the
+        # growth rule is discarded by it and its audit line quotes the slope
+        p = params.with_ratio(ratio).with_phi(phi)
+        sads = solve_cycle(p, target, q)
+        reps = sads[:len(sads) // 2]
+        monkeypatch.setattr(taxonomy, "GROWTH_LOG_SLOPE", -np.inf)
+        audit = []
+        relevance_mask(p, target, q, reps, audit=audit)
+        quoted = [line for line in audit if "grows with order" in line]
+        assert quoted
+        for line in quoted:
+            sp = next(s for s in reps if f"ti={s.ti:.3f}:" in line)
+            assert f"(log-slope {-p.omega * sp.tr.imag:.2f})" in line
 
 
-class TestLocalGrowthSlopes:
-    def test_batched_neighbours_match_single_solves(self, params, target):
+class TestNoNewtonSolves:
+    def _forbid_newton(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("relevance_mask started a Newton solve")
+        monkeypatch.setattr(saddle, "_newton_batch", refuse)
+
+    def test_without_history(self, params, target, monkeypatch):
         sads = solve_cycle(params, target, 27)
-        # a coalescent entry loses both neighbours
-        t = 20.0 + 5.0j
-        sads.append(SaddlePoint(ti=t, tr=t, ps=np.zeros(2, dtype=complex),
-                                action=0j, hessdet=0j, q=27.0, residual=0.0,
-                                hess=np.zeros((2, 2), dtype=complex),
-                                k_rec=np.zeros(2, dtype=complex)))
-        got = local_growth_slopes(params, target, 27, sads)
-        ref = reference_slopes(params, target, 27, sads)
-        assert got.tobytes() == ref.tobytes()
-        assert got[-1] == 0.0
+        self._forbid_newton(monkeypatch)
+        mask = relevance_mask(params, target, 27, sads[:len(sads) // 2])
+        assert mask.any()
 
-    def test_empty(self, params, target):
-        assert local_growth_slopes(params, target, 27, []).size == 0
+    def test_with_history(self, params, target, monkeypatch):
+        per_q, assignment, history = build_history(params, target, np.arange(20, 30))
+        self._forbid_newton(monkeypatch)
+        n = len(per_q[24]) // 2
+        mask = relevance_mask(params, target, 24, per_q[24][:n], history=history,
+                              keys=assignment[24][:n])
+        assert mask.any()
