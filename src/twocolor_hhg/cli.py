@@ -168,6 +168,14 @@ def _meta_lines(echo, extra=None):
     return lines
 
 
+def _write_text(path, text):
+    """Write ``text`` to ``path``, creating the output directory on the first
+    write, so a run that stops with a usage error leaves no directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def write_table(path, echo, columns, rows, extra_meta=None):
     """Emit a deterministic CSV with '#' metadata header lines."""
     out = _meta_lines(echo, extra_meta)
@@ -182,7 +190,7 @@ def write_table(path, echo, columns, rows, extra_meta=None):
             else:
                 cells.append(str(v))
         out.append(",".join(cells))
-    Path(path).write_text("\n".join(out) + "\n")
+    _write_text(path, "\n".join(out) + "\n")
 
 
 def read_table(path):
@@ -232,7 +240,7 @@ def cmd_spectrum(p, tgt, opts, echo, args):
     write_table(outdir / "spectrum.csv", echo,
                 ["q", "Ix", "Iy", "Itotal", "n_saddles", "flags"], rows,
                 {"method": "saddle"})
-    (outdir / "audit.txt").write_text("\n".join(spec.audit) + "\n")
+    _write_text(outdir / "audit.txt", "\n".join(spec.audit) + "\n")
     if args.oracle:
         direct = _write_direct(p, tgt, qs, opts, echo)
         good = (spec.Itotal > 0) & (direct.Itotal > 0)
@@ -248,7 +256,7 @@ def cmd_spectrum(p, tgt, opts, echo, args):
              if ratio.size > 1 else float("nan"))
         lines.append(f"log-intensity Pearson correlation (saddle vs direct, "
                      f"{ratio.size} orders): {r:.6f}")
-        (outdir / "comparison.txt").write_text("\n".join(lines) + "\n")
+        _write_text(outdir / "comparison.txt", "\n".join(lines) + "\n")
     if n_fail:
         print(f"{n_fail} orders produced no dipole; see audit.txt",
               file=sys.stderr)
@@ -267,9 +275,9 @@ def cmd_scan(p, tgt, opts, echo, args):
     outdir = opts["outdir"]
     write_table(outdir / "scan.csv", echo,
                 ["phi", "q", "Ix", "Iy", "Itotal"], rows)
-    (outdir / "audit.txt").write_text(
-        "\n".join(f"q={q} phi={phi}: {reason}" for q, phi, reason in scan.gaps)
-        + "\n")
+    _write_text(outdir / "audit.txt",
+                "\n".join(f"q={q} phi={phi}: {reason}"
+                          for q, phi, reason in scan.gaps) + "\n")
     arow = []
     for (q, bid) in sorted(scan.axes):
         M = scan.axes[(q, bid)]
@@ -297,7 +305,8 @@ def cmd_scan(p, tgt, opts, echo, args):
             "extended": fit.extended, "tau": fit.tau, "rms": fit.rms,
             "modality": modality, "maxima_per_pi": n_max,
         }
-    (outdir / "fits.json").write_text(
+    _write_text(
+        outdir / "fits.json",
         json.dumps({"model": "a0 + a1 cos(phi) + b1 sin(phi) + a2 cos(2 phi)"
                              " + b2 sin(2 phi) [+ a4 cos(4 phi) + b4 sin(4"
                              " phi) when extended]",
@@ -380,8 +389,8 @@ def cmd_fit(p, tgt, opts, echo, args):
             "tau": tau, "rms": ref_fit.rms, "extended": ref_fit.extended,
             "modality": modality, "maxima_per_pi": n_max,
         }
-    out = opts["outdir"] / "fit_report.json"
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(opts["outdir"] / "fit_report.json",
+                json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -465,7 +474,6 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    opts["outdir"].mkdir(parents=True, exist_ok=True)
     try:
         return args.func(p, tgt, opts, echo, args)
     except (UsageError, ResolutionError, SamplingError,

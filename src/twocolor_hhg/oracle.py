@@ -5,9 +5,17 @@ integral over real recombination time and excursion tau is discretized with
 plain rectangle rules (tau on midpoints, tr commensurate with the period, so
 exact field symmetries survive discretization and disjoint tau bands add
 exactly).  The tau -> 0 spreading singularity is regularized by the complex
-shift tau -> tau + i*eps.  The tau integral is done once for all orders, a
-block of tr rows at a time, and each order is then a Fourier coefficient
-over the n_cycles periods of tr.  No saddle-point approximation is made.
+shift tau -> tau + i*eps.  No saddle-point approximation is made.
+
+The grid covers tr in the first half period only.  t -> t + T/2 maps
+(Ex, Ey) to (-Ex, Ey), so the integrand at tr + T/2 is diag(-1, 1) times
+that at tr, and the second half period is added back exactly: odd orders
+are purely x-polarized and even orders purely y-polarized, with the
+forbidden component exactly 0.  Further periods only multiply each order by
+a cycle sum.  On the grid ti = tr - tau takes few distinct values, so the
+trigonometry at ti is tabulated once and read as windows of the tables.
+The tau integral is done once for all orders, a block of tr rows at a time,
+and each order is then a Fourier coefficient over tr.
 """
 
 from __future__ import annotations
@@ -15,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import (FieldParams, TargetParams, apot, apot_integral,
-                    apot_sq_integral)
+from .field import (SPEED_OF_LIGHT, FieldParams, TargetParams, _apot,
+                    _apot_integral, _apot_sq_antideriv, _phases)
 from .dipole import HarmonicSpectrum, dme, ionisation_amplitude
-from .field import SPEED_OF_LIGHT
 
 BLOCK_POINTS = 1 << 15     # (tr, tau) grid points built at a time
 
@@ -33,7 +41,10 @@ class OracleConfig:
     """Discretization of the direct dipole integral.
 
     ``n_cycles`` fundamental periods of recombination time, excursions up to
-    ``tau_max_periods`` * T, step T / ``steps_per_period``.
+    ``tau_max_periods`` * T, step T / ``steps_per_period`` (even, so that
+    T/2 is a whole number of steps).  The integrand is T-periodic, so the
+    grid covers half a period whatever ``n_cycles``; the cycles enter the
+    projection in closed form and matter only for non-integer orders.
     """
 
     n_cycles: int = 1
@@ -46,6 +57,9 @@ class OracleConfig:
         does not resolve order ``q_max`` (q w dt > 0.5)."""
         if self.steps_per_period < 400:
             raise ValueError("dt must be at most T/400")
+        if self.steps_per_period % 2:
+            raise ValueError("steps_per_period must be even, so that T/2 "
+                             "is a grid step")
         if self.tau_max_periods < 1.2:
             raise ValueError("tau_max must be at least 1.2 T")
         if self.eps <= 0:
@@ -61,15 +75,31 @@ class OracleConfig:
 
 
 def _grid(p, cfg):
-    """The recombination times tr and the tau midpoints of the grid."""
+    """The recombination times tr in [0, T/2) and the tau midpoints."""
     dt = cfg.dt(p)
     n_tau = int(round(cfg.tau_max_periods * cfg.steps_per_period))
-    tr = dt * np.arange(cfg.n_cycles * cfg.steps_per_period)
+    tr = dt * np.arange(cfg.steps_per_period // 2)
     return tr, dt * (np.arange(n_tau) + 0.5)
 
 
+def _ti_windows(p, dt, n_tr, n_tau):
+    """sin(w ti), sin(2 w ti + phi) and the A.A antiderivative at every
+    (tr, tau) grid point, as zero-copy (n_tr, n_tau) views.
+
+    On the grid ti = tr_j - tau_k = dt (j - k - 1/2) takes only
+    n_tr + n_tau - 1 values.  Each quantity is tabulated once, in descending
+    ti, and row j reads window n_tr - 1 - j of its table.
+    """
+    ti = dt * (n_tr - 1.5 - np.arange(n_tr + n_tau - 1))
+    x1, x2 = _phases(p, ti)
+    return tuple(sliding_window_view(table, n_tau)[::-1]
+                 for table in (np.sin(x1), np.sin(x2),
+                               _apot_sq_antideriv(p, ti)))
+
+
 def _tau_sums(p, tgt, cfg, dme_form="paper", weight=None):
-    """(tr, g): the tau integral of the q-independent integrand at each tr.
+    """(tr, g): the tau integral of the q-independent integrand at each tr
+    of the first half period.
 
     g has shape (2, n_tr): the tau sum of d(p_s + A(tr)) * Y * spread *
     e^{i S0} * dt, each term times ``weight`` (one per tau) when given, with
@@ -79,28 +109,46 @@ def _tau_sums(p, tgt, cfg, dme_form="paper", weight=None):
     """
     dt = cfg.dt(p)
     tr, tau = _grid(p, cfg)
-    taug = tau[None, :]
-    spread = (2.0 * np.pi / (1j * (taug + 1j * cfg.eps))) ** 1.5
+    si1, si2, fi = _ti_windows(p, dt, tr.size, tau.size)
+    x1, x2 = _phases(p, tr[:, None])
+    sr1, sr2 = np.sin(x1), np.sin(x2)
+    a_tr = np.stack(_apot(p, np.cos(x1), np.cos(x2)))
+    fr = _apot_sq_antideriv(p, tr[:, None])
+    spread = (2.0 * np.pi / (1j * (tau + 1j * cfg.eps))) ** 1.5
     g = np.empty((2, tr.size), dtype=complex)
     n_rows = max(1, BLOCK_POINTS // tau.size)
     for start in range(0, tr.size, n_rows):
-        trg = tr[start:start + n_rows, None]
-        tig = trg - taug
-        ps = -apot_integral(p, tig, trg) / taug
-        d_rec = dme(ps + apot(p, trg), tgt.Ip, form=dme_form)
+        b = slice(start, start + n_rows)
+        ps = np.stack(_apot_integral(p, si1[b], si2[b], sr1[b], sr2[b])) / -tau
+        d_rec = dme(ps + a_tr[:, b], tgt.Ip, form=dme_form)
         ps2 = (ps * ps).sum(axis=0)
-        s0 = -tgt.Ip * taug + 0.5 * ps2 * taug - 0.5 * apot_sq_integral(p, tig, trg)
+        s0 = -tgt.Ip * tau + 0.5 * ps2 * tau - 0.5 * (fr[b] - fi[b])
         terms = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0)) * dt
         if weight is not None:
             terms = terms * weight
-        g[:, start:start + n_rows] = terms.sum(axis=-1)
+        g[:, b] = terms.sum(axis=-1)
     return tr, g
 
 
-def _project(p, cfg, tr, rows_tau_summed, q):
-    dt = cfg.dt(p)
-    phase = np.exp(1j * q * p.omega * tr)
-    return (rows_tau_summed * phase).sum(axis=-1) * dt / (cfg.n_cycles * p.period)
+def _project(p, cfg, tr, g, q):
+    """The order-q Fourier coefficient, over n_cycles periods, of the tau
+    sums ``g`` on the first half period.
+
+    The second half period adds diag(-1, 1) g(tr) e^{i pi q}, and each
+    further cycle the first one's sum times e^{2 pi i q}.  For integer q both
+    factors are exact: the forbidden component is 0 and the cycles cancel
+    the 1 / n_cycles.
+    """
+    half = (g * np.exp(1j * q * p.omega * tr)).sum(axis=-1) * cfg.dt(p) / p.period
+    if q == round(q):
+        d = np.zeros(2, dtype=complex)
+        allowed = 1 - int(round(q)) % 2          # x for odd q, y for even q
+        d[allowed] = 2.0 * half[allowed]
+        return d
+    flip = np.exp(1j * np.pi * q)
+    n = cfg.n_cycles
+    cycles = (1.0 - flip ** (2 * n)) / (n * (1.0 - flip ** 2))
+    return half * np.array([1.0 - flip, 1.0 + flip]) * cycles
 
 
 def direct_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, qs,

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .field import FieldParams, SamplingError, TargetParams, _check_samples
 from .saddle import (BranchLostError, CoalescenceError, NoConvergenceError,
@@ -311,6 +310,10 @@ def align_shift(reference_fit: ModulationFit, measured, phase_grid):
     refinement.  A reference fit with no oscillatory content has a flat
     objective; that case warns and returns tau = 0.
     """
+    # scipy.optimize takes about half a second to import; only the fit
+    # subcommand needs it, so it is loaded here and not with the package
+    from scipy.optimize import minimize_scalar
+
     y = np.asarray(measured, dtype=float)
     phis = np.asarray(phase_grid, dtype=float)
     osc = np.array([reference_fit.a1, reference_fit.b1, reference_fit.a2,

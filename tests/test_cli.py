@@ -1,6 +1,8 @@
 """Command-line surface: emission, determinism, round-trips, usage errors."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +261,22 @@ class TestConfigValidation:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        "oracle --q-min 41 --q-max 42",
+        "scan --q-min 24 --q-max 24 --n-phi 16",
+    ], ids=["oracle-q42", "scan-16"])
+    def test_usage_error_leaves_no_outdir(self, command, tmp_path, capsys):
+        # a missing, nested --outdir is created only with the first output
+        out = tmp_path / "missing" / "nested"
+        assert run([*command.split(), "--outdir", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_nested_outdir_is_created(self, tmp_path):
+        out = tmp_path / "missing" / "nested"
+        assert run(["lissajous", "--n-samples", "64", "--outdir", out]) == 0
+        assert [f.name for f in out.iterdir()] == ["lissajous.csv"]
+
     def test_fit_rejects_unknown_columns(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -338,3 +356,15 @@ class TestRoundTrip:
             assert meta and cols
             for v in cols.values():
                 assert len(v) > 0
+
+
+def test_scipy_optimize_not_loaded_by_the_cli():
+    # only the fit subcommand needs scipy.optimize, and it imports it itself
+    src = Path(__file__).parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from twocolor_hhg import cli; "
+            "cli.resolve_config(cli.build_parser().parse_args(['spectrum'])); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

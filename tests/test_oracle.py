@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from twocolor_hhg import (FieldParams, OracleConfig, ResolutionError,
                           contribution, direct_dipole, spectrum,
                           windowed_dipole)
 from twocolor_hhg import oracle
 from twocolor_hhg.dipole import dme, ionisation_amplitude
-from twocolor_hhg.field import apot, apot_integral, apot_sq_integral
+from twocolor_hhg.field import (_apot, _apot_integral, _apot_sq_antideriv,
+                                _phases, apot, apot_integral, apot_sq_integral)
 
 from conftest import E1, OMEGA
 
@@ -31,6 +33,14 @@ class TestConfig:
             OracleConfig(eps=0.0).validate(params)
         with pytest.raises(ValueError):
             OracleConfig(n_cycles=0).validate(params)
+
+    def test_odd_step_count_rejected(self, params, target):
+        # the half-period mirror needs tr + T/2 on the grid
+        with pytest.raises(ValueError, match="even"):
+            OracleConfig(steps_per_period=513).validate(params)
+        with pytest.raises(ValueError, match="even"):
+            direct_dipole(params, target, OracleConfig(steps_per_period=1025),
+                          [20])
 
     def test_nyquist_guard(self, params, target):
         with pytest.raises(ResolutionError):
@@ -57,33 +67,66 @@ class TestDirectDipole:
         assert spec.method == "direct"
 
 
-def whole_grid_rows(p, tgt, cfg, dme_form="paper"):
-    """(tr, rows): every tau term of every tr row in one (2, n_tr, n_tau)
-    array, times dt, in the oracle's arithmetic order."""
+def full_period_dipoles(p, tgt, cfg, qs, dme_form="paper"):
+    """The dipoles at ``qs`` from the whole (tr, tau) grid of all n_cycles
+    periods, as the oracle summed it before the half-period mirror; built
+    64 tr rows at a time, which gives the same bytes as one whole grid."""
     dt = cfg.dt(p)
     tr = dt * np.arange(cfg.n_cycles * cfg.steps_per_period)
     n_tau = int(round(cfg.tau_max_periods * cfg.steps_per_period))
-    tau = dt * (np.arange(n_tau) + 0.5)
-    trg = tr[:, None]
-    taug = tau[None, :]
-    tig = trg - taug
-    ps = -apot_integral(p, tig, trg) / taug
-    d_rec = dme(ps + apot(p, trg), tgt.Ip, form=dme_form)
+    taug = dt * (np.arange(n_tau) + 0.5)[None, :]
     spread = (2.0 * np.pi / (1j * (taug + 1j * cfg.eps))) ** 1.5
+    g = np.empty((2, tr.size), dtype=complex)
+    for start in range(0, tr.size, 64):
+        trg = tr[start:start + 64, None]
+        tig = trg - taug
+        ps = -apot_integral(p, tig, trg) / taug
+        d_rec = dme(ps + apot(p, trg), tgt.Ip, form=dme_form)
+        ps2 = (ps * ps).sum(axis=0)
+        s0 = -tgt.Ip * taug + 0.5 * ps2 * taug - 0.5 * apot_sq_integral(p, tig, trg)
+        terms = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0)) * dt
+        g[:, start:start + 64] = terms.sum(axis=-1)
+    return np.array([(g * np.exp(1j * q * p.omega * tr)).sum(axis=-1) * dt
+                     / (cfg.n_cycles * p.period) for q in qs])
+
+
+def half_period_rows(p, tgt, cfg, dme_form="paper"):
+    """(tr, rows): every tau term of every tr row of the first half period in
+    one (2, n_tr, n_tau) array, times dt, in the oracle's arithmetic order."""
+    dt = cfg.dt(p)
+    n_tr = cfg.steps_per_period // 2
+    n_tau = int(round(cfg.tau_max_periods * cfg.steps_per_period))
+    tr = dt * np.arange(n_tr)
+    tau = dt * (np.arange(n_tau) + 0.5)
+    # ti = tr - tau on the grid, from one table per quantity in descending ti
+    ti = dt * (n_tr - 1.5 - np.arange(n_tr + n_tau - 1))
+    x1, x2 = _phases(p, ti)
+    si1, si2, fi = (sliding_window_view(t, n_tau)[::-1] for t in
+                    (np.sin(x1), np.sin(x2), _apot_sq_antideriv(p, ti)))
+    x1, x2 = _phases(p, tr[:, None])
+    ps = np.stack(_apot_integral(p, si1, si2, np.sin(x1), np.sin(x2))) / -tau
+    d_rec = dme(ps + np.stack(_apot(p, np.cos(x1), np.cos(x2))), tgt.Ip,
+                form=dme_form)
+    spread = (2.0 * np.pi / (1j * (tau + 1j * cfg.eps))) ** 1.5
     ps2 = (ps * ps).sum(axis=0)
-    s0 = -tgt.Ip * taug + 0.5 * ps2 * taug - 0.5 * apot_sq_integral(p, tig, trg)
+    s0 = (-tgt.Ip * tau + 0.5 * ps2 * tau
+          - 0.5 * (_apot_sq_antideriv(p, tr[:, None]) - fi))
     rows = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0))
     return tr, rows * dt
 
 
 class TestBlockedGrid:
+    """The blocked tau sums equal the whole half-period grid's, byte for
+    byte, whatever the block size."""
+
     QS = [19, 20, 21]
+    SMALL_BLOCK = 5000      # a few rows, and not a whole number of them
 
     @pytest.fixture(scope="class", params=[(512, 1), (1024, 1), (512, 2)])
     def whole_grid(self, request, params, target):
         steps, n_cycles = request.param
         cfg = OracleConfig(steps_per_period=steps, n_cycles=n_cycles)
-        return cfg, *whole_grid_rows(params, target, cfg)
+        return cfg, *half_period_rows(params, target, cfg)
 
     @staticmethod
     def on_whole_grid(monkeypatch, tr, rows):
@@ -92,7 +135,7 @@ class TestBlockedGrid:
             return tr, (rows if weight is None else rows * weight).sum(axis=-1)
         monkeypatch.setattr(oracle, "_tau_sums", tau_sums)
 
-    def test_direct_dipole_bytes(self, params, target, whole_grid, monkeypatch):
+    def assert_direct_bytes(self, params, target, whole_grid, monkeypatch):
         cfg, tr, rows = whole_grid
         got = direct_dipole(params, target, cfg, self.QS)
         self.on_whole_grid(monkeypatch, tr, rows)
@@ -101,9 +144,8 @@ class TestBlockedGrid:
         for a, b in zip(got.dipoles, ref.dipoles):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("taper_periods", [0.0, 0.1, 0.4])
-    def test_windowed_dipole_bytes(self, params, target, whole_grid,
-                                   monkeypatch, taper_periods):
+    def assert_windowed_bytes(self, params, target, whole_grid, monkeypatch,
+                              taper_periods):
         cfg, tr, rows = whole_grid
         band = (0.3 * params.period, 0.9 * params.period)
         taper = taper_periods * params.period
@@ -112,8 +154,29 @@ class TestBlockedGrid:
         ref = windowed_dipole(params, target, cfg, 20, band, taper=taper)
         assert got.tobytes() == ref.tobytes()
 
+    def test_direct_dipole_bytes(self, params, target, whole_grid, monkeypatch):
+        self.assert_direct_bytes(params, target, whole_grid, monkeypatch)
+
+    def test_direct_dipole_bytes_small_block(self, params, target, whole_grid,
+                                             monkeypatch):
+        monkeypatch.setattr(oracle, "BLOCK_POINTS", self.SMALL_BLOCK)
+        self.assert_direct_bytes(params, target, whole_grid, monkeypatch)
+
+    @pytest.mark.parametrize("taper_periods", [0.0, 0.1, 0.4])
+    def test_windowed_dipole_bytes(self, params, target, whole_grid,
+                                   monkeypatch, taper_periods):
+        self.assert_windowed_bytes(params, target, whole_grid, monkeypatch,
+                                   taper_periods)
+
+    @pytest.mark.parametrize("taper_periods", [0.0, 0.4])
+    def test_windowed_dipole_bytes_small_block(self, params, target, whole_grid,
+                                               monkeypatch, taper_periods):
+        monkeypatch.setattr(oracle, "BLOCK_POINTS", self.SMALL_BLOCK)
+        self.assert_windowed_bytes(params, target, whole_grid, monkeypatch,
+                                   taper_periods)
+
     def test_memory_bounded_by_the_block(self, params, target):
-        # the whole grid at T/1024 would hold about 300 MB of temporaries
+        # the whole grid at T/1024 would hold about 150 MB of temporaries
         tracemalloc.start()
         try:
             direct_dipole(params, target, OracleConfig(steps_per_period=1024),
@@ -122,6 +185,68 @@ class TestBlockedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+# (phi, R) of the half-period checks: a benchmark field whose q = 22
+# selection rule the full-period sums broke by round-off, the NORM_FIELDS
+# and two highly bichromatic fields
+MIRROR_FIELDS = ((5.805, 0.091), *NORM_FIELDS, (0.0, 0.5), (1.0, 1.0))
+
+
+class TestHalfPeriodMirror:
+    """t -> t + T/2 maps (Ex, Ey) to (-Ex, Ey): the oracle integrates the
+    first half period and adds the second through that symmetry."""
+
+    @pytest.mark.parametrize("steps", [512, 1024])
+    def test_forbidden_components_exactly_zero(self, target, steps):
+        p = FieldParams.from_ratio(E1, OMEGA, 0.0910, 5.805)
+        spec = direct_dipole(p, target, OracleConfig(steps_per_period=steps),
+                             np.arange(15, 28))
+        odd = spec.qs % 2 == 1
+        assert np.all(spec.Ix[~odd] == 0.0) and np.all(spec.Iy[odd] == 0.0)
+        assert np.all(spec.Ix[odd] > 0.0) and np.all(spec.Iy[~odd] > 0.0)
+
+    @pytest.mark.parametrize("taper_periods", [0.0, 0.4])
+    def test_windowed_forbidden_components_exactly_zero(self, target,
+                                                        taper_periods):
+        p = FieldParams.from_ratio(E1, OMEGA, 0.0910, 5.805)
+        band = (0.65 * p.period, CFG.tau_max_periods * p.period)
+        for q in (21, 22):
+            d = windowed_dipole(p, target, CFG, q, band,
+                                taper=taper_periods * p.period)
+            assert d[q % 2] == 0.0 and d[1 - q % 2] != 0.0
+
+    @pytest.mark.parametrize("steps", [512, 1024])
+    @pytest.mark.parametrize("phi, ratio", MIRROR_FIELDS)
+    def test_matches_the_full_period_sums(self, target, phi, ratio, steps):
+        # the full-period sums differ only by their round-off, of which the
+        # forbidden component is the visible part; relative to its own order
+        # the allowed component moves by up to 1.04e-6 (q = 22 at
+        # (5.805, 0.091), T/1024, where the order's dipole is small)
+        p = FieldParams.from_ratio(E1, OMEGA, ratio, phi)
+        cfg = OracleConfig(steps_per_period=steps)
+        qs = np.arange(12, 36)
+        old = full_period_dipoles(p, target, cfg, qs)
+        new = np.array(direct_dipole(p, target, cfg, qs).dipoles)
+        assert np.max(np.abs(new - old)) <= 2e-8 * np.max(np.abs(old))
+        allowed = np.arange(qs.size), 1 - qs.astype(int) % 2
+        rel = (np.abs(new[allowed] - old[allowed])
+               / np.linalg.norm(old, axis=1))
+        assert np.max(rel) <= 2e-6
+
+    @pytest.mark.parametrize("n_cycles", [1, 2, 3])
+    def test_non_integer_orders(self, params, target, n_cycles):
+        # off-integer q takes the factors e^{i pi q} (second half period)
+        # and the closed-form cycle sum, where neither is exact
+        cfg = OracleConfig(n_cycles=n_cycles)
+        qs = [19.5, 20.25, 20.999]
+        old = full_period_dipoles(params, target, cfg, qs)
+        new = np.array([windowed_dipole(params, target, cfg, q,
+                                        (0.0, cfg.tau_max_periods * params.period))
+                        for q in qs])
+        assert np.max(np.abs(new - old)) <= 1e-8 * np.max(np.abs(old))
+        spec = direct_dipole(params, target, cfg, qs)
+        assert np.array(spec.dipoles).tobytes() == new.tobytes()
 
 
 class TestWindowedDipole:
