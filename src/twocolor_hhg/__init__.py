@@ -24,8 +24,8 @@ from .polarization import (EllipseDecomposition, UndefinedEllipseError,
                            decompose, signed_axes, signed_axis_series)
 from .trajectory import Orbit, closure_defect, displacement
 from .phasescan import (ClassificationRefusedError, IllConditionedFitError,
-                        ModulationFit, PhaseScan, align_shift,
-                        classify_modality, fourier_fit, run_scan)
+                        ModulationFit, NonFiniteSampleError, PhaseScan,
+                        align_shift, classify_modality, fourier_fit, run_scan)
 from .oracle import OracleConfig, ResolutionError, direct_dipole, windowed_dipole
 
 __version__ = "1.0.0"

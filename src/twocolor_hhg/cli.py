@@ -25,7 +25,8 @@ from .dipole import DME_FORMS, labelled_orbits
 from .dipole import spectrum as saddle_spectrum
 from .oracle import OracleConfig, ResolutionError, direct_dipole
 from .phasescan import (ClassificationRefusedError, IllConditionedFitError,
-                        align_shift, classify_modality, fourier_fit, run_scan)
+                        NonFiniteSampleError, align_shift, classify_modality,
+                        fourier_fit, run_scan)
 from .taxonomy import amplitude
 from .trajectory import MIN_SAMPLES, displacement
 
@@ -194,19 +195,27 @@ def write_table(path, echo, columns, rows, extra_meta=None):
 
 
 def read_table(path):
-    """Read back an emitted CSV: (metadata lines, column dict of arrays)."""
+    """Read back an emitted CSV: (metadata lines, column dict of arrays).
+
+    A row whose cell count differs from the header's is a UsageError naming
+    the file and line.
+    """
     meta, header, data = [], None, []
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             meta.append(line)
         elif header is None:
             header = line.split(",")
         elif line.strip():
-            data.append(line.split(","))
+            row = line.split(",")
+            if len(row) != len(header):
+                raise UsageError(f"{path}:{lineno}: {len(row)} cells, the "
+                                 f"header has {len(header)}")
+            data.append(row)
     if header is None:
         raise UsageError(f"{path}: no column header found")
     cols = {}
@@ -294,7 +303,11 @@ def cmd_scan(p, tgt, opts, echo, args):
     fits = {}
     for q in scan.qs:
         series = scan.series(q)
-        fit = fourier_fit(series, scan.phis)
+        try:
+            fit = fourier_fit(series, scan.phis)
+        except NonFiniteSampleError as exc:     # failed cells are NaN
+            fits[f"H{int(q)}"] = {"error": f"refused ({exc})"}
+            continue
         try:
             modality, n_max = classify_modality(series, scan.phis)
         except ClassificationRefusedError as exc:
@@ -362,6 +375,11 @@ def _series_from_table(cols, path):
         if want <= names:
             phi_col = "phi" if "phi" in names else "phi_or_angle"
             val_col = "Itotal" if "Itotal" in names else "intensity"
+            for name in (phi_col, "q", val_col):
+                if cols[name].dtype.kind != "f":
+                    raise UsageError(f"{path}: column {name} is not numeric")
+            if not np.isfinite(cols["q"]).all():
+                raise UsageError(f"{path}: column q holds a non-finite order")
             return cols[phi_col], cols["q"], cols[val_col]
     raise UsageError(
         f"{path}: unrecognized columns {sorted(names)}; need one of "
@@ -379,8 +397,14 @@ def cmd_fit(p, tgt, opts, echo, args):
         if not rsel.any():
             report[f"H{int(q)}"] = {"error": "order missing from reference"}
             continue
-        ref_fit = fourier_fit(rval[rsel], rphi[rsel])
-        tau = align_shift(ref_fit, mval[msel], mphi[msel])
+        try:
+            ref_fit = fourier_fit(rval[rsel], rphi[rsel])
+        except NonFiniteSampleError as exc:
+            raise UsageError(f"{args.reference}: H{int(q)}: {exc}") from None
+        try:
+            tau = align_shift(ref_fit, mval[msel], mphi[msel])
+        except NonFiniteSampleError as exc:
+            raise UsageError(f"{args.data}: H{int(q)}: {exc}") from None
         try:
             modality, n_max = classify_modality(mval[msel], mphi[msel])
         except ClassificationRefusedError as exc:

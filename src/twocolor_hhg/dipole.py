@@ -157,7 +157,7 @@ def build_history(p: FieldParams, tgt: TargetParams, qs):
     call; ``assignment[q]`` the parallel branch keys, ``history[key]`` the
     q-sorted (q, SaddlePoint) series of one branch.
     """
-    per_q = dict(zip(qs, solve_cycles(p, tgt, qs)))
+    per_q = dict(zip(qs, solve_cycles(tgt, [(p, q) for q in qs])))
     assignment, history = track_branches(per_q, p.period)
     return per_q, assignment, history
 

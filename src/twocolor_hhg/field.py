@@ -90,10 +90,14 @@ class TargetParams:
             raise ValueError(f"Ip must be positive, got {self.Ip}")
 
 
-def _phases(p: FieldParams, t):
-    """The two field phases w t and 2 w t + phi at (possibly complex) t."""
+def _phases(p: FieldParams, t, phi=None):
+    """The two field phases w t and 2 w t + phi at (possibly complex) t.
+
+    ``phi`` is the field's own unless given; the saddle kernel gives one per
+    point, since the fields of one Newton run differ only in their phase.
+    """
     t = np.asarray(t)
-    return p.omega * t, 2.0 * p.omega * t + p.phi
+    return p.omega * t, 2.0 * p.omega * t + (p.phi if phi is None else phi)
 
 
 # The field components (x, y) from the sines/cosines of the two phases.  The

@@ -1,9 +1,11 @@
 """Relative-phase scans: per-harmonic modulation, Fourier fits, modality.
 
 The scan sweeps the two-colour phase phi over a uniform grid on [0, 2pi),
-re-solving the quantum orbits at every cell (with continuation warm starts
-between neighbouring cells) and recording intensities and per-orbit
-polarization axes.  The modulation model is the five-term series
+carrying the quantum orbits from cell to cell by continuation and
+re-solving them from dense seeds at every REFRESH_EVERY-th cell (all of
+those in one batched solve) and after a failed cell, and records
+intensities and per-orbit polarization axes.  The modulation model is the
+five-term series
 
     f(phi) = a0 + a1 cos(phi) + b1 sin(phi) + a2 cos(2 phi) + b2 sin(2 phi)
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .field import FieldParams, SamplingError, TargetParams, _check_samples
 from .saddle import (BranchLostError, CoalescenceError, NoConvergenceError,
-                     continue_branches, solve_cycle, with_partners)
+                     continue_branches, solve_cycle, solve_cycles, with_partners)
 from .taxonomy import MATCH_TOL_PERIODS, amplitude, classify, relevance_mask
 from .dipole import PoleError, harmonic_dipole, intensity
 from .polarization import (EllipseDecomposition, UndefinedEllipseError,
@@ -42,6 +44,10 @@ class IllConditionedFitError(ValueError):
 
 class ClassificationRefusedError(ValueError):
     """Series is constant or not pi-periodic; modality undefined."""
+
+
+class NonFiniteSampleError(ValueError):
+    """A phase series or its phase grid holds a NaN or infinite sample."""
 
 
 @dataclass(frozen=True)
@@ -159,8 +165,11 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     The representative saddles are carried from cell to cell by
     continuation and each cell appends their exact partners; every
     REFRESH_EVERY-th cell re-solves from a dense seed grid so branches
-    born mid-scan are picked up.  Failed cells or lost branches become gap
-    records, never aborts.  ``dme_form`` is passed to :func:`.dipole.dme`.
+    born mid-scan are picked up.  These planned refreshes of all orders are
+    solved in one :func:`.saddle.solve_cycles` call before the sweep; the
+    cell after a failed one is re-solved on its own.  Failed cells or lost
+    branches become gap records, never aborts.  ``dme_form`` is passed to
+    :func:`.dipole.dme`.
 
     Shifting phi by pi reflects the driving field in y exactly, so only the
     half grid [0, pi) is computed and the second half is tiled from it:
@@ -180,6 +189,10 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     itot = np.full_like(ix, np.nan)
     raw_axes = {}
     gaps = []
+    # the planned dense refreshes of every order, in one batched solve
+    planned = [(m, j) for m in range(qs.size) for j in range(0, half, REFRESH_EVERY)]
+    dense = dict(zip(planned, solve_cycles(
+        tgt, [(p.with_phi(phis[j]), qs[m]) for m, j in planned])))
     for m, q in enumerate(qs):
         prev_p, prev_reps, prev_banned = None, None, None
         for j in range(half):
@@ -187,7 +200,9 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
             pj = p.with_phi(phi)
             try:
                 if prev_reps is None or j % REFRESH_EVERY == 0:
-                    sads = solve_cycle(pj, tgt, q)
+                    sads = dense.pop((m, j), None)
+                    if sads is None:    # the cell after a failed one
+                        sads = solve_cycle(pj, tgt, q)
                     reps = sads[:len(sads) // 2]
                 else:
                     reps = []
@@ -271,15 +286,28 @@ def _lstsq_scaled(a, y):
     return coef / scale
 
 
+def _samples(series, phase_grid):
+    """The series and its phase grid as float arrays; NonFiniteSampleError
+    if either holds a NaN or infinity (a failed scan cell is NaN)."""
+    y = np.asarray(series, dtype=float)
+    phis = np.asarray(phase_grid, dtype=float)
+    for what, v in (("series", y), ("phase grid", phis)):
+        bad = np.count_nonzero(~np.isfinite(v))
+        if bad:
+            raise NonFiniteSampleError(f"{bad} of {v.size} {what} samples "
+                                       "are not finite")
+    return y, phis
+
+
 def fourier_fit(series, phase_grid, extended=None):
     """Least-squares modulation fit of a phase series.
 
     ``extended=None`` fits the five-term model first and adds the 4 phi
     terms automatically when the residual rms exceeds 5% of the series
-    peak-to-peak; pass True/False to force either model.
+    peak-to-peak; pass True/False to force either model.  Non-finite
+    samples raise NonFiniteSampleError.
     """
-    y = np.asarray(series, dtype=float)
-    phis = np.asarray(phase_grid, dtype=float)
+    y, phis = _samples(series, phase_grid)
     _check_samples(y.size, 8, "points")
     if y.shape != phis.shape:
         raise ValueError("series and phase grid differ in length")
@@ -308,14 +336,14 @@ def align_shift(reference_fit: ModulationFit, measured, phase_grid):
 
     Coarse grid search at 1e-3 resolution over [0, 2pi), then bounded local
     refinement.  A reference fit with no oscillatory content has a flat
-    objective; that case warns and returns tau = 0.
+    objective; that case warns and returns tau = 0.  Non-finite samples
+    raise NonFiniteSampleError.
     """
     # scipy.optimize takes about half a second to import; only the fit
     # subcommand needs it, so it is loaded here and not with the package
     from scipy.optimize import minimize_scalar
 
-    y = np.asarray(measured, dtype=float)
-    phis = np.asarray(phase_grid, dtype=float)
+    y, phis = _samples(measured, phase_grid)
     osc = np.array([reference_fit.a1, reference_fit.b1, reference_fit.a2,
                     reference_fit.b2, reference_fit.a4, reference_fit.b4])
     if np.max(np.abs(osc)) <= 1e-12 * abs(reference_fit.a0):
@@ -324,9 +352,23 @@ def align_shift(reference_fit: ModulationFit, measured, phase_grid):
         return 0.0
     base = replace(reference_fit, tau=0.0)
     taus = np.arange(0.0, 2.0 * np.pi, TAU_GRID_STEP)
-    model = base.evaluate(phis[None, :] - taus[:, None])
-    obj = ((model - y[None, :]) ** 2).sum(axis=1)
-    k = int(np.argmin(obj))
+    # f(phi - tau) = a0 + sum over k = 1, 2, 4 of cos(k tau) (a_k cos k phi +
+    # b_k sin k phi) + sin(k tau) (a_k sin k phi - b_k cos k phi): a
+    # (tau x 7) basis times a (7 x phi) coefficient matrix
+    ks = np.array([1.0, 2.0, 4.0])
+    a = np.array([base.a1, base.a2, base.a4])[:, None]
+    b = np.array([base.b1, base.b2, base.b4])[:, None]
+    cos_kphi, sin_kphi = np.cos(ks[:, None] * phis), np.sin(ks[:, None] * phis)
+    coef = np.empty((7, phis.size))
+    coef[0] = base.a0
+    coef[1::2] = a * cos_kphi + b * sin_kphi
+    coef[2::2] = a * sin_kphi - b * cos_kphi
+    basis = np.ones((taus.size, 7))
+    basis[:, 1::2] = np.cos(taus[:, None] * ks)
+    basis[:, 2::2] = np.sin(taus[:, None] * ks)
+    resid = basis @ coef
+    resid -= y
+    k = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
 
     def f(tau):
         return float(((base.evaluate(phis - tau) - y) ** 2).sum())
@@ -348,10 +390,9 @@ def classify_modality(series, phase_grid):
     PERIODICITY_TOL relative to its peak-to-peak) and non-constant;
     otherwise classification is refused.  Maxima are counted on the
     Fourier-smoothed series (extended model) so grid noise cannot split a
-    peak.
+    peak.  Non-finite samples raise NonFiniteSampleError.
     """
-    y = np.asarray(series, dtype=float)
-    phis = np.asarray(phase_grid, dtype=float)
+    y, phis = _samples(series, phase_grid)
     if y.size < 8 or y.size % 2:
         raise ClassificationRefusedError(
             "need an even-length uniform grid over [0, 2 pi)")

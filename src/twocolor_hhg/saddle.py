@@ -27,7 +27,7 @@ from .field import (FieldParams, TargetParams, _apot, _apot_integral, _efield, _
 RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
 TAU_MAX_PERIODS = 1.05     # excursion cap: the single-return scope
-BATCH_SEEDS = 16384        # seeds per Newton run of solve_cycles (11 orders)
+BATCH_SEEDS = 16384        # seeds per Newton run of solve_cycles (11 cases)
 # solver settings, read at call time: rebinding one here changes it everywhere
 NEWTON_MAX_ITER = 100      # Newton iterations per seed
 NEWTON_MAX_HALVINGS = 8    # line-search halvings per Newton step
@@ -162,22 +162,23 @@ def hessian(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint):
     return np.array([[a, b], [b, c]]), a * c - b * b
 
 
-def _evaluate(p, tgt, q, ti, tr):
+def _evaluate(p, tgt, q, phi, ti, tr):
     """The Newton kernel at a batch of points: (max(|F_rec|, |F_ion|), state).
 
-    The norm is inf where tr == ti, |Im t| > 1e3 or it is not finite.  The
-    state holds the rows (tau, F_rec, F_ion, vr, vi, E(tr), E(ti)): all that
-    :func:`_jacobian` needs, so an accepted point costs no second trig
-    evaluation.  They are the terms of :func:`_kinematics` and
-    :func:`_equations`, elementwise in the same arithmetic order, from one sin
-    and one cos over the (phase x time) array and written straight into their
-    rows.
+    ``q`` and the field phase ``phi`` are scalars or one per point; the rest
+    of the field is ``p``'s.  The norm is inf where tr == ti, |Im t| > 1e3
+    or it is not finite.  The state holds the rows (tau, F_rec, F_ion, vr,
+    vi, E(tr), E(ti)): all that :func:`_jacobian` needs, so an accepted
+    point costs no second trig evaluation.  They are the terms of
+    :func:`_kinematics` and :func:`_equations`, elementwise in the same
+    arithmetic order, from one sin and one cos over the (phase x time) array
+    and written straight into their rows.
     """
     with np.errstate(all="ignore"):
         bad = (np.abs(tr - ti) < 1e-12) | (np.abs(ti.imag) > 1e3) | (np.abs(tr.imag) > 1e3)
         t = np.where(bad, [[0.0], [1.0]], (ti, tr))    # rows ti, tr of a 1-d batch
         x = np.empty((2,) + t.shape, dtype=complex)
-        x[0], x[1] = _phases(p, t)
+        x[0], x[1] = _phases(p, t, phi)
         (si, sr), (s2i, s2r) = np.sin(x)
         (ci, cr), (c2i, c2r) = np.cos(x)
         state = np.empty((11,) + ti.shape, dtype=complex)
@@ -212,7 +213,7 @@ def _jacobian(state):
     return (f_rec, f_ion), ((d, -c), (a, -d))
 
 
-def _line_search(p, tgt, q, ti, tr, dti, dtr, base, first, count):
+def _line_search(p, tgt, q, phi, ti, tr, dti, dtr, base, first, count):
     """Try the steps t + 2^-k d, k = first, ..., first + count - 1, of every
     seed in one kernel call.  Returns per seed (k, norm, state) of its first
     trial with a norm below ``base``, else of its last."""
@@ -221,15 +222,17 @@ def _line_search(p, tgt, q, ti, tr, dti, dtr, base, first, count):
     at = np.arange(of.size)
     k = at - (start - first)[of]
     scale = np.ldexp(1.0, -k)
-    norm, state = _evaluate(p, tgt, q[of], ti[of] + scale * dti[of],
+    norm, state = _evaluate(p, tgt, q[of], phi[of], ti[of] + scale * dti[of],
                             tr[of] + scale * dtr[of])
     pick = np.minimum.reduceat(np.where(norm < base[of], at, (start + count - 1)[of]),
                                start)
     return k[pick], norm[pick], state[:, pick]
 
 
-def _newton_batch(p, tgt, q, ti, tr):
+def _newton_batch(p, tgt, q, phi, ti, tr):
     """Damped Newton on a batch of seeds. Returns (ti, tr, resnorm, converged).
+
+    ``q`` and ``phi`` are the order and field phase, scalars or one per seed.
 
     Each seed takes at most NEWTON_MAX_ITER steps.  A step d from t is cut to
     t + 2^-k d with the least k <= NEWTON_MAX_HALVINGS that lowers the
@@ -243,7 +246,8 @@ def _newton_batch(p, tgt, q, ti, tr):
     ti = np.array(ti, dtype=complex)
     tr = np.array(tr, dtype=complex)
     q = np.broadcast_to(np.asarray(q, dtype=float), ti.shape)
-    rn, state = _evaluate(p, tgt, q, ti, tr)
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), ti.shape)
+    rn, state = _evaluate(p, tgt, q, phi, ti, tr)
     alive = np.isfinite(rn)
     depth = np.zeros(ti.shape, dtype=int)
     for _ in range(NEWTON_MAX_ITER):
@@ -267,17 +271,17 @@ def _newton_batch(p, tgt, q, ti, tr):
         dtr = dtr * factor
         # step-halving line search on the residual max-norm: first the
         # predicted depth, then twice as many further halvings per round
-        ti0, tr0, qa, base = ti[idx], tr[idx], q[idx], rn[idx]
+        ti0, tr0, qa, pa, base = ti[idx], tr[idx], q[idx], phi[idx], rn[idx]
         halvings, trial, trial_state = _line_search(
-            p, tgt, qa, ti0, tr0, dti, dtr, base, 0, depth[idx] + 1)
+            p, tgt, qa, pa, ti0, tr0, dti, dtr, base, 0, depth[idx] + 1)
         count = 1
         while True:
             worse = np.flatnonzero(~(trial < base) & (halvings < NEWTON_MAX_HALVINGS))
             if not worse.size:
                 break
             halvings[worse], trial[worse], trial_state[:, worse] = _line_search(
-                p, tgt, qa[worse], ti0[worse], tr0[worse], dti[worse], dtr[worse],
-                base[worse], halvings[worse] + 1,
+                p, tgt, qa[worse], pa[worse], ti0[worse], tr0[worse], dti[worse],
+                dtr[worse], base[worse], halvings[worse] + 1,
                 np.minimum(count, NEWTON_MAX_HALVINGS - halvings[worse]))
             count *= 2
         improved = trial < base
@@ -320,7 +324,7 @@ def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
     seed_ti = np.atleast_1d(np.asarray(seed_ti, dtype=complex))
     seed_tr = np.atleast_1d(np.asarray(seed_tr, dtype=complex))
     q = np.broadcast_to(np.asarray(q, dtype=float), seed_ti.shape)
-    ti, tr, rn, conv = _newton_batch(p, tgt, q, seed_ti, seed_tr)
+    ti, tr, rn, conv = _newton_batch(p, tgt, q, p.phi, seed_ti, seed_tr)
     out = []
     for k in range(ti.size):
         if abs(seed_tr[k] - seed_ti[k]) < 1e-12:
@@ -406,37 +410,54 @@ def solve_cycle(p: FieldParams, tgt: TargetParams, q):
     with Im(ti) < 0 or Im(S) < 0 are the exponentially growing conjugate
     partners and are discarded.
     """
-    return solve_cycles(p, tgt, [q])[0]
+    return solve_cycles(tgt, [(p, q)])[0]
 
 
-def solve_cycles(p: FieldParams, tgt: TargetParams, qs):
-    """:func:`solve_cycle` at each order of ``qs``, as a parallel list.
+def solve_cycles(tgt: TargetParams, cases):
+    """:func:`solve_cycle` at each (field, order) pair of ``cases``, as a
+    parallel list.
 
-    The seed grid is tiled over the orders above threshold, and up to
-    BATCH_SEEDS seeds go to one Newton run; each seed's iterates do not
+    The fields must share E1, E2 and omega; their phases may differ.  Each
+    case is seeded from its own field's :func:`seed_grid`, the seeds of the
+    cases above threshold are concatenated with their order and phase, and up
+    to BATCH_SEEDS seeds go to one Newton run; each seed's iterates do not
     depend on the batch it is in.
     """
-    half, tau_max = 0.5 * p.period, TAU_MAX_PERIODS * p.period
-    seeds = seed_grid(p, tgt)
-    n, q_of = seeds.ti.size, np.asarray(qs, dtype=float)
-    out = [[] for _ in qs]
-    todo = [k for k, q in enumerate(qs) if not below_threshold(p, tgt, q)]
+    cases = list(cases)
+    out = [[] for _ in cases]
+    todo = [k for k, (p, q) in enumerate(cases) if not below_threshold(p, tgt, q)]
+    if not todo:
+        return out
+    p0 = cases[todo[0]][0]
+    if any((p.E1, p.E2, p.omega) != (p0.E1, p0.E2, p0.omega) for p, _ in cases):
+        raise ValueError("the fields of one solve must differ only in phi")
+    half, tau_max = 0.5 * p0.period, TAU_MAX_PERIODS * p0.period
+    grids = {}
+    for k in todo:
+        p = cases[k][0]
+        if p not in grids:
+            grids[p] = seed_grid(p, tgt)
+    n = grids[p0].ti.size      # the same for every phase
+    q_of = np.array([q for _, q in cases], dtype=float)
+    phi_of = np.array([p.phi for p, _ in cases])
     step = max(1, BATCH_SEEDS // n)
     for group in (todo[i:i + step] for i in range(0, len(todo), step)):
         owner = np.repeat(group, n)
-        ti, tr, _, conv = _newton_batch(p, tgt, q_of[owner],
-                                        np.tile(seeds.ti, len(group)),
-                                        np.tile(seeds.tr, len(group)))
+        seeds = [grids[cases[k][0]] for k in group]
+        ti, tr, _, conv = _newton_batch(p0, tgt, q_of[owner], phi_of[owner],
+                                        np.concatenate([g.ti for g in seeds]),
+                                        np.concatenate([g.tr for g in seeds]))
         good = conv & (ti.imag > 0) & (tr.real > ti.real) & (tr.real - ti.real <= tau_max)
-        ti, tr, owner = ti[good], tr[good], owner[good]
-        keep = action_value(p, tgt, q_of[owner], ti, tr).imag >= 0.0
-        ti, tr, owner = ti[keep], tr[keep], owner[keep]
-        # fold Re(ti) into [0, T/2): a shift by T/2 lands on the partner saddle
-        shift = np.floor(ti.real / half) * half
-        ti, tr = ti - shift, tr - shift
         for k in group:
-            ti_k, tr_k = ti[owner == k], tr[owner == k]
-            out[k] = with_partners(p, [_make_point(p, tgt, qs[k], ti_k[m], tr_k[m])
+            p, q = cases[k]
+            sel = good & (owner == k)
+            ti_k, tr_k = ti[sel], tr[sel]
+            keep = action_value(p, tgt, q, ti_k, tr_k).imag >= 0.0
+            ti_k, tr_k = ti_k[keep], tr_k[keep]
+            # fold Re(ti) into [0, T/2): a shift by T/2 lands on the partner saddle
+            shift = np.floor(ti_k.real / half) * half
+            ti_k, tr_k = ti_k - shift, tr_k - shift
+            out[k] = with_partners(p, [_make_point(p, tgt, q, ti_k[m], tr_k[m])
                                        for m in _dedup(ti_k, tr_k, half)])
     return out
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twocolor_hhg import FieldParams, run_scan, saddle, spectrum
+from twocolor_hhg import FieldParams, PoleError, phasescan, run_scan, saddle, spectrum
 from twocolor_hhg.cli import main, read_table
 
 from conftest import E1, OMEGA
@@ -146,6 +146,29 @@ class TestScanCommand:
         assert len(lines) == len(gaps) > 0
         assert lines == [f"q={q} phi={phi}: {reason}" for q, phi, reason in gaps]
         assert any("stalled at" in line for line in lines)
+
+    def test_failed_cell_refuses_its_fit(self, tmp_path, monkeypatch):
+        # a failed cell is NaN in scan.csv; fits.json refuses that order's
+        # fit instead of writing NaN coefficients, and stays valid JSON
+        harmonic_dipole = phasescan.harmonic_dipole
+
+        def failing_dipole(p, tgt, q, labelled, dme_form="paper"):
+            if q == 21 and p.phi == 0.0:
+                raise PoleError("injected pole")
+            return harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+
+        monkeypatch.setattr(phasescan, "harmonic_dipole", failing_dipole)
+        assert run(["scan", "--q-min", "20", "--q-max", "21", "--n-phi", "32",
+                    "--outdir", tmp_path]) == 0
+
+        def no_constants(name):
+            raise AssertionError(f"fits.json holds {name}")
+
+        fits = json.loads((tmp_path / "fits.json").read_text(),
+                          parse_constant=no_constants)["fits"]
+        assert fits["H21"] == {
+            "error": "refused (2 of 32 series samples are not finite)"}
+        assert {"a0", "tau", "modality"} <= set(fits["H20"])
 
 
 class TestGoldenTables:
@@ -335,6 +358,41 @@ class TestFitInputErrors:
         ref = _phase_table(tmp_path / "ref.csv", np.zeros(16))
         assert self.fit_fails(data, ref, tmp_path, capsys) == \
             "error: degenerate design matrix column"
+
+    @pytest.mark.parametrize("bad", ["data", "reference"])
+    def test_non_finite_sample(self, bad, tmp_path, capsys):
+        # one nan cell: an error naming the file and the order, not a fit
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        good = _phase_table(tmp_path / "good.csv", grid)
+        broken = _phase_table(tmp_path / "broken.csv", grid)
+        lines = broken.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+        broken.write_text("\n".join(lines) + "\n")
+        data, ref = (broken, good) if bad == "data" else (good, broken)
+        assert self.fit_fails(data, ref, tmp_path, capsys) == \
+            f"error: {broken}: H24: 1 of 16 series samples are not finite"
+
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "column q holds a non-finite order"),
+        ("H24", "column q is not numeric"),
+    ], ids=["nan", "text"])
+    def test_bad_order_cell(self, cell, message, tmp_path, capsys):
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        ref = _phase_table(tmp_path / "ref.csv", grid)
+        data = _phase_table(tmp_path / "data.csv", grid)
+        data.write_text(data.read_text().replace(",24,", f",{cell},", 1))
+        assert self.fit_fails(data, ref, tmp_path, capsys) == \
+            f"error: {data}: {message}"
+
+    def test_short_row(self, tmp_path, capsys):
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        ref = _phase_table(tmp_path / "ref.csv", grid)
+        data = _phase_table(tmp_path / "data.csv", grid)
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        data.write_text("\n".join(lines) + "\n")
+        assert self.fit_fails(data, ref, tmp_path, capsys) == \
+            f"error: {data}:4: 2 cells, the header has 3"
 
     @pytest.mark.parametrize("missing", ["data", "reference"])
     def test_missing_input_file(self, missing, tmp_path, capsys):

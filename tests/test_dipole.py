@@ -163,13 +163,13 @@ class TestSpectrum:
         # a saddle whose Hessian is singular (two saddles merged) fails in
         # the stationary-phase prefactor; the order is skipped with an audit
         # entry, not a traceback
-        def solve_cycles(p, tgt, qs):
+        def solve_cycles(tgt, cases):
             t = 20.0 + 5.0j
             return [saddle.with_partners(p, [SaddlePoint(
                 ti=t, tr=t + 30.0, ps=np.zeros(2, dtype=complex), action=0j,
                 hessdet=0j, q=float(q), residual=0.0,
                 hess=np.ones((2, 2), dtype=complex),
-                k_rec=np.ones(2, dtype=complex))]) for q in qs]
+                k_rec=np.ones(2, dtype=complex))]) for p, q in cases]
 
         monkeypatch.setattr(dipole, "solve_cycles", solve_cycles)
         spec = spectrum(params, target, [20, 21])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from twocolor_hhg import (ClassificationRefusedError, IllConditionedFitError,
-                          align_shift, classify_modality, fourier_fit,
-                          harmonic_dipole, phasescan, run_scan)
+                          NonFiniteSampleError, PoleError, align_shift,
+                          classify_modality, fourier_fit, harmonic_dipole,
+                          phasescan, run_scan)
 
 
 GRID64 = 2.0 * np.pi * np.arange(64) / 64
@@ -76,6 +77,66 @@ class TestAlignShift:
         fit = fourier_fit(flat, GRID64)
         with pytest.warns(UserWarning, match="degenerate"):
             assert align_shift(fit, flat, GRID64) == 0.0
+
+
+class TestNonFiniteSamples:
+    """A NaN (a failed scan cell) or infinity is refused, not fitted."""
+
+    @pytest.fixture(params=[np.nan, np.inf], ids=["nan", "inf"])
+    def bad(self, request):
+        y = 1.0 + 0.3 * np.cos(2 * GRID64)
+        y[5] = request.param
+        return y
+
+    def test_fourier_fit(self, bad):
+        with pytest.raises(NonFiniteSampleError, match="1 of 64 series"):
+            fourier_fit(bad, GRID64)
+
+    def test_align_shift(self, bad):
+        fit = fourier_fit(1.0 + 0.3 * np.cos(2 * GRID64), GRID64)
+        with pytest.raises(NonFiniteSampleError, match="1 of 64 series"):
+            align_shift(fit, bad, GRID64)
+
+    def test_classify_modality(self, bad):
+        with pytest.raises(NonFiniteSampleError, match="1 of 64 series"):
+            classify_modality(bad, GRID64)
+
+    def test_phase_grid(self):
+        grid = GRID64.copy()
+        grid[3] = np.nan
+        with pytest.raises(NonFiniteSampleError, match="1 of 64 phase grid"):
+            fourier_fit(np.cos(2 * GRID64), grid)
+
+
+class TestCoarseShiftSearch:
+    def test_matches_direct_model_evaluation(self, monkeypatch):
+        # the coarse tau grid's argmin is the one the model evaluated at
+        # every (tau, phi) point gives, for shifted noisy bimodal series
+        # (the bounded refinement starts from it)
+        from dataclasses import replace
+        import scipy.optimize
+
+        starts = []
+        real = scipy.optimize.minimize_scalar
+
+        def spy(f, bounds, **kwargs):
+            starts.append(bounds[0] + phasescan.TAU_GRID_STEP)
+            return real(f, bounds=bounds, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", spy)
+        rng = np.random.default_rng(4)
+        y = 1.0 + 0.2 * np.cos(2 * GRID64) + 0.3 * np.sin(GRID64) + 0.6 * np.cos(4 * GRID64)
+        fit = fourier_fit(y, GRID64)
+        taus = np.arange(0.0, 2.0 * np.pi, phasescan.TAU_GRID_STEP)
+        for _ in range(20):
+            tau = 2.0 * np.pi * rng.random()
+            measured = (fit.evaluate(GRID64 - tau)
+                        * (1.0 + 0.01 * rng.standard_normal(64)))
+            model = replace(fit, tau=0.0).evaluate(GRID64[None, :] - taus[:, None])
+            want = taus[np.argmin(((model - measured) ** 2).sum(axis=1))]
+            starts.clear()
+            align_shift(fit, measured, GRID64)
+            assert starts[0] == pytest.approx(want, abs=1e-9)
 
 
 class TestClassifyModality:
@@ -156,3 +217,46 @@ class TestRunScan:
                      for sp, lab in labelled if sp.ti + period / 2 in flags]
             assert 2 * len(pairs) == len(labelled)
             assert all(a == b for a, b in pairs)
+
+
+class TestFailedCell:
+    """A cell whose dipole fails mid-segment is a gap; only the next cell is
+    re-solved from dense seeds, one case alone, and the cells outside that
+    segment are those of the unpatched scan."""
+
+    FAILED = 3          # not a refresh cell; the segment runs to cell 8
+
+    def test_gap_and_one_dense_re_solve(self, params, target, monkeypatch):
+        step = 2.0 * np.pi / 64
+        failed, solves = [], []
+        one_case = phasescan.solve_cycle
+
+        def counted_solve(p, tgt, q):
+            solves.append(round(p.phi / step))
+            return one_case(p, tgt, q)
+
+        def failing_dipole(p, tgt, q, labelled, dme_form="paper"):
+            if round(p.phi / step) == self.FAILED and not failed:
+                failed.append(p.phi)
+                raise PoleError("injected pole")
+            return harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+
+        monkeypatch.setattr(phasescan, "solve_cycle", counted_solve)
+        ref = run_scan(params, target, [24], 64)
+        assert solves == []     # every refresh was planned
+        monkeypatch.setattr(phasescan, "harmonic_dipole", failing_dipole)
+        got = run_scan(params, target, [24], 64)
+        assert (24.0, failed[0], "injected pole") in got.gaps
+        assert solves == [self.FAILED + 1]
+        lost = [self.FAILED, self.FAILED + 32]
+        assert np.isnan(got.Itotal[0, lost]).all()
+        segment = [j + h for j in range(self.FAILED, 8) for h in (0, 32)]
+        same = [j for j in range(64) if j not in segment]
+        for name in ("Ix", "Iy", "Itotal"):
+            a, b = getattr(got, name)[0], getattr(ref, name)[0]
+            assert a[same].tobytes() == b[same].tobytes()
+        # the rest of the segment holds the same saddles, reached by a dense
+        # re-solve instead of continuation, so only the last bits may differ
+        rest = [j for j in segment if j not in lost]
+        np.testing.assert_allclose(got.Itotal[0, rest], ref.Itotal[0, rest],
+                                   rtol=1e-12, atol=0)

@@ -325,7 +325,7 @@ class TestKernel:
         ti = np.array([sp.ti for sp in saddles])
         tr = np.array([sp.tr for sp in saddles])
         qs = np.array([sp.q for sp in saddles])
-        _, state = _evaluate(params, target, qs, ti, tr)
+        _, state = _evaluate(params, target, qs, params.phi, ti, tr)
         _, ((_, j01), (j10, _)) = _jacobian(state)
         for k, sp in enumerate(saddles):
             h, _ = hessian(params, target, sp.q, sp)
@@ -335,7 +335,7 @@ class TestKernel:
         ti = np.array([sp.ti for sp in saddles])
         tr = np.array([sp.tr for sp in saddles])
         qs = np.array([sp.q for sp in saddles])
-        _, state = _evaluate(params, target, qs, ti, tr)
+        _, state = _evaluate(params, target, qs, params.phi, ti, tr)
         (f_rec, f_ion), _ = _jacobian(state)
         res = saddle_residual(params, target, qs, ti, tr)
         assert f_rec.tobytes() == res[0].tobytes()
@@ -363,7 +363,7 @@ class TestKernel:
         monkeypatch.setattr(saddle, "SEED_TI", 8)
         monkeypatch.setattr(saddle, "SEED_TAU", 10)
         seeds = seed_grid(params, target)
-        rn, _ = _evaluate(params, target, 24.0, seeds.ti, seeds.tr)
+        rn, _ = _evaluate(params, target, 24.0, params.phi, seeds.ti, seeds.tr)
         res = saddle_residual(params, target, 24.0, seeds.ti, seeds.tr)
         assert np.isfinite(rn).all()
         assert rn.tobytes() == np.max(np.abs(res), axis=0).tobytes()
@@ -371,7 +371,7 @@ class TestKernel:
     def test_resnorm_infinite_at_bad_points(self, params, target):
         ti = np.array([3.0 + 1j, 5.0 + 2000j, 5.0 + 20j])
         tr = np.array([3.0 + 1j, 40.0 + 1j, 40.0 - 1500j])
-        assert np.isinf(_evaluate(params, target, 24.0, ti, tr)[0]).all()
+        assert np.isinf(_evaluate(params, target, 24.0, params.phi, ti, tr)[0]).all()
 
 
 # The damped Newton loop as it stood before the shared-trig kernel: every
@@ -511,7 +511,7 @@ class TestNewtonBatch:
         seeds = seed_grid(p, target)
         ti = np.concatenate([seeds.ti, odd_seeds[0]])
         tr = np.concatenate([seeds.tr, odd_seeds[1]])
-        got = _newton_batch(p, target, q, ti, tr)
+        got = _newton_batch(p, target, q, p.phi, ti, tr)
         ref = ref_newton_batch(p, target, q, ti, tr)
         assert got[3].sum() > 0 and not got[3].all()
         for g, r in zip(got, ref):
@@ -531,7 +531,7 @@ class TestNewtonBatch:
         names = {"max_halvings": "NEWTON_MAX_HALVINGS", "max_iter": "NEWTON_MAX_ITER"}
         for key, value in limits.items():
             monkeypatch.setattr(saddle, names[key], value)
-        got = _newton_batch(p, target, q, ti, tr)
+        got = _newton_batch(p, target, q, p.phi, ti, tr)
         ref = ref_newton_batch(p, target, q, ti, tr, **limits)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
@@ -542,9 +542,9 @@ class TestNewtonBatch:
         reference loop's work on the same seeds."""
         points = []
 
-        def counted(p, tgt, qa, ti, tr):
+        def counted(p, tgt, qa, phi, ti, tr):
             points.append(np.size(ti))
-            return _evaluate(p, tgt, qa, ti, tr)
+            return _evaluate(p, tgt, qa, phi, ti, tr)
 
         monkeypatch.setattr(saddle, "_evaluate", counted)
         solve_cycle(params, target, q)
@@ -586,9 +586,9 @@ class TestSolveCycles:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(saddle, "_evaluate", counted)
-            batched = saddle.solve_cycles(p, target, self.HISTORY)
+            batched = saddle.solve_cycles(target, [(p, q) for q in self.HISTORY])
             n_batched = len(calls)
-            single = [saddle.solve_cycles(p, target, [q])[0] for q in self.HISTORY]
+            single = [saddle.solve_cycles(target, [(p, q)])[0] for q in self.HISTORY]
         return batched, single, n_batched, len(calls) - n_batched
 
     def test_batch_equals_per_order_solves(self, history):
@@ -606,10 +606,79 @@ class TestSolveCycles:
         assert n_batched <= 0.5 * n_single
 
     def test_orders_below_threshold_stay_empty(self, params, target, two20):
-        below, at20 = saddle.solve_cycles(params, target, [5, 20])
+        below, at20 = saddle.solve_cycles(target, [(params, 5), (params, 20)])
         assert below == [] and len(at20) == len(two20)
         for a, b in zip(at20, two20):
             assert_identical_fields(a, b)
+
+
+class TestSolveCases:
+    """(field, order) cases of one E1, E2 and omega but different phases:
+    the planned dense refreshes of a 64-phase scan, in one solve_cycles call."""
+
+    REFRESH_PHIS = 2.0 * np.pi * np.arange(0, 32, 8) / 64
+    ORDERS = {1: [24], 2: [24, 25], 14: list(range(14, 28))}
+
+    @pytest.fixture(scope="class", params=[0.06, 0.12, 0.18])
+    def solved(self, request, target):
+        """Per order count: the cases, their batched solve, the seed count of
+        each Newton run and the kernel calls; then every case alone, with
+        the kernel calls per order."""
+        p = FieldParams.from_ratio(E1, OMEGA, request.param, 0.0)
+        runs, calls = [], []
+
+        def sized(p, tgt, q, phi, ti, tr):
+            runs.append(ti.size)
+            return _newton_batch(p, tgt, q, phi, ti, tr)
+
+        def counted(*args):
+            calls.append(1)
+            return _evaluate(*args)
+
+        batched = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saddle, "_newton_batch", sized)
+            mp.setattr(saddle, "_evaluate", counted)
+            for n, qs in self.ORDERS.items():
+                cases = [(p.with_phi(phi), q) for q in qs for phi in self.REFRESH_PHIS]
+                runs.clear()
+                calls.clear()
+                batched[n] = (cases, saddle.solve_cycles(target, cases),
+                              list(runs), len(calls))
+            single, single_calls = {}, {}
+            for q in self.ORDERS[14]:
+                calls.clear()
+                for phi in self.REFRESH_PHIS:
+                    single[q, phi] = solve_cycle(p.with_phi(phi), target, q)
+                single_calls[q] = len(calls)
+        return batched, single, single_calls
+
+    @pytest.mark.parametrize("n_orders", [1, 2, 14])
+    def test_batch_equals_per_case_solves(self, solved, n_orders):
+        batched, single, _ = solved
+        cases, got, _, _ = batched[n_orders]
+        assert len(got) == len(cases) == 4 * n_orders
+        for (p, q), sads in zip(cases, got):
+            ref = single[q, p.phi]
+            assert sads and len(sads) == len(ref)
+            for a, b in zip(sads, ref):
+                assert_identical_fields(a, b)
+
+    def test_runs_are_chunked(self, solved, target):
+        # every seed of the 56 cases is solved once, in several runs
+        cases, _, runs, _ = solved[0][14]
+        assert len(runs) > 1 and max(runs) <= saddle.BATCH_SEEDS
+        assert sum(runs) == sum(seed_grid(p, target).ti.size for p, _ in cases)
+
+    def test_batch_halves_kernel_calls_of_a_scan_order(self, solved):
+        # the dense refreshes of one order of a 64-phase scan: its four
+        # Newton runs, a few slow seeds per call at their ends, run as one
+        batched, _, single_calls = solved
+        assert batched[1][3] <= 0.5 * single_calls[24]
+
+    def test_fields_must_share_amplitudes(self, params, target):
+        with pytest.raises(ValueError, match="only in phi"):
+            saddle.solve_cycles(target, [(params, 24), (params.with_ratio(0.2), 24)])
 
 
 def assert_identical_fields(a, b):
