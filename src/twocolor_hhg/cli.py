@@ -84,15 +84,19 @@ def resolve_config(args):
 
     For each alternative pair (wavelength/omega, I1/E1, ratio/I2,
     species/Ip) at most one member may be supplied; defaults fill the rest.
-    A value that does not parse, or an unknown dme_form, is a UsageError
-    naming its key.
+    A value that does not parse, an unknown dme_form, or a config-file key
+    that is none of these settings is a UsageError naming its key.
     """
+    keys = ("lambda_nm", "omega", "i1", "e1", "ratio", "i2", "phi", "species",
+            "ip", "q_min", "q_max", "n_phi", "dme_form", "outdir")
     supplied = {}
     if getattr(args, "config", None):
         supplied.update(_load_config_file(args.config))
-    for key in ("lambda_nm", "omega", "i1", "e1", "ratio", "i2", "phi",
-                "species", "ip", "q_min", "q_max", "n_phi", "dme_form",
-                "outdir"):
+        unknown = sorted(set(supplied) - set(keys))
+        if unknown:
+            raise UsageError(f"{unknown[0]}: unknown key in config file "
+                             f"{args.config}")
+    for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             supplied[key] = val

@@ -197,7 +197,7 @@ def labelled_orbits(p: FieldParams, tgt: TargetParams, qs, audit=None):
         n = len(saddles) // 2
         mask = relevance_mask(p, tgt, q, saddles[:n], history=history,
                               keys=assignment[q][:n], audit=audit)
-        yield q, classify(p, saddles, relevant_mask=np.concatenate([mask, mask]))
+        yield q, classify(p, saddles, relevant_mask=mask)
 
 
 def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper"):

@@ -136,8 +136,7 @@ def _scan_cell(p, tgt, q, reps, gaps, phi, dme_form, prev_reps=None,
             gaps.append((q, phi, f"branch at ti={sp.ti:.2f} grows with phi "
                                  "(anti-Stokes crossing)"))
     mask &= ~banned
-    labelled = classify(p, with_partners(p, reps),
-                        relevant_mask=np.concatenate([mask, mask]))
+    labelled = classify(p, with_partners(p, reps), relevant_mask=mask)
     hd = harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
     ix, iy, itot = intensity(hd, p.omega)
     cell_axes = {}

@@ -1,15 +1,18 @@
 """Classification of quantum orbits and relevance selection for the dipole sum.
 
-Orbits are binned into half-cycles by Re(ti) and, within each half-cycle,
+The saddles of one period come as representatives followed by their exact
+t + T/2 partners (:func:`.saddle.with_partners`).  The representatives are
 ordered by travel time Re(tr - ti); the two leading *relevant* families are
-"short" and "long", further ones "extra-3", "extra-4", ...
+"short" and "long", further ones "extra-3", "extra-4", ...  Each partner
+takes its representative's family and flag, in the other half-cycle.
 
 Relevance is decided in two tiers.  Tier (a) judges each saddle alone:
-Im(ti) > 0, |e^{iS}| <= 1 (no exponential growth), and an amplitude that
-does not grow faster than a factor 2 per harmonic order, the signature of
-the anti-Stokes partner of a physical orbit; extra families also face an
-amplitude floor.  The growth slope is exact: at a saddle dS/dti = dS/dtr = 0,
-so dS/dq is the explicit q w tr term and d ln|e^{iS}|/dq = -w Im(tr).
+Im(ti) of at least IM_TI_FLOOR Keldysh times, |e^{iS}| <= 1 (no exponential
+growth), and an amplitude that does not grow faster than a factor 2 per
+harmonic order, the signature of the anti-Stokes partner of a physical
+orbit; extra families also face an amplitude floor.  The growth slope is
+exact: at a saddle dS/dti = dS/dtr = 0, so dS/dq is the explicit q w tr
+term and d ln|e^{iS}|/dq = -w Im(tr).
 Tier (b) tracks branches across harmonic order: a branch must persist for
 MIN_BRANCH_SUPPORT orders, and once a short/long pair passes its closest
 approach in ti (the cutoff), the branch growing beyond that point is dropped
@@ -25,7 +28,6 @@ import numpy as np
 from .field import FieldParams, TargetParams
 from .saddle import SaddlePoint
 
-BOUNDARY_TOL = 1e-6
 EXTRA_AMPLITUDE_CUT = 1e-6
 GROWTH_LOG_SLOPE = np.log(2.0)   # per harmonic order
 MATCH_TOL_PERIODS = 0.12         # branch identification step tolerance
@@ -51,49 +53,37 @@ def amplitude(sp: SaddlePoint):
     return float(np.exp(-complex(sp.action).imag))
 
 
-def _half_cycle_index(p, sp):
-    """The half-cycle bin of Re(ti); within BOUNDARY_TOL of an edge, the earlier."""
-    half_t = p.period / 2.0
-    x = sp.ti.real / half_t
-    idx = int(np.floor(x))
-    if x - idx < BOUNDARY_TOL / half_t and idx > 0:
-        idx -= 1
-    return idx
-
-
-def _family_names(n_principal):
-    names = []
-    for rank in range(n_principal):
-        names.append(("short", "long")[rank] if rank < 2 else f"extra-{rank + 1}")
-    return names
-
-
 def classify(p: FieldParams, saddles, relevant_mask=None):
-    """Label saddles from one fundamental period.
+    """Label the saddles of one fundamental period.
 
-    ``relevant_mask`` (parallel to ``saddles``) marks the orbits the family
-    naming should rank first; without it every saddle is treated as
-    principal.  Within a half-cycle the principal orbits are ordered by
-    travel time (short, long, extra-3, ...) and the remaining ones continue
-    the extra numbering.  Saddles within the boundary tolerance of a
-    half-cycle edge go to the earlier bin.
+    ``saddles`` is in :func:`.saddle.with_partners` layout: n representatives,
+    then their n partners.  ``relevant_mask`` has one flag per representative
+    and marks the orbits the family naming ranks first; without it every
+    representative is principal.  The families are ranked once, over the
+    representatives: the principal ones by travel time (short, long,
+    extra-3, ...), then the remaining ones continuing the extra numbering.
+    Each partner takes its representative's family and flag.  A
+    representative's half-cycle is floor(2 Re(ti) / T) mod 2, wherever
+    continuation has carried it; its partner's is the other one.  The result
+    is sorted by (Re ti, Re tr), which fixes the dipole summation order.
     """
+    n = len(saddles) // 2
+    reps = saddles[:n]
     if relevant_mask is None:
-        relevant_mask = [True] * len(saddles)
-    items = [(sp, rel, _half_cycle_index(p, sp))
-             for sp, rel in zip(saddles, relevant_mask)]
+        relevant_mask = [True] * n
+    n_principal = int(np.count_nonzero(relevant_mask))
+    skip = max(2 - n_principal, 0)   # short/long stay reserved
+    ranked = sorted(range(n), key=lambda i: (not relevant_mask[i],
+                                             reps[i].excursion))
     out = []
-    for half in sorted({idx for _, _, idx in items}):
-        members = [(sp, rel) for sp, rel, idx in items if idx == half]
-        principal = sorted((m for m in members if m[1]), key=lambda m: m[0].excursion)
-        rest = sorted((m for m in members if not m[1]), key=lambda m: m[0].excursion)
-        names = _family_names(len(principal))
-        start = max(len(principal), 2) + 1   # short/long stay reserved
-        ordered = list(zip(principal, names)) + [
-            (m, f"extra-{start + k}") for k, m in enumerate(rest)]
-        for (sp, rel), family in ordered:
-            out.append((sp, OrbitLabel(half_cycle=half, family=family,
-                                       relevant=rel, excursion=sp.excursion)))
+    for rank, i in enumerate(ranked):
+        family = (("short", "long")[rank] if rank < min(n_principal, 2)
+                  else f"extra-{rank + 1 + skip}")
+        half = int(np.floor(2.0 * reps[i].ti.real / p.period)) % 2
+        for sp, h in ((reps[i], half), (saddles[n + i], 1 - half)):
+            out.append((sp, OrbitLabel(half_cycle=h, family=family,
+                                       relevant=bool(relevant_mask[i]),
+                                       excursion=sp.excursion)))
     out.sort(key=lambda t: (t[0].ti.real, t[0].tr.real))
     return out
 
@@ -185,9 +175,7 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
     tau_floor = MIN_EXCURSION_PERIODS * p.period
     for i, sp in enumerate(saddles):
         slope = -p.omega * sp.tr.imag
-        if sp.ti.imag <= 0:
-            mask[i], reasons[i] = False, "Im(ti) <= 0 (conjugate solution)"
-        elif amps[i] > 1.0 + 1e-12:
+        if amps[i] > 1.0 + 1e-12:
             mask[i], reasons[i] = False, "|e^{iS}| > 1 (exponentially growing)"
         elif sp.excursion < tau_floor:
             mask[i], reasons[i] = False, (

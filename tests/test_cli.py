@@ -310,7 +310,8 @@ class TestConfigValidation:
         ("q_min = twelve", "q_min"),
         ("ratio = abc", "ratio"),
         ("dme_form = foo", "dme_form"),
-    ], ids=["q_min", "ratio", "dme_form"])
+        ("ration = 0.5", "ration"),
+    ], ids=["q_min", "ratio", "dme_form", "unknown_key"])
     def test_bad_config_file_values(self, line, key, tmp_path, capsys,
                                     monkeypatch):
         def no_solve(*args):

@@ -201,7 +201,8 @@ class TestRunScan:
     def test_partners_share_relevance_in_every_cell(self, params, target,
                                                     monkeypatch):
         # the H14-H27 scan over 32 phases of acceptance criterion 1: in every
-        # cell each saddle has its exact t + T/2 image, with the same flag
+        # cell each saddle has its exact t + T/2 image, with the same flag and
+        # family, in the other half-cycle
         cells = []
 
         def recording_dipole(p, tgt, q, labelled, dme_form="paper"):
@@ -212,11 +213,25 @@ class TestRunScan:
         scan = run_scan(params, target, range(14, 28), 32)
         assert len(cells) == np.count_nonzero(np.isfinite(scan.Itotal[:, :16]))
         for period, labelled in cells:
-            flags = {sp.ti: lab.relevant for sp, lab in labelled}
-            pairs = [(lab.relevant, flags[sp.ti + period / 2])
-                     for sp, lab in labelled if sp.ti + period / 2 in flags]
+            labels = {sp.ti: lab for sp, lab in labelled}
+            pairs = [(lab, labels[sp.ti + period / 2])
+                     for sp, lab in labelled if sp.ti + period / 2 in labels]
             assert 2 * len(pairs) == len(labelled)
-            assert all(a == b for a, b in pairs)
+            for rep, partner in pairs:
+                assert partner.relevant == rep.relevant
+                assert partner.family == rep.family
+                assert partner.half_cycle == 1 - rep.half_cycle
+
+    def test_comparable_intensities_pair_every_branch(self, params, target):
+        # at R = 1.0 continuation carries representatives out of [0, T/2);
+        # every axes key still names half-cycle 0 or 1, and each h0 branch
+        # has its h1 twin
+        scan = run_scan(params.with_ratio(1.0), target, [24], 32)
+        ids = {bid for _, bid in scan.axes}
+        assert ids
+        assert all(bid.startswith(("h0-", "h1-")) for bid in ids)
+        assert {bid[3:] for bid in ids if bid.startswith("h0-")} == \
+            {bid[3:] for bid in ids if bid.startswith("h1-")}
 
 
 class TestFailedCell:

@@ -46,7 +46,7 @@ class TestClassify:
         # with a relevance mask, short/long go to relevant orbits only and
         # the rest get extra-k names starting past the reserved slots
         sads = solve_cycle(params, target, 20)
-        mask = [False] * len(sads)
+        mask = [False] * (len(sads) // 2)
         labelled = classify(params, sads, relevant_mask=mask)
         for _, lab in labelled:
             assert lab.family.startswith("extra-")
