@@ -24,12 +24,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import FieldParams, SamplingError, TargetParams, _check_samples
-from .saddle import (BranchLostError, CoalescenceError, NoConvergenceError,
-                     continue_branches, solve_cycle, solve_cycles, with_partners)
+from .saddle import (BranchLostError, CoalescenceError, continue_branches,
+                     solve_cycle, solve_cycles, with_partners)
 from .taxonomy import MATCH_TOL_PERIODS, amplitude, classify, relevance_mask
 from .dipole import PoleError, harmonic_dipole, intensity
-from .polarization import (EllipseDecomposition, UndefinedEllipseError,
-                           decompose, signed_axes)
+from .polarization import UndefinedEllipseError, decompose, signed_axes
 
 REFRESH_EVERY = 8          # dense re-solve cadence along the phi grid
 RMS_EXTEND_FRACTION = 0.05
@@ -117,8 +116,9 @@ def _scan_cell(p, tgt, q, reps, gaps, phi, dme_form, prev_reps=None,
     """Relevance + classification + dipole sum for one (q, phi) cell.
 
     Relevance is judged on the representatives ``reps`` and copied to their
-    partners.  Returns the cell result plus the `banned` flags to carry to
-    the next cell: a branch whose amplitude explodes between neighbouring
+    partners.  Returns the cell's intensities, each relevant orbit's axis
+    row (Mx, My, Nx, Ny, gamma, ellipticity) and the `banned` flags to carry
+    to the next cell: a branch whose amplitude explodes between neighbouring
     phi cells is an anti-Stokes partner crossing in phi — invisible to the
     per-order growth test — and stays excluded for as long as it is tracked.
     """
@@ -139,23 +139,17 @@ def _scan_cell(p, tgt, q, reps, gaps, phi, dme_form, prev_reps=None,
     labelled = classify(p, with_partners(p, reps), relevant_mask=mask)
     hd = harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
     ix, iy, itot = intensity(hd, p.omega)
-    cell_axes = {}
+    rows = {}
     for c in hd.contributions:
         if not c.label.relevant:
             continue
         try:
-            cell_axes[c.label.branch_id] = decompose(c.total)
+            dec = decompose(c.total)
         except UndefinedEllipseError:
             gaps.append((q, phi, f"{c.label.branch_id}: zero contribution"))
-    return ix, iy, itot, cell_axes, banned
-
-
-def _mirror_decomposition(dec):
-    """Ellipse of the same orbit at phi + pi: the field there is the
-    y-reflection of the field at phi, so M and N flip their y components."""
-    return EllipseDecomposition(M=dec.M * np.array([1.0, -1.0]),
-                                N=dec.N * np.array([1.0, -1.0]),
-                                gamma=dec.gamma, ellipticity=dec.ellipticity)
+            continue
+        rows[c.label.branch_id] = (*dec.M, *dec.N, dec.gamma, dec.ellipticity)
+    return ix, iy, itot, rows, banned
 
 
 def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper"):
@@ -171,11 +165,14 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     :func:`.dipole.dme`.
 
     Shifting phi by pi reflects the driving field in y exactly, so only the
-    half grid [0, pi) is computed and the second half is tiled from it:
-    intensities repeat unchanged and the per-orbit ellipse axes flip their y
-    components.  This keeps the exact pi-periodicity of the single-atom
-    response free of path-dependent branch-tracking hysteresis (the
-    underlying symmetry is verified independently at the spectrum level).
+    half grid [0, pi) is computed and the second half is tiled from it after
+    the sweep: intensities repeat unchanged and the per-orbit ellipse axes
+    flip their y components.  This keeps the exact pi-periodicity of the
+    single-atom response free of path-dependent branch-tracking hysteresis
+    (the underlying symmetry is verified independently at the spectrum
+    level).  Each orbit's axes are one (n_phi, 6) table (Mx, My, Nx, Ny,
+    gamma, ellipticity), of which ``PhaseScan.axes``, ``minor``, ``gamma``
+    and ``ellipticity`` are column views.
     """
     _check_samples(n_phi, 32, "phase points")
     if n_phi % 2:
@@ -186,14 +183,14 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     ix = np.full((qs.size, n_phi), np.nan)
     iy = np.full_like(ix, np.nan)
     itot = np.full_like(ix, np.nan)
-    raw_axes = {}
+    tables = {}
     gaps = []
     # the planned dense refreshes of every order, in one batched solve
     planned = [(m, j) for m in range(qs.size) for j in range(0, half, REFRESH_EVERY)]
     dense = dict(zip(planned, solve_cycles(
         tgt, [(p.with_phi(phis[j]), qs[m]) for m, j in planned])))
     for m, q in enumerate(qs):
-        prev_p, prev_reps, prev_banned = None, None, None
+        prev_reps, prev_banned = None, None
         for j in range(half):
             phi = phis[j]
             pj = p.with_phi(phi)
@@ -205,65 +202,46 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
                     reps = sads[:len(sads) // 2]
                 else:
                     reps = []
-                    for res in continue_branches(prev_p, tgt, q, prev_reps,
-                                                 "phi", phi):
+                    for res in continue_branches(p.with_phi(phis[j - 1]), tgt, q,
+                                                 prev_reps, "phi", phi):
                         if isinstance(res, BranchLostError):
                             gaps.append((q, phi, str(res)))
                         else:
                             reps.append(res)
                 res = _scan_cell(pj, tgt, q, reps, gaps, phi, dme_form,
                                  prev_reps=prev_reps, prev_banned=prev_banned)
-            except (NoConvergenceError, CoalescenceError, PoleError) as exc:
+            except (CoalescenceError, PoleError) as exc:
                 gaps.append((q, phi, str(exc)))
-                prev_p, prev_reps, prev_banned = None, None, None
+                prev_reps, prev_banned = None, None
                 continue
-            ix[m, j], iy[m, j], itot[m, j], cell_axes, banned = res
-            ix[m, j + half] = ix[m, j]
-            iy[m, j + half] = iy[m, j]
-            itot[m, j + half] = itot[m, j]
-            for bid, dec in cell_axes.items():
-                store = raw_axes.setdefault((q, bid), {})
-                store[j] = dec
-                store[j + half] = _mirror_decomposition(dec)
-            prev_p, prev_reps, prev_banned = pj, reps, banned
-    axes, minor, gam, ell = _signed_axis_tables(raw_axes, n_phi)
-    return PhaseScan(phis=phis, qs=qs, Ix=ix, Iy=iy, Itotal=itot, axes=axes,
-                     minor=minor, gamma=gam, ellipticity=ell, gaps=tuple(gaps))
+            ix[m, j], iy[m, j], itot[m, j], rows, banned = res
+            for bid, row in rows.items():
+                tables.setdefault((q, bid), np.full((n_phi, 6), np.nan))[j] = row
+            prev_reps, prev_banned = reps, banned
+    for a in (ix, iy, itot):
+        a[:, half:] = a[:, :half]
+    for table in tables.values():
+        table[half:] = table[:half] * [1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
+    _pair_signs(tables)
+    return PhaseScan(phis=phis, qs=qs, Ix=ix, Iy=iy, Itotal=itot,
+                     axes={k: t[:, :2] for k, t in tables.items()},
+                     minor={k: t[:, 2:4] for k, t in tables.items()},
+                     gamma={k: t[:, 4] for k, t in tables.items()},
+                     ellipticity={k: t[:, 5] for k, t in tables.items()},
+                     gaps=tuple(gaps))
 
 
-def _signed_axis_tables(raw_axes, n_phi):
-    """Build sign-continuous axis series, pairing h0/h1 partners per family."""
-    axes = {}
-    minor = {}
-    gam = {}
-    ell = {}
-    for (q, bid), store in raw_axes.items():
-        ms = np.full((n_phi, 2), np.nan)
-        ns = np.full((n_phi, 2), np.nan)
-        gs = np.full(n_phi, np.nan)
-        es = np.full(n_phi, np.nan)
-        for j, dec in store.items():
-            ms[j] = dec.M
-            ns[j] = dec.N
-            gs[j] = dec.gamma
-            es[j] = dec.ellipticity
-        axes[(q, bid)] = ms
-        minor[(q, bid)] = ns
-        gam[(q, bid)] = gs
-        ell[(q, bid)] = es
-    for (q, bid) in list(axes):
-        if not bid.startswith("h0-"):
+def _pair_signs(tables):
+    """Make the major axes (the M columns) of each h0/h1 pair of one family
+    sign-continuous together."""
+    for (q, bid), lead in tables.items():
+        part = tables.get((q, "h1-" + bid[3:])) if bid.startswith("h0-") else None
+        if part is None:
             continue
-        partner = "h1-" + bid[3:]
-        if (q, partner) not in axes:
-            continue
-        lead, part = axes[(q, bid)], axes[(q, partner)]
-        good = np.isfinite(lead).all(axis=1) & np.isfinite(part).all(axis=1)
-        if not good.any():
-            continue
-        s_lead, s_part = signed_axes([lead[good], part[good]])
-        lead[good], part[good] = s_lead, s_part
-    return axes, minor, gam, ell
+        good = np.isfinite(lead[:, :2]).all(axis=1) & np.isfinite(part[:, :2]).all(axis=1)
+        if good.any():
+            lead[good, :2], part[good, :2] = signed_axes([lead[good, :2],
+                                                          part[good, :2]])
 
 
 def _design_matrix(phis, extended):

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import (FieldParams, TargetParams, _apot, _apot_integral, _efield, _phases,
-                    apot_integral, apot_sq_integral, efield)
+from .field import (TWO_PI, FieldParams, TargetParams, _apot, _apot_integral, _efield,
+                    _phases, apot_integral, apot_sq_integral, efield)
 
 RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
@@ -312,19 +312,22 @@ def _make_point(p, tgt, q, ti, tr):
                        hess=np.array([[a, b], [b, c]]), k_rec=vr)
 
 
-def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
+def solve_seeds(p: FieldParams, tgt: TargetParams, q, phi, seed_ti, seed_tr):
     """Batched :func:`newton_solve`: per seed a SaddlePoint or the exception.
 
-    ``q`` is a scalar or one order per seed.  All seeds go to one
-    damped-Newton run and are judged seed by seed: a seed is accepted when
-    tr != ti, the iteration converged, Im(ti) >= 0 and the converged
-    |tr - ti| >= 1e-14.  The points are built one at a time on numpy scalars,
-    so each is bit-identical to the one a single-seed solve returns.
+    ``q`` and the field phase ``phi`` are scalars or one per seed; the rest
+    of each seed's field is ``p``'s.  All seeds go to one damped-Newton run
+    and are judged seed by seed: a seed is accepted when tr != ti, the
+    iteration converged, Im(ti) >= 0 and the converged |tr - ti| >= 1e-14.
+    The points are built one at a time on numpy scalars, each on its seed's
+    field, so each is bit-identical to the one a single-seed solve returns.
     """
     seed_ti = np.atleast_1d(np.asarray(seed_ti, dtype=complex))
     seed_tr = np.atleast_1d(np.asarray(seed_tr, dtype=complex))
     q = np.broadcast_to(np.asarray(q, dtype=float), seed_ti.shape)
-    ti, tr, rn, conv = _newton_batch(p, tgt, q, p.phi, seed_ti, seed_tr)
+    # reduced as FieldParams reduces it, so the run and the point share a phase
+    phi = np.broadcast_to(np.asarray(phi, dtype=float) % TWO_PI, seed_ti.shape)
+    ti, tr, rn, conv = _newton_batch(p, tgt, q, phi, seed_ti, seed_tr)
     out = []
     for k in range(ti.size):
         if abs(seed_tr[k] - seed_ti[k]) < 1e-12:
@@ -341,7 +344,7 @@ def solve_seeds(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
             out.append(CoalescenceError(
                 "tr and ti coincide; stationary momentum undefined"))
         else:
-            out.append(_make_point(p, tgt, q[k], ti[k], tr[k]))
+            out.append(_make_point(p.with_phi(phi[k]), tgt, q[k], ti[k], tr[k]))
     return out
 
 
@@ -351,7 +354,7 @@ def newton_solve(p: FieldParams, tgt: TargetParams, q, seed_ti, seed_tr):
     Solutions with Im(ti) < 0 are the complex-conjugate (growing) partners
     and are rejected.
     """
-    (out,) = solve_seeds(p, tgt, q, [seed_ti], [seed_tr])
+    (out,) = solve_seeds(p, tgt, q, p.phi, [seed_ti], [seed_tr])
     if isinstance(out, Exception):
         raise out
     return out
@@ -482,55 +485,45 @@ def _dedup(ti, tr, period):
     return keep
 
 
-def _apply_param(p, q, name, value):
-    """(field, order) with the continuation parameter ``name`` set to ``value``."""
-    return (p, value) if name == "q" else (p.with_phi(value), q)
-
-
 def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
                       to_value):
     """Continue each saddle in q or phi; per branch the result or the loss.
 
     Returns a list parallel to ``saddles`` holding the continued SaddlePoint
     or the :class:`BranchLostError` of a branch that could not be recovered.
-    The first full step of all branches is one batched Newton run; a branch
-    that fails it (diverges, or jumps by an unphysically large amount) goes
-    on alone from its start, halving its step at each failure, and is lost
-    after CONTINUATION_HALVINGS halvings.
+    The branches advance in lockstep: each round is one Newton run over every
+    branch that has not reached ``to_value``, each from its own last point
+    and parameter value.  A branch whose step fails (diverges, or jumps by an
+    unphysically large amount) halves that step, and is lost after
+    CONTINUATION_HALVINGS halvings.
     """
     if parameter not in ("q", "phi"):
         raise ValueError(f"unknown continuation parameter {parameter!r}")
     start = q if parameter == "q" else p.phi
-    if to_value == start:
-        return list(saddles)
-    t_period = p.period
-    step = to_value - start
-    p2, q2 = _apply_param(p, q, parameter, _clamp(start + step, step, to_value))
-    first = solve_seeds(p2, tgt, q2, [sp.ti for sp in saddles],
-                        [sp.tr for sp in saddles])
-    out = []
-    for idx, (sp, cand) in enumerate(zip(saddles, first)):
-        cur, cur_val, step, halvings = sp, start, to_value - start, 0
-        while cur_val != to_value:
-            nxt = _clamp(cur_val + step, step, to_value)
-            if cand is None:    # only the first full step is solved already
-                p2, q2 = _apply_param(p, q, parameter, nxt)
-                (cand,) = solve_seeds(p2, tgt, q2, [cur.ti], [cur.tr])
-            if isinstance(cand, SaddlePoint) and abs(cand.ti - cur.ti) > 0.25 * t_period:
-                cand = NoConvergenceError("branch jump during continuation")
-            if isinstance(cand, SaddlePoint):
-                cur, cur_val = cand, nxt
-            else:
-                halvings += 1
-                if halvings > CONTINUATION_HALVINGS:
-                    cur = BranchLostError(
-                        f"branch {idx} lost continuing {parameter} -> {to_value} "
-                        f"(stalled at {cur_val})")
-                    break
-                step *= 0.5
-            cand = None
-        out.append(cur)
-    return out
+    out = list(saddles)
+    at = [start] * len(out)
+    step = [to_value - start] * len(out)
+    halvings = [0] * len(out)
+    while True:
+        todo = [k for k, cur in enumerate(out)
+                if isinstance(cur, SaddlePoint) and at[k] != to_value]
+        if not todo:
+            return out
+        nxt = [_clamp(at[k] + step[k], step[k], to_value) for k in todo]
+        q_of, phi_of = (nxt, p.phi) if parameter == "q" else (q, nxt)
+        cands = solve_seeds(p, tgt, q_of, phi_of, [out[k].ti for k in todo],
+                            [out[k].tr for k in todo])
+        for k, value, cand in zip(todo, nxt, cands):
+            if (isinstance(cand, SaddlePoint)
+                    and abs(cand.ti - out[k].ti) <= 0.25 * p.period):
+                out[k], at[k] = cand, value
+                continue
+            halvings[k] += 1
+            step[k] *= 0.5
+            if halvings[k] > CONTINUATION_HALVINGS:
+                out[k] = BranchLostError(
+                    f"branch {k} lost continuing {parameter} -> {to_value} "
+                    f"(stalled at {at[k]})")
 
 
 def _clamp(nxt, step, to_value):

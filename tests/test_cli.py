@@ -15,6 +15,7 @@ from conftest import E1, OMEGA
 
 
 GOLDEN_SCAN = Path(__file__).parent / "data" / "golden_scan_h24"
+GOLDEN_SCAN_R006 = Path(__file__).parent / "data" / "golden_scan_h24_r006"
 GOLDEN_Q20_23 = Path(__file__).parent / "data" / "golden_q20_23"
 
 
@@ -109,15 +110,20 @@ class TestScanCommand:
             tau = rec["tau"]
             assert min(tau, 2 * np.pi - tau, abs(tau - np.pi)) < 1e-3
 
-    def test_golden_bytes(self, tmp_path, monkeypatch):
-        # reference tables of the H24 scan at R = 0.12 over 32 phases; the
-        # relative --outdir keeps the config echo in the header identical
+    @pytest.mark.parametrize("ratio, golden, names", [
+        ("0.12", GOLDEN_SCAN, ("scan.csv", "axes.csv")),
+        # continuation halves its step 14 times and loses a branch
+        ("0.06", GOLDEN_SCAN_R006, ("scan.csv", "axes.csv", "audit.txt")),
+    ], ids=["r012", "r006"])
+    def test_golden_bytes(self, ratio, golden, names, tmp_path, monkeypatch):
+        # reference tables of the H24 scan over 32 phases; the relative
+        # --outdir keeps the config echo in the header identical
         monkeypatch.chdir(tmp_path)
         assert run(["scan", "--q-min", "24", "--q-max", "24", "--n-phi", "32",
-                    "--ratio", "0.12", "--outdir", "out"]) == 0
-        for name in ("scan.csv", "axes.csv"):
+                    "--ratio", ratio, "--outdir", "out"]) == 0
+        for name in names:
             assert ((tmp_path / "out" / name).read_bytes()
-                    == (GOLDEN_SCAN / name).read_bytes()), name
+                    == (golden / name).read_bytes()), name
 
     def test_dme_form_reaches_the_scan(self, tmp_path, params, target):
         # the hydrogenic matrix element changes the H24 intensities, and the

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from twocolor_hhg import (ClassificationRefusedError, IllConditionedFitError,
-                          NonFiniteSampleError, PoleError, align_shift,
-                          classify_modality, fourier_fit, harmonic_dipole,
-                          phasescan, run_scan)
+                          NoConvergenceError, NonFiniteSampleError, PoleError,
+                          align_shift, classify_modality, fourier_fit,
+                          harmonic_dipole, phasescan, run_scan)
 
 
 GRID64 = 2.0 * np.pi * np.arange(64) / 64
@@ -189,14 +189,18 @@ class TestRunScan:
 
     def test_programming_error_in_a_cell_propagates(self, params, target,
                                                     monkeypatch):
-        # only a cell's solver failure modes become gaps; any other error,
-        # such as a shape mismatch, must not turn into a silent gap
-        def broken_cell(*args, **kwargs):
-            raise ValueError("operands could not be broadcast together")
+        # only a cell's solver failure modes (PoleError, CoalescenceError)
+        # become gaps; any other error, such as a shape mismatch or a Newton
+        # failure that continuation should have returned as a value, must
+        # not turn into a silent gap
+        for exc in (ValueError("operands could not be broadcast together"),
+                    NoConvergenceError("no convergence from seed")):
+            def broken_cell(*args, **kwargs):
+                raise exc
 
-        monkeypatch.setattr(phasescan, "_scan_cell", broken_cell)
-        with pytest.raises(ValueError, match="broadcast"):
-            run_scan(params, target, [17], 32)
+            monkeypatch.setattr(phasescan, "_scan_cell", broken_cell)
+            with pytest.raises(type(exc), match=str(exc)):
+                run_scan(params, target, [17], 32)
 
     def test_partners_share_relevance_in_every_cell(self, params, target,
                                                     monkeypatch):

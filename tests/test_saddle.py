@@ -731,7 +731,7 @@ class TestSolveSeeds:
                                   monkeypatch):
         ti, tr = zip(*mixed_seeds)
         monkeypatch.setattr(saddle, "NEWTON_MAX_ITER", max_iter)
-        got = solve_seeds(params, target, 24, ti, tr)
+        got = solve_seeds(params, target, 24, params.phi, ti, tr)
         ref = [single_solve(params, target, 24, a, b) for a, b in mixed_seeds]
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
@@ -745,12 +745,12 @@ class TestSolveSeeds:
         qs = [19.0, 20.0, 21.0, 19.0, 20.0, 21.0]
         ti = [sp.ti for sp in sads] * 2
         tr = [sp.tr for sp in sads] * 2
-        got = solve_seeds(params, target, qs, ti, tr)
+        got = solve_seeds(params, target, qs, params.phi, ti, tr)
         for g, q, a, b in zip(got, qs, ti, tr):
             assert_same_outcome(g, single_solve(params, target, q, a, b))
 
     def test_empty_batch(self, params, target):
-        assert solve_seeds(params, target, 20, [], []) == []
+        assert solve_seeds(params, target, 20, params.phi, [], []) == []
 
 
 def greedy_dedup(ti, tr, period):
@@ -843,6 +843,24 @@ class TestContinueBranches:
                 assert_same_point(g, ref)
         if max_halvings == 0:
             assert any(isinstance(g, BranchLostError) for g in got)
+
+    def test_one_newton_run_per_round(self, params, target, h24, monkeypatch):
+        # the branches that halve their step advance together: the 0.8 rad
+        # step takes three rounds, each one Newton run over the branches
+        # still short of the target
+        runs = []
+        batch = saddle._newton_batch
+
+        def counted_batch(p, tgt, q, phi, ti, tr):
+            runs.append(len(ti))
+            return batch(p, tgt, q, phi, ti, tr)
+
+        monkeypatch.setattr(saddle, "_newton_batch", counted_batch)
+        got = continue_branches(params, target, 24, h24, "phi", 0.8)
+        assert_no_branch_lost(got)
+        assert len(runs) == 3
+        assert runs[0] == len(h24)
+        assert sum(runs) == 14
 
     def test_empty_branch_list(self, params, target):
         assert continue_branches(params, target, 24, [], "phi", 0.5) == []

@@ -150,7 +150,8 @@ class TestGrowthSlope:
         assert reps
         h = 1e-3
         for sp in reps:
-            lo, hi = solve_seeds(p, target, [q - h, q + h], [sp.ti] * 2, [sp.tr] * 2)
+            lo, hi = solve_seeds(p, target, [q - h, q + h], p.phi, [sp.ti] * 2,
+                                [sp.tr] * 2)
             assert isinstance(lo, SaddlePoint) and isinstance(hi, SaddlePoint)
             centred = (lo.action.imag - hi.action.imag) / (2 * h)
             assert abs(-p.omega * sp.tr.imag - centred) < 1e-7
