@@ -97,8 +97,8 @@ class PhaseScan:
 
 def _match_indices(prev_reps, reps, period):
     """Index of each representative's predecessor in the previous cell (-1 if
-    new), matched modulo T/2: a dense refresh folds a representative that
-    continuation carried out of [0, T/2) back onto its partner's times."""
+    new), matched modulo T/2 at a dense refresh: it folds a representative
+    that continuation carried out of [0, T/2) back onto its partner's times."""
     half = 0.5 * period
     out = np.full(len(reps), -1, dtype=int)
     for i, sp in enumerate(reps):
@@ -111,22 +111,22 @@ def _match_indices(prev_reps, reps, period):
     return out
 
 
-def _scan_cell(p, tgt, q, reps, gaps, phi, dme_form, prev_reps=None,
+def _scan_cell(p, tgt, q, reps, match, gaps, phi, dme_form, prev_reps=None,
                prev_banned=None):
     """Relevance + classification + dipole sum for one (q, phi) cell.
 
     Relevance is judged on the representatives ``reps`` and copied to their
-    partners.  Returns the cell's intensities, each relevant orbit's axis
-    row (Mx, My, Nx, Ny, gamma, ellipticity) and the `banned` flags to carry
-    to the next cell: a branch whose amplitude explodes between neighbouring
-    phi cells is an anti-Stokes partner crossing in phi — invisible to the
-    per-order growth test — and stays excluded for as long as it is tracked.
+    partners.  ``match`` holds each representative's predecessor, an index
+    into the previous cell's ``prev_reps`` (-1 if new).  Returns the cell's
+    intensities, each relevant orbit's axis row (Mx, My, Nx, Ny, gamma,
+    ellipticity) and the `banned` flags to carry to the next cell: a branch
+    whose amplitude explodes between neighbouring phi cells is an
+    anti-Stokes partner crossing in phi — invisible to the per-order growth
+    test — and stays excluded for as long as it is tracked.
     """
     mask = relevance_mask(p, tgt, q, reps)
     banned = np.zeros(len(reps), dtype=bool)
-    match = _match_indices(prev_reps or [], reps, p.period)
-    for i, sp in enumerate(reps):
-        k = match[i]
+    for i, (sp, k) in enumerate(zip(reps, match)):
         if k < 0:
             continue
         if prev_banned is not None and prev_banned[k]:
@@ -200,15 +200,18 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
                     if sads is None:    # the cell after a failed one
                         sads = solve_cycle(pj, tgt, q)
                     reps = sads[:len(sads) // 2]
+                    match = _match_indices(prev_reps or [], reps, p.period)
                 else:
-                    reps = []
-                    for res in continue_branches(p.with_phi(phis[j - 1]), tgt, q,
-                                                 prev_reps, "phi", phi):
+                    # each surviving branch is matched to the one it continues
+                    reps, match = [], []
+                    for k, res in enumerate(continue_branches(
+                            p.with_phi(phis[j - 1]), tgt, q, prev_reps, "phi", phi)):
                         if isinstance(res, BranchLostError):
                             gaps.append((q, phi, str(res)))
                         else:
                             reps.append(res)
-                res = _scan_cell(pj, tgt, q, reps, gaps, phi, dme_form,
+                            match.append(k)
+                res = _scan_cell(pj, tgt, q, reps, match, gaps, phi, dme_form,
                                  prev_reps=prev_reps, prev_banned=prev_banned)
             except (CoalescenceError, PoleError) as exc:
                 gaps.append((q, phi, str(exc)))

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from twocolor_hhg import (ClassificationRefusedError, IllConditionedFitError,
-                          NoConvergenceError, NonFiniteSampleError, PoleError,
-                          align_shift, classify_modality, fourier_fit,
-                          harmonic_dipole, phasescan, run_scan)
+from twocolor_hhg import (BranchLostError, ClassificationRefusedError,
+                          IllConditionedFitError, NoConvergenceError,
+                          NonFiniteSampleError, PoleError, align_shift,
+                          classify_modality, fourier_fit, harmonic_dipole,
+                          phasescan, run_scan)
+from twocolor_hhg.taxonomy import amplitude
 
 
 GRID64 = 2.0 * np.pi * np.arange(64) / 64
@@ -236,6 +238,40 @@ class TestRunScan:
         assert all(bid.startswith(("h0-", "h1-")) for bid in ids)
         assert {bid[3:] for bid in ids if bid.startswith("h0-")} == \
             {bid[3:] for bid in ids if bid.startswith("h1-")}
+
+
+    def test_continued_branch_is_judged_against_its_own_predecessor(
+            self, params, target, monkeypatch):
+        # at R = 0.06 a continued branch can lie nearer another branch's
+        # predecessor than its own; each one inherits the ban flag of, and
+        # compares its amplitude with, the branch it was continued from
+        steps, cells = {}, {}
+        cont, cell = phasescan.continue_branches, phasescan._scan_cell
+
+        def recording_continue(p, tgt, q, saddles, parameter, to_value):
+            steps[(q, to_value)] = cont(p, tgt, q, saddles, parameter, to_value)
+            return steps[(q, to_value)]
+
+        def recording_cell(p, tgt, q, reps, *args, **kwargs):
+            res = cell(p, tgt, q, reps, *args, **kwargs)
+            cells[(q, p.phi)] = (reps, res[-1])
+            return res
+
+        monkeypatch.setattr(phasescan, "continue_branches", recording_continue)
+        monkeypatch.setattr(phasescan, "_scan_cell", recording_cell)
+        scan = run_scan(params.with_ratio(0.06), target, range(14, 22), 32)
+        assert len(steps) == 8 * 14     # 16 cells per order, 2 refreshes
+        for (q, phi), out in steps.items():
+            prev_reps, prev_banned = cells[(q, scan.phis[scan.phis < phi][-1])]
+            reps, banned = cells[(q, phi)]
+            kept = [(k, sp) for k, sp in enumerate(out)
+                    if not isinstance(sp, BranchLostError)]
+            assert all(sp is rep for (_, sp), rep in zip(kept, reps))
+            assert len(kept) == len(reps)
+            for (k, sp), flag in zip(kept, banned):
+                grows = (amplitude(sp) > phasescan.PHI_GROWTH_FACTOR
+                         * amplitude(prev_reps[k]))
+                assert flag == (prev_banned[k] or grows), (q, phi, k)
 
 
 class TestFailedCell:
