@@ -409,7 +409,8 @@ def solve_cycle(p: FieldParams, tgt: TargetParams, q):
     The representatives are solved from :func:`seed_grid`, folded to Re(ti)
     in [0, T/2), deduplicated and sorted by (Re ti, Re tr).  Below the Ip
     threshold the result is empty (see :func:`below_threshold`).  Excursions
-    are capped at TAU_MAX_PERIODS periods (no multi-cycle returns); solutions
+    Re(tr - ti) lie in (DEDUP_TOL, TAU_MAX_PERIODS periods] (no purely
+    imaginary excursions, no multi-cycle returns); solutions
     with Im(ti) < 0 or Im(S) < 0 are the exponentially growing conjugate
     partners and are discarded.
     """
@@ -450,7 +451,9 @@ def solve_cycles(tgt: TargetParams, cases):
         ti, tr, _, conv = _newton_batch(p0, tgt, q_of[owner], phi_of[owner],
                                         np.concatenate([g.ti for g in seeds]),
                                         np.concatenate([g.tr for g in seeds]))
-        good = conv & (ti.imag > 0) & (tr.real > ti.real) & (tr.real - ti.real <= tau_max)
+        excursion = tr.real - ti.real
+        # a purely imaginary excursion passes a plain Re tau > 0 by round-off
+        good = conv & (ti.imag > 0) & (excursion > DEDUP_TOL) & (excursion <= tau_max)
         for k in group:
             p, q = cases[k]
             sel = good & (owner == k)

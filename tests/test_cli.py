@@ -112,7 +112,7 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("ratio, golden, names", [
         ("0.12", GOLDEN_SCAN, ("scan.csv", "axes.csv")),
-        # continuation halves its step 14 times and loses a branch
+        # continuation halves its steps, and the audit lists anti-Stokes phi-bans
         ("0.06", GOLDEN_SCAN_R006, ("scan.csv", "axes.csv", "audit.txt")),
     ], ids=["r012", "r006"])
     def test_golden_bytes(self, ratio, golden, names, tmp_path, monkeypatch):
@@ -142,13 +142,13 @@ class TestScanCommand:
         assert cols["Itotal"][0] == pytest.approx(ref, rel=1e-9)
 
     def test_audit_lists_every_gap(self, tmp_path, target):
-        # at R = 0.06 the H24 scan loses branches in continuation; their
-        # audit lines keep the phase at which the branch stalled
-        assert run(["scan", "--q-min", "24", "--q-max", "24", "--n-phi", "64",
+        # at R = 0.06 the H14 scan loses a branch in continuation; its
+        # audit line keeps the phase at which the branch stalled
+        assert run(["scan", "--q-min", "14", "--q-max", "14", "--n-phi", "64",
                     "--ratio", "0.06", "--outdir", tmp_path]) == 0
         lines = (tmp_path / "audit.txt").read_text().splitlines()
         p = FieldParams.from_ratio(E1, OMEGA, 0.06, 0.0)
-        gaps = run_scan(p, target, [24], 64).gaps
+        gaps = run_scan(p, target, [14], 64).gaps
         assert len(lines) == len(gaps) > 0
         assert lines == [f"q={q} phi={phi}: {reason}" for q, phi, reason in gaps]
         assert any("stalled at" in line for line in lines)

@@ -173,6 +173,15 @@ class TestSolveCycle:
             if d > 1e-8:
                 assert sp.ti.imag < 0.5 * floor
 
+    def test_no_purely_imaginary_excursions(self, target):
+        # at R = 0.06 a solution with tr - ti purely imaginary (ti near
+        # 27.58 + 6i) converges at most orders; its Re tau of 0 to 2e-12
+        # must not pass as a positive excursion
+        p = FieldParams.from_ratio(E1, OMEGA, 0.06, 0.0)
+        qs = range(13, 26)
+        for q, sads in zip(qs, saddle.solve_cycles(target, [(p, q) for q in qs])):
+            assert sads and min(sp.excursion for sp in sads) > DEDUP_TOL, q
+
     def test_below_threshold_empty(self, params, target):
         assert solve_cycle(params, target, 5) == []
 
