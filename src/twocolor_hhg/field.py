@@ -100,10 +100,40 @@ def _phases(p: FieldParams, t, phi=None):
     return p.omega * t, 2.0 * p.omega * t + (p.phi if phi is None else phi)
 
 
-# The field components (x, y) from the sines/cosines of the two phases.  The
-# public functions below stack them; the saddle kernel (which shares one trig
-# evaluation between all of them) writes them into its own state rows.  Either
-# way the coefficients live here only.
+def _sincos(p: FieldParams, t, phi=None):
+    """(sin, cos) of w t, then of 2 w t + phi: (s1, c1, s2, c2).
+
+    Real t takes numpy's sin and cos of :func:`_phases`.  Complex
+    t = (x + iy)/w takes sin x, cos x, cosh y and sinh y once and builds both
+    phases from them in real arithmetic only (double angle, then rotation by
+    phi), so a time gives the same bits as a numpy scalar and inside an
+    array: numpy's complex multiply does not (see README).
+    """
+    t = np.asarray(t)
+    phi = p.phi if phi is None else phi
+    if not np.iscomplexobj(t):
+        x1, x2 = _phases(p, t, phi)
+        return np.sin(x1), np.cos(x1), np.sin(x2), np.cos(x2)
+    x, y = p.omega * t.real, p.omega * t.imag
+    sx, cx, ch, sh = np.sin(x), np.cos(x), np.cosh(y), np.sinh(y)
+    s2x, c2x, ch2, sh2 = 2.0 * sx * cx, cx * cx - sx * sx, ch * ch + sh * sh, 2.0 * sh * ch
+    sp, cp = np.sin(phi), np.cos(phi)
+    s, c = s2x * cp + c2x * sp, c2x * cp - s2x * sp      # of 2x + phi
+    return (_complex(sx * ch, cx * sh), _complex(cx * ch, -sx * sh),
+            _complex(s * ch2, c * sh2), _complex(c * ch2, -s * sh2))
+
+
+def _complex(re, im):
+    """re + i im, assembled without complex arithmetic."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out[()]
+
+
+# The field components (x, y) from the sines/cosines of the two phases, which
+# :func:`_sincos` provides.  The public functions below stack them; the saddle
+# kernel (which shares one trig evaluation between all of them) writes them
+# into its own state rows.  Either way the coefficients live here only.
 
 def _efield(p: FieldParams, s1, s2):
     """E from sin(w t) and sin(2 w t + phi)."""
@@ -127,21 +157,20 @@ def efield(p: FieldParams, t):
 
     Returns an array of shape (2,) + shape(t); real t gives real output.
     """
-    x1, x2 = _phases(p, t)
-    return np.stack(_efield(p, np.sin(x1), np.sin(x2)))
+    s1, _, s2, _ = _sincos(p, t)
+    return np.stack(_efield(p, s1, s2))
 
 
 def apot(p: FieldParams, t):
     """Vector potential A(t) with E = -dA/dt; analytic for complex t."""
-    x1, x2 = _phases(p, t)
-    return np.stack(_apot(p, np.cos(x1), np.cos(x2)))
+    _, c1, _, c2 = _sincos(p, t)
+    return np.stack(_apot(p, c1, c2))
 
 
 def apot_integral(p: FieldParams, ta, tb):
     """Closed-form integral of A(t) from ta to tb (path-independent)."""
-    (xa1, xa2), (xb1, xb2) = _phases(p, ta), _phases(p, tb)
-    return np.stack(_apot_integral(p, np.sin(xa1), np.sin(xa2),
-                                   np.sin(xb1), np.sin(xb2)))
+    (sa1, _, sa2, _), (sb1, _, sb2, _) = _sincos(p, ta), _sincos(p, tb)
+    return np.stack(_apot_integral(p, sa1, sa2, sb1, sb2))
 
 
 def _apot_sq_antideriv(p: FieldParams, t):

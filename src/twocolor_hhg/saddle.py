@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import (TWO_PI, FieldParams, TargetParams, _apot, _apot_integral, _efield,
-                    _phases, apot_integral, apot_sq_integral, efield)
+                    _sincos, apot_integral, apot_sq_integral, efield)
 
 RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
@@ -89,18 +89,17 @@ def _momentum(p, ti, tr):
 def _kinematics(p, ti, tr):
     """(tau, p_s, vr, vi, E(tr), E(ti)) with vr = p_s + A(tr), vi = p_s + A(ti).
 
-    One sin and one cos per field phase and time feed all of them; the
-    terms are :mod:`.field`'s, in the same arithmetic order as its public
-    functions.  On numpy scalars (a point build) the components are stacked
-    as in :func:`.field.apot`, so each term keeps the public function's bits;
-    :func:`_evaluate` builds the same terms row by row for a batch.
+    One :func:`.field._sincos` per time (one real sin, cos, sinh and cosh)
+    feeds all of them; the terms are :mod:`.field`'s, in the same arithmetic
+    order as its public functions.  On numpy scalars (a point build) the
+    components are stacked as in :func:`.field.apot`, so each term keeps the
+    public function's bits; :func:`_evaluate` builds the same terms row by
+    row for a batch.
     """
-    (xi, yi), (xr, yr) = _phases(p, ti), _phases(p, tr)
-    si, s2i, sr, s2r = np.sin(xi), np.sin(yi), np.sin(xr), np.sin(yr)
+    (si, ci, s2i, c2i), (sr, cr, s2r, c2r) = _sincos(p, ti), _sincos(p, tr)
     tau = tr - ti
     ps = -np.stack(_apot_integral(p, si, s2i, sr, s2r)) / tau
-    return (tau, ps, ps + np.stack(_apot(p, np.cos(xr), np.cos(yr))),
-            ps + np.stack(_apot(p, np.cos(xi), np.cos(yi))),
+    return (tau, ps, ps + np.stack(_apot(p, cr, c2r)), ps + np.stack(_apot(p, ci, c2i)),
             np.stack(_efield(p, sr, s2r)), np.stack(_efield(p, si, s2i)))
 
 
@@ -171,16 +170,13 @@ def _evaluate(p, tgt, q, phi, ti, tr):
     vi, E(tr), E(ti)): all that :func:`_jacobian` needs, so an accepted
     point costs no second trig evaluation.  They are the terms of
     :func:`_kinematics` and :func:`_equations`, elementwise in the same
-    arithmetic order, from one sin and one cos over the (phase x time) array
+    arithmetic order, from one :func:`.field._sincos` over the (ti, tr) rows
     and written straight into their rows.
     """
     with np.errstate(all="ignore"):
         bad = (np.abs(tr - ti) < 1e-12) | (np.abs(ti.imag) > 1e3) | (np.abs(tr.imag) > 1e3)
         t = np.where(bad, [[0.0], [1.0]], (ti, tr))    # rows ti, tr of a 1-d batch
-        x = np.empty((2,) + t.shape, dtype=complex)
-        x[0], x[1] = _phases(p, t, phi)
-        (si, sr), (s2i, s2r) = np.sin(x)
-        (ci, cr), (c2i, c2r) = np.cos(x)
+        (si, sr), (ci, cr), (s2i, s2r), (c2i, c2r) = _sincos(p, t, phi)
         state = np.empty((11,) + ti.shape, dtype=complex)
         tau, f_rec, f_ion = state[:3]
         vr, vi = state[3:5], state[5:7]

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from twocolor_hhg import (FieldParams, apot, apot_integral, apot_sq_integral,
                           convert_units, efield, lissajous)
+from twocolor_hhg.field import _sincos
 
 from conftest import E1, OMEGA, RATIO
 
@@ -136,6 +137,52 @@ class TestApotIntegral:
         re = quad(lambda s: f(s).real, 0, 1, epsabs=1e-13)[0]
         im = quad(lambda s: f(s).imag, 0, 1, epsabs=1e-13)[0]
         assert abs(exact - (re + 1j * im)) < 1e-9 * abs(exact)
+
+
+class TestSinCos:
+    """The sines and cosines of both field phases, from one real sin, cos,
+    sinh and cosh per complex time."""
+
+    @pytest.mark.parametrize("phi", [0.0, 0.4, np.pi / 2, 2.1, 5.9])
+    def test_complex_times_match_numpy(self, params, phi):
+        # the Newton kernel's range: |Im t| <= 1e3
+        g = rng()
+        ts = np.concatenate([random_complex_times(2000),
+                             g.uniform(-200, 200, 2000) + 1j * g.uniform(-1e3, 1e3, 2000)])
+        p = params.with_phi(phi)
+        w = p.omega
+        exact = (np.sin(w * ts), np.cos(w * ts),
+                 np.sin(2.0 * w * ts + p.phi), np.cos(2.0 * w * ts + p.phi))
+        for got, ref in zip(_sincos(p, ts), exact):
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    def test_point_equals_batch(self, params):
+        # a numpy scalar gives the bits of the same time inside an array, also
+        # with one phase per time
+        ts = random_complex_times(64)
+        phis = np.linspace(0.0, 6.0, 64)
+        batch = _sincos(params, ts, phis)
+        for k in range(ts.size):
+            point = _sincos(params, ts[k], phis[k])
+            for b, s in zip(batch, point):
+                assert np.ndim(s) == 0 and b[k].tobytes() == s.tobytes()
+
+    def test_real_times_keep_numpy_sin_and_cos(self, params):
+        # real t gives real arrays with the bits of numpy's sin and cos of the
+        # phases
+        ts = np.linspace(-300.0, 300.0, 1001)
+        p = params.with_phi(2.1)
+        x1, x2 = p.omega * ts, 2.0 * p.omega * ts + p.phi
+        e, a = efield(p, ts), apot(p, ts)
+        ia = apot_integral(p, 0.5, ts)
+        assert e.dtype == a.dtype == ia.dtype == np.float64
+        assert e.tobytes() == np.stack([p.E1 * np.sin(x1), p.E2 * np.sin(x2)]).tobytes()
+        assert a.tobytes() == np.stack([(p.E1 / p.omega) * np.cos(x1),
+                                        (p.E2 / (2.0 * p.omega)) * np.cos(x2)]).tobytes()
+        w, (xa1, xa2) = p.omega, (p.omega * 0.5, 2.0 * p.omega * 0.5 + p.phi)
+        assert ia.tobytes() == np.stack(
+            [(p.E1 / w ** 2) * (np.sin(x1) - np.sin(xa1)),
+             (p.E2 / (4.0 * w ** 2)) * (np.sin(x2) - np.sin(xa2))]).tobytes()
 
 
 class TestConvertUnits:

@@ -385,9 +385,18 @@ class TestKernel:
 
 # The damped Newton loop as it stood before the shared-trig kernel: every
 # line-search round re-evaluated the residual of every active seed, and the
-# Jacobian was a fresh evaluation with the field written out term by term.
+# Jacobian was a fresh evaluation.  Its field terms come from the public field
+# functions, whose arithmetic the kernel shares (ref_kinematics), or are
+# written out term by term with numpy's complex sin and cos, an independent
+# referee that agrees to round-off only (termwise_kinematics).
 
 def ref_kinematics(p, ti, tr):
+    tau = tr - ti
+    ps = -apot_integral(p, ti, tr) / tau
+    return tau, ps + apot(p, tr), ps + apot(p, ti), efield(p, tr), efield(p, ti)
+
+
+def termwise_kinematics(p, ti, tr):
     w, ph = p.omega, p.phi
     tau = tr - ti
     ps = -np.stack([(p.E1 / w ** 2) * (np.sin(w * tr) - np.sin(w * ti)),
@@ -398,7 +407,10 @@ def ref_kinematics(p, ti, tr):
         return np.stack([(p.E1 / p.omega) * np.cos(p.omega * t),
                          (p.E2 / (2.0 * p.omega)) * np.cos(2.0 * p.omega * t + ph)])
 
-    return tau, ps + a(tr), ps + a(ti)
+    def e(t):
+        return np.stack([p.E1 * np.sin(w * t), p.E2 * np.sin(2.0 * w * t + ph)])
+
+    return tau, ps + a(tr), ps + a(ti), e(tr), e(ti)
 
 
 def ref_equations(p, tgt, q, vr, vi):
@@ -406,38 +418,39 @@ def ref_equations(p, tgt, q, vr, vi):
             0.5 * (vi * vi).sum(axis=0) + tgt.Ip)
 
 
-def ref_resnorm(p, tgt, q, ti, tr):
+def ref_resnorm(kin, p, tgt, q, ti, tr):
     with np.errstate(all="ignore"):
         bad = (np.abs(tr - ti) < 1e-12) | (np.abs(ti.imag) > 1e3) | (np.abs(tr.imag) > 1e3)
         ti = np.where(bad, 0.0, ti)
         tr = np.where(bad, 1.0, tr)
-        _, vr, vi = ref_kinematics(p, ti, tr)
+        _, vr, vi, _, _ = kin(p, ti, tr)
         f_rec, f_ion = ref_equations(p, tgt, q, vr, vi)
         rn = np.maximum(np.abs(f_rec), np.abs(f_ion))
         return np.where(bad | ~np.isfinite(rn), np.inf, rn)
 
 
-def ref_residual_jacobian(p, tgt, q, ti, tr):
+def ref_residual_jacobian(kin, p, tgt, q, ti, tr):
     with np.errstate(all="ignore"):
-        tau, vr, vi = ref_kinematics(p, ti, tr)
-        a = (vi * vi).sum(axis=0) / tau - (vi * efield(p, ti)).sum(axis=0)
-        c = (vr * vr).sum(axis=0) / tau + (vr * efield(p, tr)).sum(axis=0)
+        tau, vr, vi, er, ei = kin(p, ti, tr)
+        a = (vi * vi).sum(axis=0) / tau - (vi * ei).sum(axis=0)
+        c = (vr * vr).sum(axis=0) / tau + (vr * er).sum(axis=0)
         d = (vr * vi).sum(axis=0) / tau
         return ref_equations(p, tgt, q, vr, vi), ((d, -c), (a, -d))
 
 
 def ref_newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100,
-                     max_halvings=8, work=None):
-    """The reference loop.  ``work`` counts its residual evaluations
-    ("rounds"), and the points evaluated by a line search that tries each
-    seed's last accepted number of halvings in one round, then the next 1, 2,
-    4, ... halvings of the seeds still no better: the seeds, the predicted
-    trials ("prefix") and the trials beyond them ("halved")."""
+                     max_halvings=8, work=None, kin=ref_kinematics):
+    """The reference loop on the field terms of ``kin``.  ``work`` counts its
+    residual evaluations ("rounds"), and the points evaluated by a line
+    search that tries each seed's last accepted number of halvings in one
+    round, then the next 1, 2, 4, ... halvings of the seeds still no better:
+    the seeds, the predicted trials ("prefix") and the trials beyond them
+    ("halved")."""
     work = {} if work is None else work
     ti = np.array(ti, dtype=complex)
     tr = np.array(tr, dtype=complex)
     q = np.broadcast_to(np.asarray(q, dtype=float), ti.shape)
-    rn = ref_resnorm(p, tgt, q, ti, tr)
+    rn = ref_resnorm(kin, p, tgt, q, ti, tr)
     work["seeds"] = ti.size
     work["rounds"] = 1
     work["prefix"] = work["halved"] = 0
@@ -448,7 +461,7 @@ def ref_newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100,
         if not active.any():
             break
         (f_rec, f_ion), ((j00, j01), (j10, j11)) = ref_residual_jacobian(
-            p, tgt, q[active], ti[active], tr[active])
+            kin, p, tgt, q[active], ti[active], tr[active])
         det = j00 * j11 - j01 * j10
         singular = np.abs(det) < 1e-300
         det = np.where(singular, 1.0, det)
@@ -466,7 +479,7 @@ def ref_newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100,
         base = rn[active]
         t1 = ti[active] + scale * dti
         t2 = tr[active] + scale * dtr
-        trial = ref_resnorm(p, tgt, q[active], t1, t2)
+        trial = ref_resnorm(kin, p, tgt, q[active], t1, t2)
         work["rounds"] += 1
         halvings = np.zeros(dti.shape, dtype=int)
         for _ in range(max_halvings):
@@ -478,7 +491,7 @@ def ref_newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100,
             scale[worse] *= 0.5
             t1 = ti[active] + scale * dti
             t2 = tr[active] + scale * dtr
-            new = ref_resnorm(p, tgt, q[active], t1, t2)
+            new = ref_resnorm(kin, p, tgt, q[active], t1, t2)
             trial = np.where(worse, new, trial)
         improved = trial < base
         keep_ti = np.where(improved, t1, ti[active])
@@ -544,6 +557,33 @@ class TestNewtonBatch:
         ref = ref_newton_batch(p, target, q, ti, tr, **limits)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("q, phi, ratio", [(15, 0.0, 0.12), (24, 0.7, 0.06),
+                                               (31, 2.1, 0.18), (20, 0.0, 0.5),
+                                               (27, np.pi / 2, 1.0)])
+    def test_termwise_referee_finds_the_same_saddles(self, target, q, phi, ratio):
+        # numpy's complex sin and cos, term by term, against the kernel's real
+        # arithmetic: iterates differ in the last bits, the converged saddle
+        # set of the dense seed grid does not
+        p = FieldParams.from_ratio(E1, OMEGA, ratio, phi)
+        seeds = seed_grid(p, target)
+        half, tau_max = p.period / 2, saddle.TAU_MAX_PERIODS * p.period
+
+        def saddle_set(ti, tr, _, conv):
+            exc = (tr - ti).real
+            ok = conv & (ti.imag > 0) & (exc > DEDUP_TOL) & (exc <= tau_max)
+            shift = np.floor(ti[ok].real / half) * half
+            ti, tr = ti[ok] - shift, tr[ok] - shift
+            keep = _dedup(ti, tr, half)
+            return ti[keep], tr[keep]
+
+        got = saddle_set(*_newton_batch(p, target, q, p.phi, seeds.ti, seeds.tr))
+        ref = saddle_set(*ref_newton_batch(p, target, q, seeds.ti, seeds.tr,
+                                           kin=termwise_kinematics))
+        assert got[0].size == ref[0].size > 0
+        for a, b in ((got, ref), (ref, got)):
+            for ti, tr in zip(*a):
+                assert np.min(np.abs(b[0] - ti) + np.abs(b[1] - tr)) <= 1e-10
 
     @staticmethod
     def kernel_work(params, target, monkeypatch, q):
