@@ -16,7 +16,9 @@ from conftest import E1, OMEGA
 
 GOLDEN_SCAN = Path(__file__).parent / "data" / "golden_scan_h24"
 GOLDEN_SCAN_R006 = Path(__file__).parent / "data" / "golden_scan_h24_r006"
+GOLDEN_SCAN_R1 = Path(__file__).parent / "data" / "golden_scan_h24_r1"
 GOLDEN_Q20_23 = Path(__file__).parent / "data" / "golden_q20_23"
+GOLDEN_Q20_23_R1 = Path(__file__).parent / "data" / "golden_q20_23_r1"
 
 
 def run(args):
@@ -114,7 +116,9 @@ class TestScanCommand:
         ("0.12", GOLDEN_SCAN, ("scan.csv", "axes.csv")),
         # continuation halves its steps, and the audit lists anti-Stokes phi-bans
         ("0.06", GOLDEN_SCAN_R006, ("scan.csv", "axes.csv", "audit.txt")),
-    ], ids=["r012", "r006"])
+        # the paper's regime of comparable intensities of the two colours
+        ("1.0", GOLDEN_SCAN_R1, ("scan.csv", "axes.csv", "audit.txt")),
+    ], ids=["r012", "r006", "r1"])
     def test_golden_bytes(self, ratio, golden, names, tmp_path, monkeypatch):
         # reference tables of the H24 scan over 32 phases; the relative
         # --outdir keeps the config echo in the header identical
@@ -178,23 +182,28 @@ class TestScanCommand:
 
 
 class TestGoldenTables:
-    @pytest.mark.parametrize("command, names", [
-        ("spectrum", ("spectrum.csv", "audit.txt")),
-        ("saddles", ("saddles.csv",)),
+    @pytest.mark.parametrize("command, names, golden", [
+        pytest.param("spectrum", ("spectrum.csv", "audit.txt"), GOLDEN_Q20_23,
+                     id="spectrum-names0"),
+        pytest.param("saddles", ("saddles.csv",), GOLDEN_Q20_23,
+                     id="saddles-names1"),
         pytest.param("spectrum --oracle", ("spectrum.csv", "audit.txt",
                                            "spectrum_direct.csv",
-                                           "comparison.txt"),
+                                           "comparison.txt"), GOLDEN_Q20_23,
                      id="spectrum-oracle"),
+        # the paper's regime of comparable intensities of the two colours
+        pytest.param("saddles --ratio 1.0", ("saddles.csv",), GOLDEN_Q20_23_R1,
+                     id="saddles-r1"),
     ])
-    def test_golden_bytes(self, command, names, tmp_path, monkeypatch):
-        # reference tables of q = 20..23 at the default configuration; the
-        # relative --outdir keeps the config echo in the header identical
+    def test_golden_bytes(self, command, names, golden, tmp_path, monkeypatch):
+        # reference tables of q = 20..23; the relative --outdir keeps the
+        # config echo in the header identical
         monkeypatch.chdir(tmp_path)
         assert run([*command.split(), "--q-min", "20", "--q-max", "23",
                     "--outdir", "out"]) == 0
         for name in names:
             assert ((tmp_path / "out" / name).read_bytes()
-                    == (GOLDEN_Q20_23 / name).read_bytes()), name
+                    == (golden / name).read_bytes()), name
 
 
 class TestSaddlesAgreeWithSpectrum:
