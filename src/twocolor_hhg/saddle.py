@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import (TWO_PI, FieldParams, TargetParams, _apot, _apot_integral, _efield,
-                    _sincos, apot_integral, apot_sq_integral, efield)
+                    _sincos, apot_sq_integral, efield)
 
 RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
@@ -77,30 +77,49 @@ class SeedGrid:
     tr: np.ndarray
 
 
-# The saddle-equation kernel.  Its helpers take arrays or numpy scalars and do
-# not check tr != ti; the public entry points do (:func:`_apart`).
+# The saddle-equation kernel.  :func:`_terms` builds the terms of every
+# evaluation, from a Newton batch to one public call; the public entry points
+# reach it through :func:`_terms_at`, which checks tr != ti.
 
-def _momentum(p, ti, tr):
-    """tau = tr - ti and the stationary momentum p_s = -(1/tau) int A."""
-    tau = tr - ti
-    return tau, -apot_integral(p, ti, tr) / tau
+def _terms(p, t, phi=None):
+    """The kernel terms at stacked times t = (ti, tr) of shape (2, n).
 
-
-def _kinematics(p, ti, tr):
-    """(tau, p_s, vr, vi, E(tr), E(ti)) with vr = p_s + A(tr), vi = p_s + A(ti).
-
-    One :func:`.field._sincos` per time (one real sin, cos, sinh and cosh)
-    feeds all of them; the terms are :mod:`.field`'s, in the same arithmetic
-    order as its public functions.  On numpy scalars (a point build) the
-    components are stacked as in :func:`.field.apot`, so each term keeps the
-    public function's bits; :func:`_evaluate` builds the same terms row by
-    row for a batch.
+    Returns (state, ps).  ``state`` is an (11, n) array with rows (tau, -, -,
+    vr, vi, E(tr), E(ti)), tau = tr - ti, vr = p_s + A(tr), vi = p_s + A(ti);
+    rows 1 and 2 are left for (F_rec, F_ion).  ``ps`` holds the two
+    components of the stationary momentum p_s = -(1/tau) int A.  ``phi`` is
+    the field phase, ``p``'s unless given (one per point in a Newton run).
+    One :func:`.field._sincos` over the rows of ``t`` feeds every term, in
+    the arithmetic order of the public field functions; real times give
+    real terms.
     """
-    (si, ci, s2i, c2i), (sr, cr, s2r, c2r) = _sincos(p, ti), _sincos(p, tr)
-    tau = tr - ti
-    ps = -np.stack(_apot_integral(p, si, s2i, sr, s2r)) / tau
-    return (tau, ps, ps + np.stack(_apot(p, cr, c2r)), ps + np.stack(_apot(p, ci, c2i)),
-            np.stack(_efield(p, sr, s2r)), np.stack(_efield(p, si, s2i)))
+    (si, sr), (ci, cr), (s2i, s2r), (c2i, c2r) = _sincos(p, t, phi)
+    state = np.empty((11,) + t.shape[1:], dtype=np.result_type(t, float))
+    tau, vr, vi = state[0], state[3:5], state[5:7]
+    np.subtract(t[1], t[0], out=tau)
+    ps = [-area / tau for area in _apot_integral(p, si, s2i, sr, s2r)]
+    a_r, a_i = _apot(p, cr, c2r), _apot(p, ci, c2i)
+    for k in range(2):
+        np.add(ps[k], a_r[k], out=vr[k])
+        np.add(ps[k], a_i[k], out=vi[k])
+    state[7], state[8] = _efield(p, sr, s2r)
+    state[9], state[10] = _efield(p, si, s2i)
+    return state, ps
+
+
+def _terms_at(p, ti, tr):
+    """(t, state, ps) of :func:`_terms` at (ti, tr) broadcast together, each
+    shaped as they are; CoalescenceError where the two times coincide.
+
+    Scalar times give numpy scalars for t and tau, so the arithmetic on them
+    (:func:`_action`, :func:`_hessian`) is that of numpy scalars.
+    """
+    t = np.array(np.broadcast_arrays(ti, tr))
+    if (np.abs(t[1] - t[0]) < 1e-14).any():
+        raise CoalescenceError("tr and ti coincide; stationary momentum undefined")
+    state, ps = _terms(p, t.reshape(2, -1))
+    shape = t.shape[1:]
+    return t, state.reshape((11,) + shape), np.array(ps).reshape((2,) + shape)
 
 
 def _equations(p, tgt, q, vr, vi):
@@ -116,10 +135,16 @@ def _curvatures(tau, vr, vi, er, ei):
             (vr * vr).sum(axis=0) / tau + (vr * er).sum(axis=0))
 
 
-def _mixed_curvature(tau, vr, vi):
-    """b = d2S/dti dtr."""
-    # vi * vr, not vr * vi: complex products are not bitwise commutative
-    return -(vi * vr).sum(axis=0) / tau
+def _hessian(state):
+    """Hessian of S wrt (ti, tr) and its determinant, from one point's state.
+
+    The mixed term is b = d2S/dti dtr = -(vi . vr)/tau; vi * vr, not
+    vr * vi: complex products are not bitwise commutative.
+    """
+    tau, vr, vi = state[0], state[3:5], state[5:7]
+    a, c = _curvatures(tau, vr, vi, state[7:9], state[9:11])
+    b = -(vi * vr).sum(axis=0) / tau
+    return np.array([[a, b], [b, c]]), a * c - b * b
 
 
 def _action(p, tgt, q, ti, tr, tau, ps):
@@ -128,37 +153,26 @@ def _action(p, tgt, q, ti, tr, tau, ps):
             - 0.5 * apot_sq_integral(p, ti, tr) + q * p.omega * tr)
 
 
-def _apart(ti, tr):
-    """(ti, tr) as arrays; CoalescenceError where the two times coincide."""
-    ti, tr = np.asarray(ti), np.asarray(tr)
-    if np.any(np.abs(tr - ti) < 1e-14):
-        raise CoalescenceError("tr and ti coincide; stationary momentum undefined")
-    return ti, tr
-
-
 def stationary_momentum(p: FieldParams, ti, tr):
     """p_s = -(1/(tr-ti)) * integral of A over [ti, tr]."""
-    return _momentum(p, *_apart(ti, tr))[1]
+    return _terms_at(p, ti, tr)[2]
 
 
 def action_value(p: FieldParams, tgt: TargetParams, q, ti, tr):
     """Semiclassical action S(ti, tr) in closed form (momentum eliminated)."""
-    ti, tr = _apart(ti, tr)
-    return _action(p, tgt, q, ti, tr, *_momentum(p, ti, tr))
+    t, state, ps = _terms_at(p, ti, tr)
+    return _action(p, tgt, q, t[0], t[1], state[0], ps)
 
 
 def saddle_residual(p: FieldParams, tgt: TargetParams, q, ti, tr):
     """The two saddle-equation values (recombination, ionisation)."""
-    _, _, vr, vi, _, _ = _kinematics(p, *_apart(ti, tr))
-    return np.stack(_equations(p, tgt, q, vr, vi))
+    state = _terms_at(p, ti, tr)[1]
+    return np.stack(_equations(p, tgt, q, state[3:5], state[5:7]))
 
 
 def hessian(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint):
     """Hessian of S wrt (ti, tr) at a saddle, and its determinant."""
-    tau, _, vr, vi, er, ei = _kinematics(p, *_apart(sp.ti, sp.tr))
-    a, c = _curvatures(tau, vr, vi, er, ei)
-    b = _mixed_curvature(tau, vr, vi)
-    return np.array([[a, b], [b, c]]), a * c - b * b
+    return _hessian(_terms_at(p, sp.ti, sp.tr)[1])
 
 
 def _evaluate(p, tgt, q, phi, ti, tr):
@@ -166,31 +180,16 @@ def _evaluate(p, tgt, q, phi, ti, tr):
 
     ``q`` and the field phase ``phi`` are scalars or one per point; the rest
     of the field is ``p``'s.  The norm is inf where tr == ti, |Im t| > 1e3
-    or it is not finite.  The state holds the rows (tau, F_rec, F_ion, vr,
-    vi, E(tr), E(ti)): all that :func:`_jacobian` needs, so an accepted
-    point costs no second trig evaluation.  They are the terms of
-    :func:`_kinematics` and :func:`_equations`, elementwise in the same
-    arithmetic order, from one :func:`.field._sincos` over the (ti, tr) rows
-    and written straight into their rows.
+    or it is not finite.  The state is that of :func:`_terms` with the
+    equations written into rows 1 and 2: all that :func:`_jacobian` needs,
+    so an accepted point costs no second trig evaluation.
     """
     with np.errstate(all="ignore"):
         bad = (np.abs(tr - ti) < 1e-12) | (np.abs(ti.imag) > 1e3) | (np.abs(tr.imag) > 1e3)
         t = np.where(bad, [[0.0], [1.0]], (ti, tr))    # rows ti, tr of a 1-d batch
-        (si, sr), (ci, cr), (s2i, s2r), (c2i, c2r) = _sincos(p, t, phi)
-        state = np.empty((11,) + ti.shape, dtype=complex)
-        tau, f_rec, f_ion = state[:3]
-        vr, vi = state[3:5], state[5:7]
-        np.subtract(t[1], t[0], out=tau)
-        area = _apot_integral(p, si, s2i, sr, s2r)
-        a_r, a_i = _apot(p, cr, c2r), _apot(p, ci, c2i)
-        for k in range(2):
-            ps = -area[k] / tau
-            np.add(ps, a_r[k], out=vr[k])
-            np.add(ps, a_i[k], out=vi[k])
-        state[7], state[8] = _efield(p, sr, s2r)
-        state[9], state[10] = _efield(p, si, s2i)
-        f_rec[...], f_ion[...] = _equations(p, tgt, q, vr, vi)
-        rn = np.maximum(np.abs(f_rec), np.abs(f_ion))
+        state, _ = _terms(p, t, phi)
+        state[1], state[2] = _equations(p, tgt, q, state[3:5], state[5:7])
+        rn = np.maximum(np.abs(state[1]), np.abs(state[2]))
         return np.where(bad | ~np.isfinite(rn), np.inf, rn), state
 
 
@@ -296,16 +295,15 @@ def _newton_batch(p, tgt, q, phi, ti, tr):
 
 def _make_point(p, tgt, q, ti, tr):
     """The SaddlePoint at a converged (ti, tr), from one kernel evaluation."""
-    tau, ps, vr, vi, er, ei = _kinematics(p, ti, tr)
-    f_rec, f_ion = _equations(p, tgt, q, vr, vi)
-    a, c = _curvatures(tau, vr, vi, er, ei)
-    b = _mixed_curvature(tau, vr, vi)
+    t, state, ps = _terms_at(p, ti, tr)
+    f_rec, f_ion = _equations(p, tgt, q, state[3:5], state[5:7])
+    hess, hessdet = _hessian(state)
     # the residual is the max over a 2-array: scalar abs can differ in the last bit
     return SaddlePoint(ti=complex(ti), tr=complex(tr), ps=ps,
-                       action=complex(_action(p, tgt, q, ti, tr, tau, ps)),
-                       hessdet=complex(a * c - b * b), q=float(q),
+                       action=complex(_action(p, tgt, q, t[0], t[1], state[0], ps)),
+                       hessdet=complex(hessdet), q=float(q),
                        residual=float(np.abs((f_rec, f_ion)).max()),
-                       hess=np.array([[a, b], [b, c]]), k_rec=vr)
+                       hess=hess, k_rec=state[3:5])
 
 
 def solve_seeds(p: FieldParams, tgt: TargetParams, q, phi, seed_ti, seed_tr):
@@ -315,8 +313,8 @@ def solve_seeds(p: FieldParams, tgt: TargetParams, q, phi, seed_ti, seed_tr):
     of each seed's field is ``p``'s.  All seeds go to one damped-Newton run
     and are judged seed by seed: a seed is accepted when tr != ti, the
     iteration converged, Im(ti) >= 0 and the converged |tr - ti| >= 1e-14.
-    The points are built one at a time on numpy scalars, each on its seed's
-    field, so each is bit-identical to the one a single-seed solve returns.
+    The points are built one at a time, each on its seed's field, so each is
+    bit-identical to the one a single-seed solve returns.
     """
     seed_ti = np.atleast_1d(np.asarray(seed_ti, dtype=complex))
     seed_tr = np.atleast_1d(np.asarray(seed_tr, dtype=complex))
