@@ -4,8 +4,8 @@ The scan sweeps the two-colour phase phi over a uniform grid on [0, 2pi),
 carrying the quantum orbits from cell to cell by continuation (all of a
 cell's orbits in lockstep, each keeping its identity) and re-solving them
 from dense seeds at every REFRESH_EVERY-th cell (all of those in one
-batched solve) and after a failed cell, and records intensities and one
-table of polarization axes per orbit.  The modulation model is the
+batched solve), and records intensities and one table of polarization axes
+per orbit.  The modulation model is the
 five-term series
 
     f(phi) = a0 + a1 cos(phi) + b1 sin(phi) + a2 cos(2 phi) + b2 sin(2 phi)
@@ -26,7 +26,7 @@ import numpy as np
 
 from .field import FieldParams, SamplingError, TargetParams, _check_samples
 from .saddle import (BranchLostError, CoalescenceError, continue_branches,
-                     solve_cycle, solve_cycles, with_partners)
+                     solve_cycles, with_partners)
 from .taxonomy import MATCH_TOL_PERIODS, amplitude, classify, relevance_mask
 from .dipole import PoleError, harmonic_dipole, intensity
 from .polarization import UndefinedEllipseError, decompose, signed_axes
@@ -123,7 +123,9 @@ def _scan_cell(p, tgt, q, reps, match, gaps, phi, dme_form, prev_reps=None,
     ellipticity) and the `banned` flags to carry to the next cell: a branch
     whose amplitude explodes between neighbouring phi cells is an
     anti-Stokes partner crossing in phi — invisible to the per-order growth
-    test — and stays excluded for as long as it is tracked.
+    test — and stays excluded for as long as it is tracked.  A dipole that
+    fails (a coalescence or a pole) makes the cell a gap: NaN intensities
+    and no axis rows, with the flags still returned.
     """
     mask = relevance_mask(p, tgt, q, reps)
     banned = np.zeros(len(reps), dtype=bool)
@@ -138,7 +140,11 @@ def _scan_cell(p, tgt, q, reps, match, gaps, phi, dme_form, prev_reps=None,
                                  "(anti-Stokes crossing)"))
     mask &= ~banned
     labelled = classify(p, with_partners(p, reps), relevant_mask=mask)
-    hd = harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+    try:
+        hd = harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+    except (CoalescenceError, PoleError) as exc:
+        gaps.append((q, phi, str(exc)))
+        return np.nan, np.nan, np.nan, {}, banned
     ix, iy, itot = intensity(hd, p.omega)
     rows = {}
     for c in hd.contributions:
@@ -159,11 +165,11 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     The representative saddles are carried from cell to cell by
     continuation and each cell appends their exact partners; every
     REFRESH_EVERY-th cell re-solves from a dense seed grid so branches
-    born mid-scan are picked up.  These planned refreshes of all orders are
-    solved in one :func:`.saddle.solve_cycles` call before the sweep; the
-    cell after a failed one is re-solved on its own.  Failed cells or lost
-    branches become gap records, never aborts.  ``dme_form`` is passed to
-    :func:`.dipole.dme`.
+    born mid-scan are picked up.  These refreshes of all orders are solved
+    in one :func:`.saddle.solve_cycles` call before the sweep, and every
+    other cell is a continuation, also after a failed cell.  Failed cells
+    or lost branches become gap records, never aborts.  ``dme_form`` is
+    passed to :func:`.dipole.dme`.
 
     Shifting phi by pi reflects the driving field in y exactly, so only the
     half grid [0, pi) is computed and the second half is tiled from it after
@@ -175,50 +181,43 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     gamma, ellipticity), of which ``PhaseScan.axes``, ``minor``, ``gamma``
     and ``ellipticity`` are column views.
     """
+    qs = np.asarray(sorted(q_list), dtype=float)
+    _check_samples(qs.size, 1, "orders")
     _check_samples(n_phi, 32, "phase points")
     if n_phi % 2:
         raise SamplingError(f"need an even number of phase points, got {n_phi}")
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     half = n_phi // 2
-    qs = np.asarray(sorted(q_list), dtype=float)
     ix = np.full((qs.size, n_phi), np.nan)
     iy = np.full_like(ix, np.nan)
     itot = np.full_like(ix, np.nan)
     tables = {}
     gaps = []
-    # the planned dense refreshes of every order, in one batched solve
-    planned = [(m, j) for m in range(qs.size) for j in range(0, half, REFRESH_EVERY)]
-    dense = dict(zip(planned, solve_cycles(
-        tgt, [(p.with_phi(phis[j]), qs[m]) for m, j in planned])))
+    # the dense refreshes of every order, in one batched solve
+    refreshes = [(m, j) for m in range(qs.size) for j in range(0, half, REFRESH_EVERY)]
+    dense = dict(zip(refreshes, solve_cycles(
+        tgt, [(p.with_phi(phis[j]), qs[m]) for m, j in refreshes])))
     for m, q in enumerate(qs):
         prev_reps, prev_banned = None, None
         for j in range(half):
             phi = phis[j]
-            pj = p.with_phi(phi)
-            try:
-                if prev_reps is None or j % REFRESH_EVERY == 0:
-                    sads = dense.pop((m, j), None)
-                    if sads is None:    # the cell after a failed one
-                        sads = solve_cycle(pj, tgt, q)
-                    reps = sads[:len(sads) // 2]
-                    match = _match_indices(prev_reps or [], reps, p.period)
-                else:
-                    # each surviving branch is matched to the one it continues
-                    reps, match = [], []
-                    for k, res in enumerate(continue_branches(
-                            p.with_phi(phis[j - 1]), tgt, q, prev_reps, "phi", phi)):
-                        if isinstance(res, BranchLostError):
-                            gaps.append((q, phi, str(res)))
-                        else:
-                            reps.append(res)
-                            match.append(k)
-                res = _scan_cell(pj, tgt, q, reps, match, gaps, phi, dme_form,
-                                 prev_reps=prev_reps, prev_banned=prev_banned)
-            except (CoalescenceError, PoleError) as exc:
-                gaps.append((q, phi, str(exc)))
-                prev_reps, prev_banned = None, None
-                continue
-            ix[m, j], iy[m, j], itot[m, j], rows, banned = res
+            if j % REFRESH_EVERY == 0:
+                sads = dense.pop((m, j))
+                reps = sads[:len(sads) // 2]
+                match = _match_indices(prev_reps or [], reps, p.period)
+            else:
+                # each surviving branch is matched to the one it continues
+                reps, match = [], []
+                for k, res in enumerate(continue_branches(
+                        p.with_phi(phis[j - 1]), tgt, q, prev_reps, "phi", phi)):
+                    if isinstance(res, BranchLostError):
+                        gaps.append((q, phi, str(res)))
+                    else:
+                        reps.append(res)
+                        match.append(k)
+            ix[m, j], iy[m, j], itot[m, j], rows, banned = _scan_cell(
+                p.with_phi(phi), tgt, q, reps, match, gaps, phi, dme_form,
+                prev_reps=prev_reps, prev_banned=prev_banned)
             for bid, row in rows.items():
                 tables.setdefault((q, bid), np.full((n_phi, 6), np.nan))[j] = row
             prev_reps, prev_banned = reps, banned

@@ -275,20 +275,15 @@ class TestRunScan:
 
 
 class TestFailedCell:
-    """A cell whose dipole fails mid-segment is a gap; only the next cell is
-    re-solved from dense seeds, one case alone, and the cells outside that
-    segment are those of the unpatched scan."""
+    """A cell whose dipole fails mid-segment is a gap; the sweep continues
+    from that cell's orbits, so every other cell is that of the unpatched
+    scan."""
 
     FAILED = 3          # not a refresh cell; the segment runs to cell 8
 
-    def test_gap_and_one_dense_re_solve(self, params, target, monkeypatch):
+    def test_gap_and_nothing_else_changes(self, params, target, monkeypatch):
         step = 2.0 * np.pi / 64
-        failed, solves = [], []
-        one_case = phasescan.solve_cycle
-
-        def counted_solve(p, tgt, q):
-            solves.append(round(p.phi / step))
-            return one_case(p, tgt, q)
+        failed = []
 
         def failing_dipole(p, tgt, q, labelled, dme_form="paper"):
             if round(p.phi / step) == self.FAILED and not failed:
@@ -296,22 +291,15 @@ class TestFailedCell:
                 raise PoleError("injected pole")
             return harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
 
-        monkeypatch.setattr(phasescan, "solve_cycle", counted_solve)
         ref = run_scan(params, target, [24], 64)
-        assert solves == []     # every refresh was planned
         monkeypatch.setattr(phasescan, "harmonic_dipole", failing_dipole)
         got = run_scan(params, target, [24], 64)
-        assert (24.0, failed[0], "injected pole") in got.gaps
-        assert solves == [self.FAILED + 1]
+        gap = (24.0, failed[0], "injected pole")
+        assert [g for g in got.gaps if g != gap] == list(ref.gaps)
+        assert got.gaps.count(gap) == 1
         lost = [self.FAILED, self.FAILED + 32]
-        assert np.isnan(got.Itotal[0, lost]).all()
-        segment = [j + h for j in range(self.FAILED, 8) for h in (0, 32)]
-        same = [j for j in range(64) if j not in segment]
+        same = [j for j in range(64) if j not in lost]
         for name in ("Ix", "Iy", "Itotal"):
             a, b = getattr(got, name)[0], getattr(ref, name)[0]
+            assert np.isnan(a[lost]).all()
             assert a[same].tobytes() == b[same].tobytes()
-        # the rest of the segment holds the same saddles, reached by a dense
-        # re-solve instead of continuation, so only the last bits may differ
-        rest = [j for j in segment if j not in lost]
-        np.testing.assert_allclose(got.Itotal[0, rest], ref.Itotal[0, rest],
-                                   rtol=1e-12, atol=0)
