@@ -372,22 +372,21 @@ def cmd_lissajous(p, tgt, opts, echo, args):
 
 
 def _series_from_table(cols, path):
-    need_any = [{"phi", "q", "Itotal"}, {"phi", "q", "intensity"},
-                {"phi_or_angle", "q", "intensity"}]
+    """(phase, q, value) columns: the phase from phi or phi_or_angle, the
+    value from Itotal or intensity, each first name taking precedence."""
     names = set(cols)
-    for want in need_any:
-        if want <= names:
-            phi_col = "phi" if "phi" in names else "phi_or_angle"
-            val_col = "Itotal" if "Itotal" in names else "intensity"
-            for name in (phi_col, "q", val_col):
-                if cols[name].dtype.kind != "f":
-                    raise UsageError(f"{path}: column {name} is not numeric")
-            if not np.isfinite(cols["q"]).all():
-                raise UsageError(f"{path}: column q holds a non-finite order")
-            return cols[phi_col], cols["q"], cols[val_col]
-    raise UsageError(
-        f"{path}: unrecognized columns {sorted(names)}; need one of "
-        + " | ".join(str(sorted(w)) for w in need_any))
+    phi_col = next((c for c in ("phi", "phi_or_angle") if c in names), None)
+    val_col = next((c for c in ("Itotal", "intensity") if c in names), None)
+    if phi_col is None or val_col is None or "q" not in names:
+        raise UsageError(
+            f"{path}: unrecognized columns {sorted(names)}; need phi or "
+            "phi_or_angle, q, and Itotal or intensity")
+    for name in (phi_col, "q", val_col):
+        if cols[name].dtype.kind != "f":
+            raise UsageError(f"{path}: column {name} is not numeric")
+    if not np.isfinite(cols["q"]).all():
+        raise UsageError(f"{path}: column q holds a non-finite order")
+    return cols[phi_col], cols["q"], cols[val_col]
 
 
 def cmd_fit(p, tgt, opts, echo, args):

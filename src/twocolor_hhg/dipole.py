@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SPEED_OF_LIGHT, FieldParams, TargetParams
+from .field import SPEED_OF_LIGHT, FieldParams, TargetParams, _check_samples
 from .saddle import CoalescenceError, SaddlePoint, solve_cycles
 from .taxonomy import OrbitLabel, classify, relevance_mask, track_branches
 
@@ -109,8 +109,8 @@ def _hess_prefactor(hess):
     return np.sqrt(2.0 * np.pi / (-1j * lam1)) * np.sqrt(2.0 * np.pi / (-1j * lam2))
 
 
-def contribution(p: FieldParams, tgt: TargetParams, q, sp: SaddlePoint,
-                 label: OrbitLabel, dme_form="paper"):
+def contribution(tgt: TargetParams, sp: SaddlePoint, label: OrbitLabel,
+                 dme_form="paper"):
     """Assemble the factorized dipole contribution of one saddle."""
     tau = sp.tr - sp.ti
     hess_factor = _hess_prefactor(sp.hess)
@@ -131,7 +131,7 @@ def harmonic_dipole(p: FieldParams, tgt: TargetParams, q, labelled,
     contribs = []
     total = np.zeros(2, dtype=complex)
     for sp, label in labelled:
-        c = contribution(p, tgt, q, sp, label, dme_form=dme_form)
+        c = contribution(tgt, sp, label, dme_form=dme_form)
         contribs.append(c)
         if label.relevant:
             total = total + c.total
@@ -167,9 +167,11 @@ def history_orders(qs):
 
     They run in unit steps from min(qs) to HISTORY_PAD orders beyond
     max(qs), so the cutoff closest approach is visible from inside the range.
-    An order of ``qs`` off that grid raises ValueError.
+    An order of ``qs`` off that grid raises ValueError, and an empty ``qs``
+    SamplingError.
     """
     qs = np.asarray(sorted(qs), dtype=float)
+    _check_samples(qs.size, 1, "orders")
     orders = np.arange(qs[0], qs[-1] + HISTORY_PAD + 1.0)
     off = qs[~np.isin(qs, orders)]
     if off.size:

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import (SPEED_OF_LIGHT, FieldParams, TargetParams, _apot,
-                    _apot_integral, _apot_sq_antideriv, _phases)
+                    _apot_integral, _apot_sq_antideriv, _check_samples, _phases)
 from .dipole import HarmonicSpectrum, dme, ionisation_amplitude
 
 BLOCK_POINTS = 1 << 15     # (tr, tau) grid points built at a time
@@ -155,6 +155,7 @@ def direct_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, qs,
                   dme_form="paper"):
     """Direct-integration harmonic spectrum over the orders ``qs``."""
     qs = np.asarray(sorted(qs), dtype=float)
+    _check_samples(qs.size, 1, "orders")
     cfg.validate(p, qs[-1])
     tr, g = _tau_sums(p, tgt, cfg, dme_form=dme_form)
     ix = np.zeros(qs.size)

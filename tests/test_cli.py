@@ -419,6 +419,24 @@ class TestFitInputErrors:
         assert str(absent) in self.fit_fails(data, ref, tmp_path, capsys)
 
 
+class TestFitColumns:
+    @pytest.mark.parametrize("phase", ["phi", "phi_or_angle"])
+    @pytest.mark.parametrize("value", ["Itotal", "intensity"])
+    def test_every_header_pair(self, phase, value, tmp_path):
+        # the phase and value columns are picked independently, so every
+        # pair of names gives the report of the scan's own header
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        ref = _phase_table(tmp_path / "ref.csv", grid)
+        data = tmp_path / "data.csv"
+        data.write_text(ref.read_text().replace("phi,q,Itotal",
+                                                f"{phase},q,{value}", 1))
+        for name, table in (("plain", ref), ("renamed", data)):
+            assert run(["fit", table, "--reference", ref,
+                        "--outdir", tmp_path / name]) == 0
+        assert ((tmp_path / "renamed" / "fit_report.json").read_bytes()
+                == (tmp_path / "plain" / "fit_report.json").read_bytes())
+
+
 class TestRoundTrip:
     def test_all_emitted_tables_reingest(self, tmp_path):
         assert run(["spectrum", "--q-min", "20", "--q-max", "21",

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from twocolor_hhg import (HarmonicDipole, PoleError, SaddlePoint, classify,
-                          contribution, dme, harmonic_dipole, intensity,
+from twocolor_hhg import (HarmonicDipole, OracleConfig, PoleError, SaddlePoint,
+                          SamplingError, classify, contribution, direct_dipole,
+                          dme, harmonic_dipole, intensity, run_scan,
                           solve_cycle, spectrum)
 from twocolor_hhg import dipole, saddle
 from twocolor_hhg.dipole import ionisation_amplitude
@@ -43,7 +44,7 @@ class TestDme:
 class TestContribution:
     def test_factorization_invariant(self, params, target, wide_orbits):
         for sp, lab in wide_orbits.by_q[20]:
-            c = contribution(params, target, 20, sp, lab)
+            c = contribution(target, sp, lab)
             rebuilt = (c.hess_factor * np.asarray(c.d_rec) * c.ion_amp
                        * c.spread * c.phase)
             assert np.max(np.abs(rebuilt - np.asarray(c.total))) \
@@ -52,7 +53,7 @@ class TestContribution:
     def test_relevant_phases_bounded(self, params, target, wide_orbits):
         for sp, lab in wide_orbits.by_q[20]:
             if lab.relevant:
-                c = contribution(params, target, 20, sp, lab)
+                c = contribution(target, sp, lab)
                 assert abs(c.phase) <= 1.0 + 1e-12
 
     def test_long_spreads_more_than_short(self, params, target, wide_orbits):
@@ -60,7 +61,7 @@ class TestContribution:
         spreads = {}
         for sp, lab in labelled:
             if lab.relevant and lab.half_cycle == 0:
-                c = contribution(params, target, 20, sp, lab)
+                c = contribution(target, sp, lab)
                 spreads[lab.family] = abs(c.spread)
         assert spreads["long"] < spreads["short"]
 
@@ -80,8 +81,8 @@ class TestHarmonicDipole:
                                if lab.family == fam),
                               key=lambda t: t[0].ti.real)
                 assert len(pair) == 2
-                c0 = contribution(params, target, q, *pair[0])
-                c1 = contribution(params, target, q, *pair[1])
+                c0 = contribution(target, *pair[0])
+                c1 = contribution(target, *pair[1])
                 pred = np.exp(1j * q * np.pi) * np.array(
                     [-c0.total[0], c0.total[1]])
                 err = np.max(np.abs(pred - np.asarray(c1.total)))
@@ -183,6 +184,16 @@ class TestSpectrum:
         # would never be solved
         with pytest.raises(ValueError, match=r"20\.5"):
             spectrum(params, target, [20, 20.5, 21])
+
+    @pytest.mark.parametrize("call", [
+        lambda p, tgt: spectrum(p, tgt, []),
+        lambda p, tgt: direct_dipole(p, tgt, OracleConfig(), []),
+        lambda p, tgt: run_scan(p, tgt, [], 32),
+        lambda p, tgt: dipole.history_orders([]),
+    ], ids=["spectrum", "direct_dipole", "run_scan", "history_orders"])
+    def test_empty_order_list_refused(self, params, target, call):
+        with pytest.raises(SamplingError, match="need at least 1 orders, got 0"):
+            call(params, target)
 
     def test_one_coalescence_error(self):
         assert dipole.CoalescenceError is saddle.CoalescenceError

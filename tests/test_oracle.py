@@ -313,7 +313,7 @@ class TestWindowedDipole:
             for sp, lab in wide_orbits.by_q[q]:
                 if lab.relevant and lab.family in fam_sum:
                     fam_sum[lab.family] += np.asarray(
-                        contribution(params, target, q, sp, lab).total)
+                        contribution(target, sp, lab).total)
             for fam, band in bands.items():
                 oracle_amp = np.linalg.norm(
                     windowed_dipole(params, target, CFG, q, band,

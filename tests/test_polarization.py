@@ -9,12 +9,12 @@ from twocolor_hhg import (UndefinedEllipseError, classify, contribution,
 from conftest import relevant
 
 
-def short_pair_decompositions(p, tgt, q, orbits):
+def short_pair_decompositions(tgt, q, orbits):
     """Ellipses of the two relevant short orbits of order q, by Re(ti)."""
     pair = sorted(((sp, lab) for sp, lab in relevant(orbits.by_q[q])
                    if lab.family == "short"),
                   key=lambda t: t[0].ti.real)
-    return [decompose(np.asarray(contribution(p, tgt, q, sp, lab).total))
+    return [decompose(np.asarray(contribution(tgt, sp, lab).total))
             for sp, lab in pair]
 
 
@@ -80,14 +80,14 @@ class TestOrbitAxes:
     def test_even_q_partner_axes_mirror_in_x(self, params, target,
                                              plateau_orbits):
         # partners: Mx opposite, My equal (up to the +-M representative)
-        a, b = short_pair_decompositions(params, target, 24, plateau_orbits)
+        a, b = short_pair_decompositions(target, 24, plateau_orbits)
         flip = np.array([-a.M[0], a.M[1]])
         d = min(np.max(np.abs(b.M - flip)), np.max(np.abs(b.M + flip)))
         assert d < 1e-8 * np.max(np.abs(a.M))
 
     def test_odd_q_partner_axes_mirror_in_y(self, params, target,
                                             plateau_orbits):
-        a, b = short_pair_decompositions(params, target, 25, plateau_orbits)
+        a, b = short_pair_decompositions(target, 25, plateau_orbits)
         flip = np.array([a.M[0], -a.M[1]])
         d = min(np.max(np.abs(b.M - flip)), np.max(np.abs(b.M + flip)))
         assert d < 1e-8 * np.max(np.abs(a.M))
@@ -95,7 +95,7 @@ class TestOrbitAxes:
     def test_dominant_orbit_ellipticity_small(self, params, target,
                                               plateau_orbits):
         for q in (24, 25):
-            a, b = short_pair_decompositions(params, target, q, plateau_orbits)
+            a, b = short_pair_decompositions(target, q, plateau_orbits)
             assert a.ellipticity < 0.15
             assert b.ellipticity < 0.15
 
@@ -105,7 +105,7 @@ class TestOrbitAxes:
         labelled = classify(mono, sads)
         for sp, lab in labelled:
             e = decompose(np.asarray(
-                contribution(mono, target, 21, sp, lab).total))
+                contribution(target, sp, lab).total))
             assert abs(e.M[1]) < 1e-12 * abs(e.M[0])
 
 
