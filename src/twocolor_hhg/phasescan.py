@@ -5,8 +5,7 @@ carrying the quantum orbits from cell to cell by continuation (all of a
 cell's orbits in lockstep, each keeping its identity) and re-solving them
 from dense seeds at every REFRESH_EVERY-th cell (all of those in one
 batched solve), and records intensities and one table of polarization axes
-per orbit.  The modulation model is the
-five-term series
+per orbit.  The modulation model is the five-term series
 
     f(phi) = a0 + a1 cos(phi) + b1 sin(phi) + a2 cos(2 phi) + b2 sin(2 phi)
 

@@ -191,18 +191,20 @@ class TestRunScan:
 
     def test_programming_error_in_a_cell_propagates(self, params, target,
                                                     monkeypatch):
-        # only a cell's solver failure modes (PoleError, CoalescenceError)
+        # only a cell's dipole failure modes (PoleError, CoalescenceError)
         # become gaps; any other error, such as a shape mismatch or a Newton
         # failure that continuation should have returned as a value, must
-        # not turn into a silent gap
+        # not turn into a silent gap, in the cell or around it
         for exc in (ValueError("operands could not be broadcast together"),
                     NoConvergenceError("no convergence from seed")):
-            def broken_cell(*args, **kwargs):
+            def broken(*args, **kwargs):
                 raise exc
 
-            monkeypatch.setattr(phasescan, "_scan_cell", broken_cell)
-            with pytest.raises(type(exc), match=str(exc)):
-                run_scan(params, target, [17], 32)
+            for name in ("_scan_cell", "harmonic_dipole"):
+                with monkeypatch.context() as mp:
+                    mp.setattr(phasescan, name, broken)
+                    with pytest.raises(type(exc), match=str(exc)):
+                        run_scan(params, target, [17], 32)
 
     def test_partners_share_relevance_in_every_cell(self, params, target,
                                                     monkeypatch):
