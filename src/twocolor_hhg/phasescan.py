@@ -1,11 +1,11 @@
 """Relative-phase scans: per-harmonic modulation, Fourier fits, modality.
 
 The scan sweeps the two-colour phase phi over a uniform grid on [0, 2pi),
-carrying the quantum orbits from cell to cell by continuation (all of a
-cell's orbits in lockstep, each keeping its identity) and re-solving them
-from dense seeds at every REFRESH_EVERY-th cell (all of those in one
-batched solve), and records intensities and one table of polarization axes
-per orbit.  The modulation model is the five-term series
+carrying the quantum orbits from cell to cell by continuation (one call
+per phi step for the orbits of every order, each keeping its identity) and
+re-solving them from dense seeds at every REFRESH_EVERY-th cell (all of
+those in one batched solve), and records intensities and one table of
+polarization axes per orbit.  The modulation model is the five-term series
 
     f(phi) = a0 + a1 cos(phi) + b1 sin(phi) + a2 cos(2 phi) + b2 sin(2 phi)
 
@@ -164,11 +164,16 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     The representative saddles are carried from cell to cell by
     continuation and each cell appends their exact partners; every
     REFRESH_EVERY-th cell re-solves from a dense seed grid so branches
-    born mid-scan are picked up.  These refreshes of all orders are solved
-    in one :func:`.saddle.solve_cycles` call before the sweep, and every
-    other cell is a continuation, also after a failed cell.  Failed cells
-    or lost branches become gap records, never aborts.  ``dme_form`` is
-    passed to :func:`.dipole.dme`.
+    born mid-scan are picked up.  Every other cell is a continuation, also
+    after a failed cell, so the solves do not depend on the cells' results
+    and run first, step-major: the refreshes of all orders in one
+    :func:`.saddle.solve_cycles` call, then for each of the REFRESH_EVERY - 1
+    steps after a refresh one :func:`.saddle.continue_branches` call that
+    carries the branches of every order and refresh segment one phi step
+    on.  The cells (relevance, phi-bans, dipoles) then follow in sweep
+    order.  Failed cells or lost branches become gap records, never aborts;
+    a lost branch is named by its index in the cell it left.  ``dme_form``
+    is passed to :func:`.dipole.dme`.
 
     Shifting phi by pi reflects the driving field in y exactly, so only the
     half grid [0, pi) is computed and the second half is tiled from it after
@@ -192,34 +197,45 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     itot = np.full_like(ix, np.nan)
     tables = {}
     gaps = []
-    # the dense refreshes of every order, in one batched solve
+    # solve phase: the dense refreshes of every order in one batched solve,
+    # then one continuation per phi step over every order and segment
     refreshes = [(m, j) for m in range(qs.size) for j in range(0, half, REFRESH_EVERY)]
-    dense = dict(zip(refreshes, solve_cycles(
-        tgt, [(p.with_phi(phis[j]), qs[m]) for m, j in refreshes])))
+    reps = {key: sads[:len(sads) // 2] for key, sads in zip(refreshes, solve_cycles(
+        tgt, [(p.with_phi(phis[j]), qs[m]) for m, j in refreshes]))}
+    carried = {}    # continued cell -> (predecessor of each branch, losses)
+    for s in range(1, REFRESH_EVERY):
+        cells = [(m, j + s) for m, j in refreshes if j + s < half]
+        # (cell, index of the branch in the cell before it)
+        branches = [(m, j, k) for m, j in cells for k in range(len(reps[m, j - 1]))]
+        out = continue_branches(
+            p, tgt, [qs[m] for m, _, _ in branches],
+            [reps[m, j - 1][k] for m, j, k in branches], "phi",
+            [phis[j] for _, j, _ in branches], start=[phis[j - 1] for _, j, _ in branches])
+        for cell in cells:
+            reps[cell], carried[cell] = [], ([], [])
+        for (m, j, k), res in zip(branches, out):
+            if isinstance(res, BranchLostError):
+                carried[m, j][1].append(f"branch {k} {res}")
+            else:
+                reps[m, j].append(res)
+                carried[m, j][0].append(k)
+    # cell phase, in the order of the sweep
     for m, q in enumerate(qs):
         prev_reps, prev_banned = None, None
         for j in range(half):
             phi = phis[j]
             if j % REFRESH_EVERY == 0:
-                sads = dense.pop((m, j))
-                reps = sads[:len(sads) // 2]
-                match = _match_indices(prev_reps or [], reps, p.period)
+                match = _match_indices(prev_reps or [], reps[m, j], p.period)
             else:
                 # each surviving branch is matched to the one it continues
-                reps, match = [], []
-                for k, res in enumerate(continue_branches(
-                        p.with_phi(phis[j - 1]), tgt, q, prev_reps, "phi", phi)):
-                    if isinstance(res, BranchLostError):
-                        gaps.append((q, phi, str(res)))
-                    else:
-                        reps.append(res)
-                        match.append(k)
+                match, lost = carried[m, j]
+                gaps.extend((q, phi, reason) for reason in lost)
             ix[m, j], iy[m, j], itot[m, j], rows, banned = _scan_cell(
-                p.with_phi(phi), tgt, q, reps, match, gaps, phi, dme_form,
+                p.with_phi(phi), tgt, q, reps[m, j], match, gaps, phi, dme_form,
                 prev_reps=prev_reps, prev_banned=prev_banned)
             for bid, row in rows.items():
                 tables.setdefault((q, bid), np.full((n_phi, 6), np.nan))[j] = row
-            prev_reps, prev_banned = reps, banned
+            prev_reps, prev_banned = reps[m, j], banned
     for a in (ix, iy, itot):
         a[:, half:] = a[:, :half]
     for table in tables.values():

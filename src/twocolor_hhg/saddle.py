@@ -293,17 +293,31 @@ def _newton_batch(p, tgt, q, phi, ti, tr):
     return ti, tr, rn, converged
 
 
-def _make_point(p, tgt, q, ti, tr):
-    """The SaddlePoint at a converged (ti, tr), from one kernel evaluation."""
-    t, state, ps = _terms_at(p, ti, tr)
-    f_rec, f_ion = _equations(p, tgt, q, state[3:5], state[5:7])
-    hess, hessdet = _hessian(state)
-    # the residual is the max over a 2-array: scalar abs can differ in the last bit
-    return SaddlePoint(ti=complex(ti), tr=complex(tr), ps=ps,
-                       action=complex(_action(p, tgt, q, t[0], t[1], state[0], ps)),
-                       hessdet=complex(hessdet), q=float(q),
-                       residual=float(np.abs((f_rec, f_ion)).max()),
-                       hess=hess, k_rec=state[3:5])
+def _points(p, tgt, q, phi, ti, tr):
+    """The SaddlePoints at converged (ti, tr), one per point, each at its own
+    order ``q`` and field phase ``phi``, from one kernel evaluation.
+
+    Each point's action, Hessian and residual are numpy-scalar arithmetic on
+    its own column of the kernel's terms, so every point is bit-identical to
+    one built alone.
+    """
+    t = np.array([ti, tr], dtype=complex)
+    state, ps = _terms(p, t, phi)
+    # one contiguous row per point, laid out as a lone point's terms are
+    t, state, ps = t.T.copy(), state.T.copy(), np.array(ps).T.copy()
+    out = []
+    for k in range(len(t)):
+        pk = p.with_phi(phi[k])
+        f_rec, f_ion = _equations(pk, tgt, q[k], state[k, 3:5], state[k, 5:7])
+        hess, hessdet = _hessian(state[k])
+        # the residual is the max over a 2-array: scalar abs can differ in the last bit
+        out.append(SaddlePoint(
+            ti=complex(t[k, 0]), tr=complex(t[k, 1]), ps=ps[k],
+            action=complex(_action(pk, tgt, q[k], t[k, 0], t[k, 1], state[k, 0], ps[k])),
+            hessdet=complex(hessdet), q=float(q[k]),
+            residual=float(np.abs((f_rec, f_ion)).max()),
+            hess=hess, k_rec=state[k, 3:5]))
+    return out
 
 
 def solve_seeds(p: FieldParams, tgt: TargetParams, q, phi, seed_ti, seed_tr):
@@ -313,8 +327,9 @@ def solve_seeds(p: FieldParams, tgt: TargetParams, q, phi, seed_ti, seed_tr):
     of each seed's field is ``p``'s.  All seeds go to one damped-Newton run
     and are judged seed by seed: a seed is accepted when tr != ti, the
     iteration converged, Im(ti) >= 0 and the converged |tr - ti| >= 1e-14.
-    The points are built one at a time, each on its seed's field, so each is
-    bit-identical to the one a single-seed solve returns.
+    The accepted points are built together (:func:`_points`), each on its
+    seed's field, and each is bit-identical to the one a single-seed solve
+    returns.
     """
     seed_ti = np.atleast_1d(np.asarray(seed_ti, dtype=complex))
     seed_tr = np.atleast_1d(np.asarray(seed_tr, dtype=complex))
@@ -338,7 +353,10 @@ def solve_seeds(p: FieldParams, tgt: TargetParams, q, phi, seed_ti, seed_tr):
             out.append(CoalescenceError(
                 "tr and ti coincide; stationary momentum undefined"))
         else:
-            out.append(_make_point(p.with_phi(phi[k]), tgt, q[k], ti[k], tr[k]))
+            out.append(None)
+    acc = [k for k, res in enumerate(out) if res is None]
+    for k, sp in zip(acc, _points(p, tgt, q[acc], phi[acc], ti[acc], tr[acc])):
+        out[k] = sp
     return out
 
 
@@ -448,6 +466,7 @@ def solve_cycles(tgt: TargetParams, cases):
         excursion = tr.real - ti.real
         # a purely imaginary excursion passes a plain Re tau > 0 by round-off
         good = conv & (ti.imag > 0) & (excursion > DEDUP_TOL) & (excursion <= tau_max)
+        picked = []
         for k in group:
             p, q = cases[k]
             sel = good & (owner == k)
@@ -457,8 +476,15 @@ def solve_cycles(tgt: TargetParams, cases):
             # fold Re(ti) into [0, T/2): a shift by T/2 lands on the partner saddle
             shift = np.floor(ti_k.real / half) * half
             ti_k, tr_k = ti_k - shift, tr_k - shift
-            out[k] = with_partners(p, [_make_point(p, tgt, q, ti_k[m], tr_k[m])
-                                       for m in _dedup(ti_k, tr_k, half)])
+            unique = _dedup(ti_k, tr_k, half)
+            picked.append((k, ti_k[unique], tr_k[unique]))
+        # the representatives of every case of the run, built together
+        case_of = np.concatenate([np.full(a.size, k) for k, a, _ in picked])
+        points = iter(_points(p0, tgt, q_of[case_of], phi_of[case_of],
+                              np.concatenate([a for _, a, _ in picked]),
+                              np.concatenate([b for *_, b in picked])))
+        for k, ti_k, _ in picked:
+            out[k] = with_partners(cases[k][0], [next(points) for _ in ti_k])
     return out
 
 
@@ -483,31 +509,37 @@ def _dedup(ti, tr, period):
 
 
 def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
-                      to_value):
+                      to_value, start=None):
     """Continue each saddle in q or phi; per branch the result or the loss.
 
     Returns a list parallel to ``saddles`` holding the continued SaddlePoint
     or the :class:`BranchLostError` of a branch that could not be recovered.
-    The branches advance in lockstep: each round is one Newton run over every
-    branch that has not reached ``to_value``, each from its own last point
-    and parameter value.  A branch whose step fails (diverges, or jumps by an
-    unphysically large amount) halves that step, and is lost after
-    CONTINUATION_HALVINGS halvings.
+    ``q``, ``to_value`` and ``start`` (the parameter's value at the saddles:
+    ``q`` or ``p.phi`` when not given) are scalars or one per branch, so one
+    call can carry branches of several orders and phase steps; the rest of
+    the field is ``p``'s.  The branches advance in lockstep: each round is
+    one Newton run over every branch that has not reached its target, each
+    from its own last point, parameter value and step.  A branch whose step
+    fails (diverges, or jumps by an unphysically large amount) halves that
+    step, and is lost after CONTINUATION_HALVINGS halvings.  Each branch's
+    result is that of a call for that branch alone.
     """
     if parameter not in ("q", "phi"):
         raise ValueError(f"unknown continuation parameter {parameter!r}")
-    start = q if parameter == "q" else p.phi
+    if start is None:
+        start = q if parameter == "q" else p.phi
     out = list(saddles)
-    at = [start] * len(out)
-    step = [to_value - start] * len(out)
+    q, at, target = (np.broadcast_to(np.asarray(v), len(out)).tolist()
+                     for v in (q, start, to_value))
+    step = [b - a for a, b in zip(at, target)]
     halvings = [0] * len(out)
     while True:
         todo = [k for k, cur in enumerate(out)
-                if isinstance(cur, SaddlePoint) and at[k] != to_value]
+                if isinstance(cur, SaddlePoint) and at[k] != target[k]]
         if not todo:
             return out
-        nxt = [_clamp(at[k] + step[k], step[k], to_value) for k in todo]
-        q_of, phi_of = (nxt, p.phi) if parameter == "q" else (q, nxt)
+        nxt = [_clamp(at[k] + step[k], step[k], target[k]) for k in todo]
+        q_of, phi_of = (nxt, p.phi) if parameter == "q" else ([q[k] for k in todo], nxt)
         cands = solve_seeds(p, tgt, q_of, phi_of, [out[k].ti for k in todo],
                             [out[k].tr for k in todo])
         for k, value, cand in zip(todo, nxt, cands):
@@ -519,7 +551,7 @@ def continue_branches(p: FieldParams, tgt: TargetParams, q, saddles, parameter,
             step[k] *= 0.5
             if halvings[k] > CONTINUATION_HALVINGS:
                 out[k] = BranchLostError(
-                    f"branch {k} lost continuing {parameter} -> {to_value} "
+                    f"lost continuing {parameter} -> {target[k]} "
                     f"(stalled at {at[k]})")
 
 

@@ -17,6 +17,7 @@ from conftest import E1, OMEGA
 GOLDEN_SCAN = Path(__file__).parent / "data" / "golden_scan_h24"
 GOLDEN_SCAN_R006 = Path(__file__).parent / "data" / "golden_scan_h24_r006"
 GOLDEN_SCAN_R1 = Path(__file__).parent / "data" / "golden_scan_h24_r1"
+GOLDEN_SCAN_Q14_17 = Path(__file__).parent / "data" / "golden_scan_q14_17_r006"
 GOLDEN_Q20_23 = Path(__file__).parent / "data" / "golden_q20_23"
 GOLDEN_Q20_23_R1 = Path(__file__).parent / "data" / "golden_q20_23_r1"
 
@@ -112,18 +113,23 @@ class TestScanCommand:
             tau = rec["tau"]
             assert min(tau, 2 * np.pi - tau, abs(tau - np.pi)) < 1e-3
 
-    @pytest.mark.parametrize("ratio, golden, names", [
-        ("0.12", GOLDEN_SCAN, ("scan.csv", "axes.csv")),
+    @pytest.mark.parametrize("orders, ratio, golden, names", [
+        (("24", "24"), "0.12", GOLDEN_SCAN, ("scan.csv", "axes.csv")),
         # continuation halves its steps, and the audit lists anti-Stokes phi-bans
-        ("0.06", GOLDEN_SCAN_R006, ("scan.csv", "axes.csv", "audit.txt")),
+        (("24", "24"), "0.06", GOLDEN_SCAN_R006, ("scan.csv", "axes.csv", "audit.txt")),
         # the paper's regime of comparable intensities of the two colours
-        ("1.0", GOLDEN_SCAN_R1, ("scan.csv", "axes.csv", "audit.txt")),
-    ], ids=["r012", "r006", "r1"])
-    def test_golden_bytes(self, ratio, golden, names, tmp_path, monkeypatch):
-        # reference tables of the H24 scan over 32 phases; the relative
-        # --outdir keeps the config echo in the header identical
+        (("24", "24"), "1.0", GOLDEN_SCAN_R1, ("scan.csv", "axes.csv", "audit.txt")),
+        # four orders share each continuation call: the order of the cells
+        # across orders, and each lost branch named by its index within its
+        # own order and refresh segment
+        (("14", "17"), "0.06", GOLDEN_SCAN_Q14_17, ("scan.csv", "axes.csv", "audit.txt")),
+    ], ids=["r012", "r006", "r1", "q14_17_r006"])
+    def test_golden_bytes(self, orders, ratio, golden, names, tmp_path, monkeypatch):
+        # reference tables of scans over 32 phases; the relative --outdir
+        # keeps the config echo in the header identical
         monkeypatch.chdir(tmp_path)
-        assert run(["scan", "--q-min", "24", "--q-max", "24", "--n-phi", "32",
+        q_min, q_max = orders
+        assert run(["scan", "--q-min", q_min, "--q-max", q_max, "--n-phi", "32",
                     "--ratio", ratio, "--outdir", "out"]) == 0
         for name in names:
             assert ((tmp_path / "out" / name).read_bytes()

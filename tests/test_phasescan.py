@@ -250,9 +250,13 @@ class TestRunScan:
         steps, cells = {}, {}
         cont, cell = phasescan.continue_branches, phasescan._scan_cell
 
-        def recording_continue(p, tgt, q, saddles, parameter, to_value):
-            steps[(q, to_value)] = cont(p, tgt, q, saddles, parameter, to_value)
-            return steps[(q, to_value)]
+        def recording_continue(p, tgt, q, saddles, parameter, to_value, start=None):
+            out = cont(p, tgt, q, saddles, parameter, to_value, start=start)
+            # one call carries every cell of a phi step, each cell's
+            # branches in order: file each result under its (q, phi) cell
+            for qk, phi, res in zip(q, to_value, out):
+                steps.setdefault((qk, phi), []).append(res)
+            return out
 
         def recording_cell(p, tgt, q, reps, *args, **kwargs):
             res = cell(p, tgt, q, reps, *args, **kwargs)
@@ -262,10 +266,14 @@ class TestRunScan:
         monkeypatch.setattr(phasescan, "continue_branches", recording_continue)
         monkeypatch.setattr(phasescan, "_scan_cell", recording_cell)
         scan = run_scan(params.with_ratio(0.06), target, range(14, 22), 32)
+        continued = [(q, phi) for q in scan.qs for j, phi in enumerate(scan.phis[:16])
+                     if j % phasescan.REFRESH_EVERY]
+        assert sorted(steps) == sorted(continued)
         assert len(steps) == 8 * 14     # 16 cells per order, 2 refreshes
         for (q, phi), out in steps.items():
             prev_reps, prev_banned = cells[(q, scan.phis[scan.phis < phi][-1])]
             reps, banned = cells[(q, phi)]
+            assert len(out) == len(prev_reps)
             kept = [(k, sp) for k, sp in enumerate(out)
                     if not isinstance(sp, BranchLostError)]
             assert all(sp is rep for (_, sp), rep in zip(kept, reps))
@@ -274,6 +282,21 @@ class TestRunScan:
                 grows = (amplitude(sp) > phasescan.PHI_GROWTH_FACTOR
                          * amplitude(prev_reps[k]))
                 assert flag == (prev_banned[k] or grows), (q, phi, k)
+
+    def test_one_continuation_per_phi_step(self, params, target, monkeypatch):
+        # every order and every refresh segment advances in one call per
+        # phi step: REFRESH_EVERY - 1 calls, not one per continued cell
+        calls = []
+        cont = phasescan.continue_branches
+
+        def counted_continue(*args, **kwargs):
+            calls.append(len(args[3]))
+            return cont(*args, **kwargs)
+
+        monkeypatch.setattr(phasescan, "continue_branches", counted_continue)
+        run_scan(params.with_ratio(0.06), target, range(14, 22), 32)
+        assert len(calls) == phasescan.REFRESH_EVERY - 1 == 7
+        assert all(calls)
 
 
 class TestFailedCell:

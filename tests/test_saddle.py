@@ -743,6 +743,8 @@ def assert_same_point(a, b):
     assert a.ps.tobytes() == b.ps.tobytes()
     assert a.action == b.action and a.hessdet == b.hessdet
     assert a.q == b.q and a.residual == b.residual
+    assert a.hess.tobytes() == b.hess.tobytes()
+    assert a.k_rec.tobytes() == b.k_rec.tobytes()
 
 
 def assert_same_outcome(got, ref):
@@ -760,6 +762,54 @@ def single_solve(p, tgt, q, ti, tr):
         return newton_solve(p, tgt, q, ti, tr)
     except (NoConvergenceError, CoalescenceError) as exc:
         return exc
+
+
+def single_build(p, tgt, q, ti, tr):
+    """Reference: the SaddlePoint at (ti, tr) from a one-point kernel call
+    through the public functions' path, with numpy-scalar arithmetic."""
+    t, state, ps = saddle._terms_at(p, ti, tr)
+    f_rec, f_ion = saddle._equations(p, tgt, q, state[3:5], state[5:7])
+    hess, hessdet = saddle._hessian(state)
+    action = saddle._action(p, tgt, q, t[0], t[1], state[0], ps)
+    return SaddlePoint(ti=complex(ti), tr=complex(tr), ps=ps, action=complex(action),
+                       hessdet=complex(hessdet), q=float(q),
+                       residual=float(np.abs((f_rec, f_ion)).max()),
+                       hess=hess, k_rec=state[3:5])
+
+
+class TestBatchBuiltPoints:
+    """The points of one Newton run are built from one kernel call, each
+    bit-identical to a point built alone on its own field."""
+
+    RATIOS = (0.06, 0.12, 0.18, 0.5, 1.0)
+
+    @pytest.fixture(scope="class", params=RATIOS, ids=lambda r: f"R{r}")
+    def cases(self, request, params, target):
+        # one run over four orders, each at its own phase
+        p = params.with_ratio(request.param)
+        cases = [(p.with_phi(0.37 * k + 0.1), q) for k, q in enumerate((14, 21, 28, 35))]
+        return cases, saddle.solve_cycles(target, cases)
+
+    def test_solve_cycles(self, target, cases):
+        cases, got = cases
+        assert sum(len(sads) for sads in got) > 20
+        for (p, q), sads in zip(cases, got):
+            for sp in sads[:len(sads) // 2]:
+                assert_same_point(sp, single_build(p, target, q, sp.ti, sp.tr))
+
+    def test_solve_seeds(self, target, cases):
+        cases, solved = cases
+        reps = [(p, q, sp) for (p, q), sads in zip(cases, solved)
+                for sp in sads[:len(sads) // 2]]
+        got = solve_seeds(cases[0][0], target, [q for _, q, _ in reps],
+                          [p.phi for p, _, _ in reps],
+                          [sp.ti + 0.01 for *_, sp in reps],
+                          [sp.tr - 0.01 for *_, sp in reps])
+        points = [(p, q, g) for (p, q, _), g in zip(reps, got)
+                  if isinstance(g, SaddlePoint)]
+        assert len(points) > 20
+        for p, q, g in points:
+            assert_same_point(g, single_build(p, target, q, g.ti, g.tr))
 
 
 class TestSolveSeeds:
@@ -913,3 +963,32 @@ class TestContinueBranches:
 
     def test_empty_branch_list(self, params, target):
         assert continue_branches(params, target, 24, [], "phi", 0.5) == []
+
+    def test_one_call_over_orders_and_segments(self, params, target):
+        # H14 and H15 at R = 0.06 over the first step of two refresh
+        # segments of a 32-phase scan, in one call with a (q, start,
+        # target) per branch; at phi = 0 one branch of each order is lost
+        p = params.with_ratio(0.06)
+        phis = 2.0 * np.pi * np.arange(32) / 32
+        branches = []
+        for q in (14, 15):
+            for j in (0, 8):
+                sads = solve_cycle(p.with_phi(phis[j]), target, q)
+                branches += [(q, j, sp) for sp in sads[:len(sads) // 2]]
+        got = continue_branches(p, target, [q for q, _, _ in branches],
+                                [sp for *_, sp in branches], "phi",
+                                [phis[j + 1] for _, j, _ in branches],
+                                start=[phis[j] for _, j, _ in branches])
+        assert len(got) == len(branches)
+        lost = 0
+        for (q, j, sp), g in zip(branches, got):
+            (ref,) = continue_branches(p.with_phi(phis[j]), target, q, [sp], "phi",
+                                       phis[j + 1])
+            if isinstance(ref, BranchLostError):
+                lost += 1
+                assert isinstance(g, BranchLostError)
+                assert str(g) == str(ref)
+                assert str(g).startswith("lost continuing phi -> 0.196")
+            else:
+                assert_same_point(g, ref)
+        assert lost >= 2
