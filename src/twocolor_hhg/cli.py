@@ -310,13 +310,13 @@ def cmd_scan(p, tgt, opts, echo, args):
         try:
             fit = fourier_fit(series, scan.phis)
         except NonFiniteSampleError as exc:     # failed cells are NaN
-            fits[f"H{int(q)}"] = {"error": f"refused ({exc})"}
+            fits[f"H{q:g}"] = {"error": f"refused ({exc})"}
             continue
         try:
             modality, n_max = classify_modality(series, scan.phis)
         except ClassificationRefusedError as exc:
             modality, n_max = f"refused ({exc})", 0
-        fits[f"H{int(q)}"] = {
+        fits[f"H{q:g}"] = {
             "a0": fit.a0, "a1": fit.a1, "b1": fit.b1, "a2": fit.a2,
             "b2": fit.b2, "a4": fit.a4, "b4": fit.b4,
             "extended": fit.extended, "tau": fit.tau, "rms": fit.rms,
@@ -398,21 +398,21 @@ def cmd_fit(p, tgt, opts, echo, args):
     for q in sorted(set(mq)):
         msel, rsel = mq == q, rq == q
         if not rsel.any():
-            report[f"H{int(q)}"] = {"error": "order missing from reference"}
+            report[f"H{q:g}"] = {"error": "order missing from reference"}
             continue
         try:
             ref_fit = fourier_fit(rval[rsel], rphi[rsel])
-        except NonFiniteSampleError as exc:
-            raise UsageError(f"{args.reference}: H{int(q)}: {exc}") from None
+        except (NonFiniteSampleError, SamplingError) as exc:
+            raise UsageError(f"{args.reference}: H{q:g}: {exc}") from None
         try:
             tau = align_shift(ref_fit, mval[msel], mphi[msel])
-        except NonFiniteSampleError as exc:
-            raise UsageError(f"{args.data}: H{int(q)}: {exc}") from None
+        except (NonFiniteSampleError, SamplingError) as exc:
+            raise UsageError(f"{args.data}: H{q:g}: {exc}") from None
         try:
             modality, n_max = classify_modality(mval[msel], mphi[msel])
         except ClassificationRefusedError as exc:
             modality, n_max = f"refused ({exc})", 0
-        report[f"H{int(q)}"] = {
+        report[f"H{q:g}"] = {
             "tau": tau, "rms": ref_fit.rms, "extended": ref_fit.extended,
             "modality": modality, "maxima_per_pi": n_max,
         }

@@ -19,7 +19,7 @@ series; they are kept in the model for experimental data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -283,7 +283,8 @@ def _lstsq_scaled(a, y):
 
 def _samples(series, phase_grid):
     """The series and its phase grid as float arrays; NonFiniteSampleError
-    if either holds a NaN or infinity (a failed scan cell is NaN)."""
+    if either holds a NaN or infinity (a failed scan cell is NaN), and
+    ValueError if they differ in length."""
     y = np.asarray(series, dtype=float)
     phis = np.asarray(phase_grid, dtype=float)
     for what, v in (("series", y), ("phase grid", phis)):
@@ -291,6 +292,8 @@ def _samples(series, phase_grid):
         if bad:
             raise NonFiniteSampleError(f"{bad} of {v.size} {what} samples "
                                        "are not finite")
+    if y.shape != phis.shape:
+        raise ValueError("series and phase grid differ in length")
     return y, phis
 
 
@@ -304,8 +307,6 @@ def fourier_fit(series, phase_grid, extended=None):
     """
     y, phis = _samples(series, phase_grid)
     _check_samples(y.size, 8, "points")
-    if y.shape != phis.shape:
-        raise ValueError("series and phase grid differ in length")
 
     def solve(ext):
         a = _design_matrix(phis, ext)
@@ -326,53 +327,49 @@ def fourier_fit(series, phase_grid, extended=None):
     return fit
 
 
+def _best_shift(taus, ks, coef, y):
+    """The shift of ``taus`` whose model, the (tau x 7) basis of ``ks`` times
+    the (7 x phi) ``coef``, is nearest ``y`` in least squares (the first one
+    on a tie)."""
+    basis = np.ones((taus.size, 7))
+    basis[:, 1::2] = np.cos(taus[:, None] * ks)
+    basis[:, 2::2] = np.sin(taus[:, None] * ks)
+    resid = basis @ coef
+    resid -= y
+    return taus[np.argmin(np.einsum("ij,ij->i", resid, resid))]
+
+
 def align_shift(reference_fit: ModulationFit, measured, phase_grid):
     """Alignment shift tau minimizing sum (f_fit(phi - tau) - measured)^2.
 
-    Coarse grid search at 1e-3 resolution over [0, 2pi), then bounded local
-    refinement.  A reference fit with no oscillatory content has a flat
-    objective; that case warns and returns tau = 0.  Non-finite samples
-    raise NonFiniteSampleError.
+    Grid search at 1e-3 resolution over [0, 2pi), then two zooms onto a
+    1000x finer grid over the cell around the minimum (1e-9 resolution).
+    A reference fit with no oscillatory content has a flat objective; that
+    case warns and returns tau = 0.  Fewer than 8 samples raise
+    SamplingError, non-finite samples NonFiniteSampleError.
     """
-    # scipy.optimize takes about half a second to import; only the fit
-    # subcommand needs it, so it is loaded here and not with the package
-    from scipy.optimize import minimize_scalar
-
     y, phis = _samples(measured, phase_grid)
+    _check_samples(y.size, 8, "points")
     osc = np.array([reference_fit.a1, reference_fit.b1, reference_fit.a2,
                     reference_fit.b2, reference_fit.a4, reference_fit.b4])
     if np.max(np.abs(osc)) <= 1e-12 * abs(reference_fit.a0):
         warnings.warn("constant reference fit: alignment shift is degenerate",
                       stacklevel=2)
         return 0.0
-    base = replace(reference_fit, tau=0.0)
-    taus = np.arange(0.0, 2.0 * np.pi, TAU_GRID_STEP)
     # f(phi - tau) = a0 + sum over k = 1, 2, 4 of cos(k tau) (a_k cos k phi +
     # b_k sin k phi) + sin(k tau) (a_k sin k phi - b_k cos k phi): a
     # (tau x 7) basis times a (7 x phi) coefficient matrix
     ks = np.array([1.0, 2.0, 4.0])
-    a = np.array([base.a1, base.a2, base.a4])[:, None]
-    b = np.array([base.b1, base.b2, base.b4])[:, None]
+    a, b = osc[0::2, None], osc[1::2, None]
     cos_kphi, sin_kphi = np.cos(ks[:, None] * phis), np.sin(ks[:, None] * phis)
     coef = np.empty((7, phis.size))
-    coef[0] = base.a0
+    coef[0] = reference_fit.a0
     coef[1::2] = a * cos_kphi + b * sin_kphi
     coef[2::2] = a * sin_kphi - b * cos_kphi
-    basis = np.ones((taus.size, 7))
-    basis[:, 1::2] = np.cos(taus[:, None] * ks)
-    basis[:, 2::2] = np.sin(taus[:, None] * ks)
-    resid = basis @ coef
-    resid -= y
-    k = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
-
-    def f(tau):
-        return float(((base.evaluate(phis - tau) - y) ** 2).sum())
-
-    res = minimize_scalar(f, bounds=(taus[k] - TAU_GRID_STEP,
-                                     taus[k] + TAU_GRID_STEP),
-                          method="bounded",
-                          options={"xatol": 1e-8})
-    tau = float(res.x % (2.0 * np.pi))
+    tau = _best_shift(np.arange(0.0, 2.0 * np.pi, TAU_GRID_STEP), ks, coef, y)
+    for cell in (TAU_GRID_STEP, TAU_GRID_STEP / 1000):
+        tau = _best_shift(tau + np.linspace(-cell, cell, 2001), ks, coef, y)
+    tau = float(tau % (2.0 * np.pi))
     if 2.0 * np.pi - tau < 1e-6:   # refined just below the wrap point
         tau = 0.0
     return tau

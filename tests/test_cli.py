@@ -372,7 +372,16 @@ class TestFitInputErrors:
         data = _phase_table(tmp_path / "data.csv", grid)
         ref = _phase_table(tmp_path / "ref.csv", grid[:6])
         assert self.fit_fails(data, ref, tmp_path, capsys) == \
-            "error: need at least 8 points, got 6"
+            f"error: {ref}: H24: need at least 8 points, got 6"
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_data_with_too_few_phases(self, n, tmp_path, capsys):
+        # a short measured order is refused, not aligned
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        data = _phase_table(tmp_path / "data.csv", grid[:n])
+        ref = _phase_table(tmp_path / "ref.csv", grid)
+        assert self.fit_fails(data, ref, tmp_path, capsys) == \
+            f"error: {data}: H24: need at least 8 points, got {n}"
 
     def test_reference_that_cannot_resolve_the_model(self, tmp_path, capsys):
         grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
@@ -443,6 +452,25 @@ class TestFitColumns:
                 == (tmp_path / "plain" / "fit_report.json").read_bytes())
 
 
+class TestFitOrders:
+    def test_non_integer_orders_keep_their_own_keys(self, tmp_path):
+        # orders 20 and 20.5 are two reports, neither overwrites the other
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        tables = [_phase_table(tmp_path / f"q{q}.csv", grid, q)
+                  for q in (20, 20.5)]
+        both = tmp_path / "both.csv"
+        both.write_text(tables[0].read_text()
+                        + tables[1].read_text().split("\n", 1)[1])
+        assert run(["fit", both, "--reference", both, "--outdir", tmp_path]) == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        assert sorted(report) == ["H20", "H20.5"]
+        for q in (20, 20.5):
+            assert run(["fit", tmp_path / f"q{q}.csv", "--reference", both,
+                        "--outdir", tmp_path / f"only{q}"]) == 0
+            only = json.loads((tmp_path / f"only{q}" / "fit_report.json").read_text())
+            assert only == {f"H{q:g}": report[f"H{q:g}"]}
+
+
 class TestRoundTrip:
     def test_all_emitted_tables_reingest(self, tmp_path):
         assert run(["spectrum", "--q-min", "20", "--q-max", "21",
@@ -456,13 +484,22 @@ class TestRoundTrip:
                 assert len(v) > 0
 
 
-def test_scipy_optimize_not_loaded_by_the_cli():
-    # only the fit subcommand needs scipy.optimize, and it imports it itself
+def test_scipy_optimize_not_loaded_by_the_cli(tmp_path):
+    # numpy is the only runtime dependency: with scipy made unimportable,
+    # the package imports and scan and fit run and write their reports
     src = Path(__file__).parent.parent / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "from twocolor_hhg import cli; "
-            "cli.resolve_config(cli.build_parser().parse_args(['spectrum'])); "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(src)],
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "sys.path.insert(0, sys.argv[1]); "
+            "from twocolor_hhg.cli import main; out = sys.argv[2]; "
+            "s = main(['scan', '--q-min', '24', '--q-max', '24', "
+            "'--n-phi', '32', '--outdir', out]); "
+            "f = main(['fit', out + '/scan.csv', '--reference', "
+            "out + '/scan.csv', '--outdir', out]); "
+            "print(s, f, [m for m in sys.modules if m.startswith('scipy')])")
+    out = subprocess.run([sys.executable, "-c", code, str(src), str(tmp_path)],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "0 0 ['scipy']"
+    for name in ("scan.csv", "fits.json", "fit_report.json"):
+        assert (tmp_path / name).stat().st_size > 0
+    report = json.loads((tmp_path / "fit_report.json").read_text())
+    assert set(report) == {"H24"} and "tau" in report["H24"]

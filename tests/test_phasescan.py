@@ -5,9 +5,9 @@ import pytest
 
 from twocolor_hhg import (BranchLostError, ClassificationRefusedError,
                           IllConditionedFitError, NoConvergenceError,
-                          NonFiniteSampleError, PoleError, align_shift,
-                          classify_modality, fourier_fit, harmonic_dipole,
-                          phasescan, run_scan)
+                          NonFiniteSampleError, PoleError, SamplingError,
+                          align_shift, classify_modality, fourier_fit,
+                          harmonic_dipole, phasescan, run_scan)
 from twocolor_hhg.taxonomy import amplitude
 
 
@@ -114,18 +114,17 @@ class TestCoarseShiftSearch:
     def test_matches_direct_model_evaluation(self, monkeypatch):
         # the coarse tau grid's argmin is the one the model evaluated at
         # every (tau, phi) point gives, for shifted noisy bimodal series
-        # (the bounded refinement starts from it)
+        # (the zooms start from it)
         from dataclasses import replace
-        import scipy.optimize
 
-        starts = []
-        real = scipy.optimize.minimize_scalar
+        found = []
+        real = phasescan._best_shift
 
-        def spy(f, bounds, **kwargs):
-            starts.append(bounds[0] + phasescan.TAU_GRID_STEP)
-            return real(f, bounds=bounds, **kwargs)
+        def spy(taus, *args):
+            found.append(real(taus, *args))
+            return found[-1]
 
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", spy)
+        monkeypatch.setattr(phasescan, "_best_shift", spy)
         rng = np.random.default_rng(4)
         y = 1.0 + 0.2 * np.cos(2 * GRID64) + 0.3 * np.sin(GRID64) + 0.6 * np.cos(4 * GRID64)
         fit = fourier_fit(y, GRID64)
@@ -136,9 +135,69 @@ class TestCoarseShiftSearch:
                         * (1.0 + 0.01 * rng.standard_normal(64)))
             model = replace(fit, tau=0.0).evaluate(GRID64[None, :] - taus[:, None])
             want = taus[np.argmin(((model - measured) ** 2).sum(axis=1))]
-            starts.clear()
+            found.clear()
             align_shift(fit, measured, GRID64)
-            assert starts[0] == pytest.approx(want, abs=1e-9)
+            assert len(found) == 3
+            assert found[0] == pytest.approx(want, abs=1e-9)
+
+
+class TestShiftAccuracy:
+    """The zoomed grid search lands on the least-squares minimum: within
+    1e-8 rad of a bounded Brent minimization to 1e-12."""
+
+    SHAPES = {
+        "monomodal": 1.0 + 0.3 * np.cos(2 * GRID64),
+        "bimodal": 1.0 + 0.2 * np.cos(2 * GRID64) + 0.6 * np.cos(4 * GRID64),
+        "bimodal-odd": (1.0 + 0.2 * np.cos(2 * GRID64) + 0.3 * np.sin(GRID64)
+                        + 0.6 * np.cos(4 * GRID64)),
+    }
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01, 0.05])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_a_tight_minimizer(self, shape, noise):
+        from dataclasses import replace
+        from scipy.optimize import minimize_scalar
+
+        rng = np.random.default_rng(7)
+        fit = fourier_fit(self.SHAPES[shape], GRID64)
+        base = replace(fit, tau=0.0)
+        # random shifts, and shifts whose coarse cell or zoom window
+        # straddles the 0 / 2 pi wrap
+        shifts = [*(2.0 * np.pi * rng.random(8)), 2e-4, 7e-4, 1.3e-3,
+                  2.0 * np.pi - 5e-5, 2.0 * np.pi - 3e-4, 2.0 * np.pi - 1.2e-3]
+        for shift in shifts:
+            measured = (fit.evaluate(GRID64 - shift)
+                        * (1.0 + noise * rng.standard_normal(64)))
+            tau = align_shift(fit, measured, GRID64)
+            assert 0.0 <= tau < 2.0 * np.pi
+            ref = minimize_scalar(
+                lambda t: float(((base.evaluate(GRID64 - t) - measured) ** 2).sum()),
+                bounds=(tau - 2e-3, tau + 2e-3), method="bounded",
+                options={"xatol": 1e-12}).x
+            assert abs((tau - ref + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-8
+
+
+class TestSampleChecks:
+    """One input check for the three phase-series functions."""
+
+    FIT = fourier_fit(1.0 + 0.3 * np.cos(2 * GRID64), GRID64)
+    CALLS = {
+        "fourier_fit": fourier_fit,
+        "align_shift": lambda y, g: align_shift(TestSampleChecks.FIT, y, g),
+        "classify_modality": classify_modality,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_length_mismatch(self, name):
+        y = 1.0 + 0.3 * np.cos(2 * GRID64)
+        with pytest.raises(ValueError, match="differ in length"):
+            self.CALLS[name](y, GRID64[:32])
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_align_shift_needs_eight_samples(self, n):
+        g = 2.0 * np.pi * np.arange(n) / n
+        with pytest.raises(SamplingError, match=f"at least 8 points, got {n}"):
+            align_shift(self.FIT, 1.0 + 0.3 * np.cos(2 * g), g)
 
 
 class TestClassifyModality:

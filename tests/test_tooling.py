@@ -1,6 +1,9 @@
-"""Repository tooling: the CI install step and the package's test extra."""
+"""Repository tooling: the CI install step, the package's test extra and
+its runtime dependencies."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +32,32 @@ def test_ci_installs_the_test_extra_pins():
     ci, extra = workflow_pins(), extra_pins()
     assert extra and all("==" in req for req in extra), extra
     assert sorted(ci) == sorted(extra)
+
+
+def runtime_dependencies():
+    """The distribution names in pyproject.toml's [project] dependencies."""
+    text = (ROOT / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    (body,) = re.findall(r"^dependencies\s*=\s*\[(.*?)\]", project,
+                         flags=re.M | re.S)
+    return {re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0]
+            for req in re.findall(r'"([^"]+)"', body)}
+
+
+def third_party_imports():
+    """The top-level modules imported anywhere under src/ (inside functions
+    too) that are neither the standard library's nor the package's own."""
+    names = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"twocolor_hhg"}
+
+
+def test_runtime_dependencies_are_the_imports():
+    # a module imported under src/ but not declared breaks a plain install;
+    # one declared but not imported is a dependency nothing needs
+    assert third_party_imports() == runtime_dependencies()
