@@ -402,7 +402,7 @@ def cmd_fit(p, tgt, opts, echo, args):
             continue
         try:
             ref_fit = fourier_fit(rval[rsel], rphi[rsel])
-        except (NonFiniteSampleError, SamplingError) as exc:
+        except (NonFiniteSampleError, SamplingError, IllConditionedFitError) as exc:
             raise UsageError(f"{args.reference}: H{q:g}: {exc}") from None
         try:
             tau = align_shift(ref_fit, mval[msel], mphi[msel])

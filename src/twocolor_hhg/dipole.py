@@ -72,11 +72,12 @@ def dme(k, Ip, form="paper"):
     ``form="paper"`` uses the denominator (k^2 + sqrt(2 Ip))^2; the
     ``"hydrogenic"`` switch substitutes the standard (k^2 + 2 Ip)^2.  k^2 is
     the unconjugated self-product, so complex momenta are continued
-    analytically.
+    analytically; real momenta keep k^2 and the denominator real.
     """
     if form not in DME_FORMS:
         raise ValueError(f"unknown dme form {form!r}")
-    k = np.asarray(k, dtype=complex)
+    k = np.asarray(k)
+    k = k.astype(np.result_type(k, float), copy=False)
     k2 = (k * k).sum(axis=0)
     shift = np.sqrt(2.0 * Ip) if form == "paper" else 2.0 * Ip
     den = (k2 + shift) ** 2

@@ -119,15 +119,16 @@ def _sincos(p: FieldParams, t, phi=None):
     s2x, c2x, ch2, sh2 = 2.0 * sx * cx, cx * cx - sx * sx, ch * ch + sh * sh, 2.0 * sh * ch
     sp, cp = np.sin(phi), np.cos(phi)
     s, c = s2x * cp + c2x * sp, c2x * cp - s2x * sp      # of 2x + phi
-    return (_complex(sx * ch, cx * sh), _complex(cx * ch, -sx * sh),
-            _complex(s * ch2, c * sh2), _complex(c * ch2, -s * sh2))
-
-
-def _complex(re, im):
-    """re + i im, assembled without complex arithmetic."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out[()]
+    # re + i im of the four results, written into the real and imaginary
+    # views of one array without complex arithmetic
+    out = np.empty((4,) + t.shape, dtype=complex)
+    re, im = out.real, out.imag
+    for k, (r1, r2, i1, i2) in enumerate(((sx, ch, cx, sh), (cx, ch, sx, sh),
+                                           (s, ch2, c, sh2), (c, ch2, s, sh2))):
+        np.multiply(r1, r2, out=re[k, ...])
+        np.multiply(i1, i2, out=im[k, ...])
+    np.negative(im[1::2], out=im[1::2])    # the cosines' -sin x sinh y
+    return tuple(out)
 
 
 # The field components (x, y) from the sines/cosines of the two phases, which

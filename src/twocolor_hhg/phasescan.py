@@ -370,7 +370,7 @@ def align_shift(reference_fit: ModulationFit, measured, phase_grid):
     for cell in (TAU_GRID_STEP, TAU_GRID_STEP / 1000):
         tau = _best_shift(tau + np.linspace(-cell, cell, 2001), ks, coef, y)
     tau = float(tau % (2.0 * np.pi))
-    if 2.0 * np.pi - tau < 1e-6:   # refined just below the wrap point
+    if 2.0 * np.pi - tau < cell / 1000:   # within the last zoom step of the wrap point
         tau = 0.0
     return tau
 

@@ -122,17 +122,23 @@ def _terms_at(p, ti, tr):
     return t, state.reshape((11,) + shape), np.array(ps).reshape((2,) + shape)
 
 
+def _dot(a, b):
+    """Unconjugated a . b of 2-vectors along axis 0; sliced rows keep even one
+    point's products in numpy's array loop, not its scalar one (see README)."""
+    return (a[0:1] * b[0:1] + a[1:2] * b[1:2])[0]
+
+
 def _equations(p, tgt, q, vr, vi):
     """The saddle equations (F_rec, F_ion) from the two velocities."""
-    f_rec = 0.5 * (vr * vr).sum(axis=0) + tgt.Ip - q * p.omega
-    f_ion = 0.5 * (vi * vi).sum(axis=0) + tgt.Ip
+    f_rec = 0.5 * _dot(vr, vr) + tgt.Ip - q * p.omega
+    f_ion = 0.5 * _dot(vi, vi) + tgt.Ip
     return f_rec, f_ion
 
 
 def _curvatures(tau, vr, vi, er, ei):
     """a = d2S/dti2 and c = d2S/dtr2, including dp_s/dt terms."""
-    return ((vi * vi).sum(axis=0) / tau - (vi * ei).sum(axis=0),
-            (vr * vr).sum(axis=0) / tau + (vr * er).sum(axis=0))
+    return (_dot(vi, vi) / tau - _dot(vi, ei),
+            _dot(vr, vr) / tau + _dot(vr, er))
 
 
 def _hessian(state):
@@ -143,13 +149,13 @@ def _hessian(state):
     """
     tau, vr, vi = state[0], state[3:5], state[5:7]
     a, c = _curvatures(tau, vr, vi, state[7:9], state[9:11])
-    b = -(vi * vr).sum(axis=0) / tau
+    b = -_dot(vi, vr) / tau
     return np.array([[a, b], [b, c]]), a * c - b * b
 
 
 def _action(p, tgt, q, ti, tr, tau, ps):
     """S(ti, tr) in closed form, given tau and p_s there."""
-    return (-tgt.Ip * tau + 0.5 * (ps * ps).sum(axis=0) * tau
+    return (-tgt.Ip * tau + 0.5 * _dot(ps, ps) * tau
             - 0.5 * apot_sq_integral(p, ti, tr) + q * p.omega * tr)
 
 
@@ -204,14 +210,14 @@ def _jacobian(state):
     vr, vi, er, ei = state[3:5], state[5:7], state[7:9], state[9:11]
     with np.errstate(all="ignore"):
         a, c = _curvatures(tau, vr, vi, er, ei)
-        d = (vr * vi).sum(axis=0) / tau
+        d = _dot(vr, vi) / tau
     return (f_rec, f_ion), ((d, -c), (a, -d))
 
 
 def _line_search(p, tgt, q, phi, ti, tr, dti, dtr, base, first, count):
     """Try the steps t + 2^-k d, k = first, ..., first + count - 1, of every
-    seed in one kernel call.  Returns per seed (k, norm, state) of its first
-    trial with a norm below ``base``, else of its last."""
+    seed in one kernel call.  Returns per seed (k, norm, state column) of its
+    first trial with a norm below ``base``, else of its last, then the state."""
     start = np.cumsum(count) - count
     of = np.repeat(np.arange(count.size), count)
     at = np.arange(of.size)
@@ -221,7 +227,7 @@ def _line_search(p, tgt, q, phi, ti, tr, dti, dtr, base, first, count):
                             tr[of] + scale * dtr[of])
     pick = np.minimum.reduceat(np.where(norm < base[of], at, (start + count - 1)[of]),
                                start)
-    return k[pick], norm[pick], state[:, pick]
+    return k[pick], norm[pick], pick, state
 
 
 def _newton_batch(p, tgt, q, phi, ti, tr):
@@ -243,13 +249,16 @@ def _newton_batch(p, tgt, q, phi, ti, tr):
     q = np.broadcast_to(np.asarray(q, dtype=float), ti.shape)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), ti.shape)
     rn, state = _evaluate(p, tgt, q, phi, ti, tr)
-    alive = np.isfinite(rn)
-    depth = np.zeros(ti.shape, dtype=int)
+    converged = rn <= RESIDUAL_TOL
+    # the seeds still iterating, compacted: their positions in the batch and
+    # their working values, written back once, when the seed stops
+    at = np.flatnonzero(np.isfinite(rn) & ~converged)
+    ti0, tr0, qa, pa, base = ti[at], tr[at], q[at], phi[at], rn[at]
+    state, depth = state[:, at], np.zeros(at.size, dtype=int)
     for _ in range(NEWTON_MAX_ITER):
-        idx = np.flatnonzero(alive & (rn > RESIDUAL_TOL))
-        if not idx.size:
+        if not at.size:
             break
-        (f_rec, f_ion), ((j00, j01), (j10, j11)) = _jacobian(state[:, idx])
+        (f_rec, f_ion), ((j00, j01), (j10, j11)) = _jacobian(state)
         det = j00 * j11 - j01 * j10
         singular = np.abs(det) < 1e-300
         det = np.where(singular, 1.0, det)
@@ -266,30 +275,38 @@ def _newton_batch(p, tgt, q, phi, ti, tr):
         dtr = dtr * factor
         # step-halving line search on the residual max-norm: first the
         # predicted depth, then twice as many further halvings per round
-        ti0, tr0, qa, pa, base = ti[idx], tr[idx], q[idx], phi[idx], rn[idx]
-        halvings, trial, trial_state = _line_search(
-            p, tgt, qa, pa, ti0, tr0, dti, dtr, base, 0, depth[idx] + 1)
-        count = 1
+        halvings, trial, pick, trial_state = _line_search(
+            p, tgt, qa, pa, ti0, tr0, dti, dtr, base, 0, depth + 1)
+        later, count = [], 1
         while True:
             worse = np.flatnonzero(~(trial < base) & (halvings < NEWTON_MAX_HALVINGS))
             if not worse.size:
                 break
-            halvings[worse], trial[worse], trial_state[:, worse] = _line_search(
+            halvings[worse], trial[worse], *found = _line_search(
                 p, tgt, qa[worse], pa[worse], ti0[worse], tr0[worse], dti[worse],
                 dtr[worse], base[worse], halvings[worse] + 1,
                 np.minimum(count, NEWTON_MAX_HALVINGS - halvings[worse]))
+            later.append((worse, *found))
             count *= 2
         improved = trial < base
-        moved = idx[improved]
         scale = np.ldexp(1.0, -halvings[improved])
-        ti[moved] = ti0[improved] + scale * dti[improved]
-        tr[moved] = tr0[improved] + scale * dtr[improved]
-        rn[moved] = trial[improved]
-        state[:, moved] = trial_state[:, improved]
-        depth[moved] = halvings[improved]
-        # a trial that is not better (no longer finite, or not improved) ends the seed
-        alive[idx[~improved]] = False
-    converged = alive & (rn <= RESIDUAL_TOL)
+        ti0[improved] += scale * dti[improved]
+        tr0[improved] += scale * dtr[improved]
+        base[improved] = trial[improved]
+        # no better trial (not finite, or not lower) ends a seed, as does convergence
+        going = improved & (trial > RESIDUAL_TOL)
+        stop = ~going
+        done = at[stop]
+        ti[done], tr[done], rn[done], converged[done] = (
+            ti0[stop], tr0[stop], base[stop], improved[stop])
+        at, ti0, tr0, qa, pa, base = (a[going] for a in (at, ti0, tr0, qa, pa, base))
+        # each going seed's state: its pick in the last round that tried it
+        state, depth = trial_state[:, pick[going]], halvings[going]
+        rank = np.cumsum(going) - 1
+        for worse, pick, trial_state in later:
+            on = going[worse]
+            state[:, rank[worse[on]]] = trial_state[:, pick[on]]
+    ti[at], tr[at], rn[at] = ti0, tr0, base
     return ti, tr, rn, converged
 
 

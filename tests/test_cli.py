@@ -388,7 +388,7 @@ class TestFitInputErrors:
         data = _phase_table(tmp_path / "data.csv", grid)
         ref = _phase_table(tmp_path / "ref.csv", np.zeros(16))
         assert self.fit_fails(data, ref, tmp_path, capsys) == \
-            "error: degenerate design matrix column"
+            f"error: {ref}: H24: degenerate design matrix column"
 
     @pytest.mark.parametrize("bad", ["data", "reference"])
     def test_non_finite_sample(self, bad, tmp_path, capsys):

@@ -176,6 +176,14 @@ class TestShiftAccuracy:
                 options={"xatol": 1e-12}).x
             assert abs((tau - ref + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-8
 
+    @pytest.mark.parametrize("gap", [5e-7, 2e-6])
+    def test_minimum_just_below_the_wrap(self, gap):
+        # only a minimum within the last zoom step (1e-9) of 2 pi snaps to 0
+        fit = fourier_fit(self.SHAPES["monomodal"], GRID64)
+        shift = 2.0 * np.pi - gap
+        tau = align_shift(fit, fit.evaluate(GRID64 - shift), GRID64)
+        assert abs((tau - shift + np.pi / 2) % np.pi - np.pi / 2) <= 1e-8
+
 
 class TestSampleChecks:
     """One input check for the three phase-series functions."""

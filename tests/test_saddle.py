@@ -527,7 +527,8 @@ class TestNewtonBatch:
                           20.0 + 0j]))
 
     @pytest.mark.parametrize("q, phi, ratio", [(15, 0.0, 0.12), (24, 0.7, 0.06),
-                                               (31, 2.1, 0.18)])
+                                               (31, 2.1, 0.18), (20, 0.0, 0.5),
+                                               (27, np.pi / 2, 1.0)])
     def test_matches_reference_loop(self, target, odd_seeds, q, phi, ratio):
         p = FieldParams.from_ratio(E1, OMEGA, ratio, phi)
         seeds = seed_grid(p, target)
@@ -538,6 +539,28 @@ class TestNewtonBatch:
         assert got[3].sum() > 0 and not got[3].all()
         for g, r in zip(got, ref):
             assert np.array_equal(g, r, equal_nan=True)
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("ratio", [0.12, 1.0])
+    def test_mixed_batch_matches_reference_loop_per_case(self, target, odd_seeds,
+                                                         ratio):
+        # several orders and phases in one run, case after case, as
+        # solve_cycles and a scan's dense refreshes send them; the run keeps
+        # only its still-iterating seeds, so it reorders the per-seed arrays
+        cases = [(15, 0.0), (24, 0.0), (24, 0.7), (31, 2.1), (20, np.pi / 2)]
+        fields = [FieldParams.from_ratio(E1, OMEGA, ratio, phi) for _, phi in cases]
+        batch, refs = [], []
+        for (q, _), p in zip(cases, fields):
+            seeds = seed_grid(p, target)
+            ti = np.concatenate([seeds.ti, odd_seeds[0]])
+            tr = np.concatenate([seeds.tr, odd_seeds[1]])
+            batch.append((np.full(ti.size, q), np.full(ti.size, p.phi), ti, tr))
+            refs.append(ref_newton_batch(p, target, q, ti, tr))
+        got = _newton_batch(fields[0], target,
+                            *(np.concatenate(col) for col in zip(*batch)))
+        ref = [np.concatenate(col) for col in zip(*refs)]
+        assert got[3].sum() > 0 and not got[3].all()
+        for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
 
     @pytest.mark.parametrize("limits", [{"max_halvings": 0}, {"max_halvings": 3},
