@@ -174,13 +174,13 @@ def apot_integral(p: FieldParams, ta, tb):
     return np.stack(_apot_integral(p, sa1, sa2, sb1, sb2))
 
 
-def _apot_sq_antideriv(p: FieldParams, t):
-    """Antiderivative of A(t).A(t) (unconjugated), entire in t."""
-    w = p.omega
+def _apot_sq_antideriv(p: FieldParams, t, phi=None):
+    """Antiderivative of A(t).A(t) (unconjugated), entire in t; ``phi`` as in _phases."""
+    w, phi = p.omega, p.phi if phi is None else phi
     cx = (p.E1 / w) ** 2
     cy = (p.E2 / (2.0 * w)) ** 2
     fx = cx * (t / 2.0 + np.sin(2.0 * w * t) / (4.0 * w))
-    fy = cy * (t / 2.0 + np.sin(4.0 * w * t + 2.0 * p.phi) / (8.0 * w))
+    fy = cy * (t / 2.0 + np.sin(4.0 * w * t + 2.0 * phi) / (8.0 * w))
     return fx + fy
 
 

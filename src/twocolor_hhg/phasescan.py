@@ -368,7 +368,17 @@ def align_shift(reference_fit: ModulationFit, measured, phase_grid):
     coef[2::2] = a * sin_kphi - b * cos_kphi
     tau = _best_shift(np.arange(0.0, 2.0 * np.pi, TAU_GRID_STEP), ks, coef, y)
     for cell in (TAU_GRID_STEP, TAU_GRID_STEP / 1000):
-        tau = _best_shift(tau + np.linspace(-cell, cell, 2001), ks, coef, y)
+        center, tau = tau, _best_shift(tau + np.linspace(-cell, cell, 2001), ks, coef, y)
+    # flat to round-off at the minimum: Newton on sum r dr/dtau inside the last
+    # zoom cell, with the model coef[0] + Re sum_k e^{i k tau} wave_k
+    wave = coef[1::2] - 1j * coef[2::2]
+    for _ in range(4):
+        r, r1, r2 = (((1j * ks) ** j * np.exp(1j * tau * ks) @ wave).real for j in range(3))
+        r += coef[0] - y
+        step = (r @ r1) / (r1 @ r1 + r @ r2)
+        if not abs(tau - step - center) <= cell:
+            break
+        tau -= step
     tau = float(tau % (2.0 * np.pi))
     if 2.0 * np.pi - tau < cell / 1000:   # within the last zoom step of the wrap point
         tau = 0.0

@@ -17,12 +17,15 @@ exact partners of those of the first (:func:`with_partners`).
 
 from __future__ import annotations
 
+import mmap
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import (TWO_PI, FieldParams, TargetParams, _apot, _apot_integral, _efield,
-                    _sincos, apot_sq_integral, efield)
+from .field import (TWO_PI, FieldParams, TargetParams, _apot, _apot_integral,
+                    _apot_sq_antideriv, _efield, _sincos, apot_sq_integral, efield)
 
 RESIDUAL_TOL = 1e-12
 DEDUP_TOL = 1e-8
@@ -142,7 +145,7 @@ def _curvatures(tau, vr, vi, er, ei):
 
 
 def _hessian(state):
-    """Hessian of S wrt (ti, tr) and its determinant, from one point's state.
+    """Hessian of S wrt (ti, tr) and its determinant, from kernel state columns.
 
     The mixed term is b = d2S/dti dtr = -(vi . vr)/tau; vi * vr, not
     vr * vi: complex products are not bitwise commutative.
@@ -155,8 +158,12 @@ def _hessian(state):
 
 def _action(p, tgt, q, ti, tr, tau, ps):
     """S(ti, tr) in closed form, given tau and p_s there."""
-    return (-tgt.Ip * tau + 0.5 * _dot(ps, ps) * tau
-            - 0.5 * apot_sq_integral(p, ti, tr) + q * p.omega * tr)
+    return _action_sum(p, tgt, q, tr, tau, _dot(ps, ps), apot_sq_integral(p, ti, tr))
+
+
+def _action_sum(p, tgt, q, tr, tau, ps_sq, a_sq):
+    """S from tau, p_s . p_s and the integral of A . A over [ti, tr]."""
+    return -tgt.Ip * tau + 0.5 * ps_sq * tau - 0.5 * a_sq + q * p.omega * tr
 
 
 def stationary_momentum(p: FieldParams, ti, tr):
@@ -310,31 +317,68 @@ def _newton_batch(p, tgt, q, phi, ti, tr):
     return ti, tr, rn, converged
 
 
+def _forked_newton_batch(p, tgt, q, phi, ti, tr, cases):
+    """:func:`_newton_batch` in k = min(usable CPUs, ``cases``) interleaved slices
+    seeds[w::k]; forked children solve slices 1..k-1 into one shared mmap (a pipe
+    would fill before they are reaped), copied out so that no view outlives it.
+    No seed's iterates depend on its batch, so the bytes are one run's.  A slice
+    whose fork or child fails runs here; with no fork or other threads, all do."""
+    forks = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    k = min(len(os.sched_getaffinity(0)), cases) if forks and hasattr(os, "fork") else 1
+    if k < 2:
+        return _newton_batch(p, tgt, q, phi, ti, tr)
+    n, children, failed = ti.size, {}, []
+    cols = ((complex, 0), (complex, 16 * n), (float, 32 * n), (bool, 40 * n))
+
+    def run(w):
+        res = _newton_batch(p, tgt, q[w::k], phi[w::k], ti[w::k], tr[w::k])
+        for (dtype, at), r in zip(cols, res):
+            np.frombuffer(buf, dtype, n, at)[w::k] = r
+
+    with mmap.mmap(-1, 41 * n) as buf:      # per seed (ti, tr, resnorm, converged)
+        try:
+            for w in range(1, k):
+                try:
+                    pid = os.fork()
+                except OSError:
+                    failed.append(w)
+                    continue
+                if not pid:     # the child never returns into the caller
+                    try:
+                        run(w)
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+                children[pid] = w
+            run(0)
+        finally:
+            failed += [w for pid, w in children.items() if os.waitpid(pid, 0)[1]]
+        for w in failed:
+            run(w)
+        return tuple(np.frombuffer(buf, dtype, n, at).copy() for dtype, at in cols)
+
+
 def _points(p, tgt, q, phi, ti, tr):
     """The SaddlePoints at converged (ti, tr), one per point, each at its own
-    order ``q`` and field phase ``phi``, from one kernel evaluation.
-
-    Each point's action, Hessian and residual are numpy-scalar arithmetic on
-    its own column of the kernel's terms, so every point is bit-identical to
-    one built alone.
-    """
+    order ``q`` and field phase ``phi``, from one kernel evaluation.  The array
+    terms are taken for all points at once, each point's complex products
+    (Hessian determinant, action) on numpy scalars, so every point is
+    bit-identical to one built alone."""
     t = np.array([ti, tr], dtype=complex)
     state, ps = _terms(p, t, phi)
+    tau, vr, vi, ps = state[0], state[3:5], state[5:7], np.array(ps)
+    residual = np.abs(_equations(p, tgt, q, vr, vi)).max(axis=0)
+    a_sq = _apot_sq_antideriv(p, t[1], phi) - _apot_sq_antideriv(p, t[0], phi)
+    ps_sq = _dot(ps, ps)
     # one contiguous row per point, laid out as a lone point's terms are
-    t, state, ps = t.T.copy(), state.T.copy(), np.array(ps).T.copy()
-    out = []
-    for k in range(len(t)):
-        pk = p.with_phi(phi[k])
-        f_rec, f_ion = _equations(pk, tgt, q[k], state[k, 3:5], state[k, 5:7])
-        hess, hessdet = _hessian(state[k])
-        # the residual is the max over a 2-array: scalar abs can differ in the last bit
-        out.append(SaddlePoint(
-            ti=complex(t[k, 0]), tr=complex(t[k, 1]), ps=ps[k],
-            action=complex(_action(pk, tgt, q[k], t[k, 0], t[k, 1], state[k, 0], ps[k])),
-            hessdet=complex(hessdet), q=float(q[k]),
-            residual=float(np.abs((f_rec, f_ion)).max()),
-            hess=hess, k_rec=state[k, 3:5]))
-    return out
+    hess = _hessian(state)[0].transpose(2, 0, 1).copy()
+    ps, k_rec = ps.T.copy(), vr.T.copy()
+    return [SaddlePoint(
+        ti=complex(t[0, k]), tr=complex(t[1, k]), ps=ps[k],
+        action=complex(_action_sum(p, tgt, q[k], t[1, k], tau[k], ps_sq[k], a_sq[k])),
+        hessdet=complex(h[0, 0] * h[1, 1] - h[0, 1] * h[0, 1]), q=float(q[k]),
+        residual=float(residual[k]), hess=h, k_rec=k_rec[k])
+        for k, h in enumerate(hess)]
 
 
 def solve_seeds(p: FieldParams, tgt: TargetParams, q, phi, seed_ti, seed_tr):
@@ -453,8 +497,8 @@ def solve_cycles(tgt: TargetParams, cases):
     The fields must share E1, E2 and omega; their phases may differ.  Each
     case is seeded from its own field's :func:`seed_grid`, the seeds of the
     cases above threshold are concatenated with their order and phase, and up
-    to BATCH_SEEDS seeds go to one Newton run; each seed's iterates do not
-    depend on the batch it is in.
+    to BATCH_SEEDS seeds go to one Newton run, split across the usable CPUs
+    (:func:`_forked_newton_batch`); no seed's iterates depend on its batch.
     """
     cases = list(cases)
     out = [[] for _ in cases]
@@ -465,11 +509,7 @@ def solve_cycles(tgt: TargetParams, cases):
     if any((p.E1, p.E2, p.omega) != (p0.E1, p0.E2, p0.omega) for p, _ in cases):
         raise ValueError("the fields of one solve must differ only in phi")
     half, tau_max = 0.5 * p0.period, TAU_MAX_PERIODS * p0.period
-    grids = {}
-    for k in todo:
-        p = cases[k][0]
-        if p not in grids:
-            grids[p] = seed_grid(p, tgt)
+    grids = {p: seed_grid(p, tgt) for p in {cases[k][0] for k in todo}}
     n = grids[p0].ti.size      # the same for every phase
     q_of = np.array([q for _, q in cases], dtype=float)
     phi_of = np.array([p.phi for p, _ in cases])
@@ -477,9 +517,9 @@ def solve_cycles(tgt: TargetParams, cases):
     for group in (todo[i:i + step] for i in range(0, len(todo), step)):
         owner = np.repeat(group, n)
         seeds = [grids[cases[k][0]] for k in group]
-        ti, tr, _, conv = _newton_batch(p0, tgt, q_of[owner], phi_of[owner],
-                                        np.concatenate([g.ti for g in seeds]),
-                                        np.concatenate([g.tr for g in seeds]))
+        ti, tr, _, conv = _forked_newton_batch(
+            p0, tgt, q_of[owner], phi_of[owner], np.concatenate([g.ti for g in seeds]),
+            np.concatenate([g.tr for g in seeds]), len(group))
         excursion = tr.real - ti.real
         # a purely imaginary excursion passes a plain Re tau > 0 by round-off
         good = conv & (ti.imag > 0) & (excursion > DEDUP_TOL) & (excursion <= tau_max)

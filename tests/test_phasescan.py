@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from twocolor_hhg import (BranchLostError, ClassificationRefusedError,
                           IllConditionedFitError, NoConvergenceError,
                           NonFiniteSampleError, PoleError, SamplingError,
                           align_shift, classify_modality, fourier_fit,
                           harmonic_dipole, phasescan, run_scan)
+from twocolor_hhg.cli import main, read_table
 from twocolor_hhg.taxonomy import amplitude
 
 
@@ -175,6 +178,48 @@ class TestShiftAccuracy:
                 bounds=(tau - 2e-3, tau + 2e-3), method="bounded",
                 options={"xatol": 1e-12}).x
             assert abs((tau - ref + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-8
+
+    @staticmethod
+    def derivative_root(fit, measured, phis, tau):
+        """The root next to ``tau`` of sum r dr/dtau, r = the model at
+        phi - tau minus the data (brentq to 1e-15)."""
+        ks = np.array([1.0, 2.0, 4.0])[:, None]
+        a = np.array([fit.a1, fit.a2, fit.a4])[:, None]
+        b = np.array([fit.b1, fit.b2, fit.b4])[:, None]
+
+        def slope(t):
+            x = ks * (phis - t)
+            dr = (ks * (a * np.sin(x) - b * np.cos(x))).sum(axis=0)
+            return float((fit.evaluate(phis - t) - measured) @ dr)
+
+        return brentq(slope, tau - 1e-6, tau + 1e-6, xtol=1e-15)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01, 0.05])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_at_the_root_of_the_derivative(self, shape, noise):
+        rng = np.random.default_rng(11)
+        fit = fourier_fit(self.SHAPES[shape], GRID64)
+        for shift in [*(2.0 * np.pi * rng.random(8)), 2e-4, 2.0 * np.pi - 3e-4]:
+            measured = (fit.evaluate(GRID64 - shift)
+                        * (1.0 + noise * rng.standard_normal(64)))
+            tau = align_shift(fit, measured, GRID64)
+            assert abs(tau - self.derivative_root(fit, measured, GRID64, tau)) <= 1e-11
+
+    def test_at_the_root_for_scans_at_two_ratios(self, tmp_path):
+        # H24 at R = 0.06 against the fit of H24 at R = 0.18: the misfit is
+        # large, so the sum of squares is flat to round-off over ~1e-8 rad
+        series = {}
+        for ratio in (0.06, 0.18):
+            out = tmp_path / str(ratio)
+            assert main(["scan", "--q-min", "24", "--q-max", "24", "--n-phi", "64",
+                         "--ratio", str(ratio), "--outdir", str(out)]) == 0
+            cols = read_table(out / "scan.csv")[1]
+            series[ratio] = cols["phi"], cols["Itotal"]
+        fit = fourier_fit(series[0.18][1], series[0.18][0])
+        phis, measured = series[0.06]
+        tau = align_shift(fit, measured, phis)
+        assert abs(tau - 1.5171867634) <= 1e-10
+        assert abs(tau - self.derivative_root(fit, measured, phis, tau)) <= 1e-11
 
     @pytest.mark.parametrize("gap", [5e-7, 2e-6])
     def test_minimum_just_below_the_wrap(self, gap):

@@ -1,6 +1,7 @@
 """Saddle-point solver: residuals, identities, continuation, Hessian."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -517,15 +518,18 @@ def ref_newton_batch(p, tgt, q, ti, tr, tol=RESIDUAL_TOL, max_iter=100,
     return ti, tr, rn, converged
 
 
-class TestNewtonBatch:
-    @pytest.fixture(scope="class")
-    def odd_seeds(self, params, target):
-        sp = solve_cycle(params, target, 24)[0]
-        return (np.array([np.conj(sp.ti), 3.0 + 1j, 5.0 + 2000j, 10.0 + 0.1j,
-                          np.nan + 1j]),
-                np.array([np.conj(sp.tr), 3.0 + 1j, 40.0 + 1j, 10.5 + 0.1j,
-                          20.0 + 0j]))
+@pytest.fixture(scope="module")
+def odd_seeds(params, target):
+    """Seeds that end in the Im(ti) < 0 partner, at tr == ti, at a non-finite
+    residual, in the conjugate basin and at a non-finite time."""
+    sp = solve_cycle(params, target, 24)[0]
+    return (np.array([np.conj(sp.ti), 3.0 + 1j, 5.0 + 2000j, 10.0 + 0.1j,
+                      np.nan + 1j]),
+            np.array([np.conj(sp.tr), 3.0 + 1j, 40.0 + 1j, 10.5 + 0.1j,
+                      20.0 + 0j]))
 
+
+class TestNewtonBatch:
     @pytest.mark.parametrize("q, phi, ratio", [(15, 0.0, 0.12), (24, 0.7, 0.06),
                                                (31, 2.1, 0.18), (20, 0.0, 0.5),
                                                (27, np.pi / 2, 1.0)])
@@ -641,6 +645,11 @@ class TestNewtonBatch:
         assert len(points) <= 0.5 * work["rounds"]
 
 
+def usable_cpus(mp, n):
+    """Let the Newton runs of solve_cycles see ``n`` usable CPUs."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestSolveCycles:
     # a 6-order band and its 3-order pad: one branch history of spectrum
     HISTORY = np.arange(24.0, 33.0)
@@ -657,6 +666,7 @@ class TestSolveCycles:
             return _evaluate(*args)
 
         with pytest.MonkeyPatch.context() as mp:
+            usable_cpus(mp, 1)      # a forked worker's kernel calls go uncounted
             mp.setattr(saddle, "_evaluate", counted)
             batched = saddle.solve_cycles(target, [(p, q) for q in self.HISTORY])
             n_batched = len(calls)
@@ -709,6 +719,7 @@ class TestSolveCases:
 
         batched = {}
         with pytest.MonkeyPatch.context() as mp:
+            usable_cpus(mp, 1)      # one Newton run per chunk, all counted here
             mp.setattr(saddle, "_newton_batch", sized)
             mp.setattr(saddle, "_evaluate", counted)
             for n, qs in self.ORDERS.items():
@@ -751,6 +762,140 @@ class TestSolveCases:
     def test_fields_must_share_amplitudes(self, params, target):
         with pytest.raises(ValueError, match="only in phi"):
             saddle.solve_cycles(target, [(params, 24), (params.with_ratio(0.2), 24)])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def history_cases(phi, ratio):
+    p = FieldParams.from_ratio(E1, OMEGA, ratio, phi)
+    return [(p, q) for q in TestSolveCycles.HISTORY]
+
+
+def refresh_cases(ratio):
+    p = FieldParams.from_ratio(E1, OMEGA, ratio, 0.0)
+    return [(p.with_phi(phi), q) for q in (24, 25) for phi in TestSolveCases.REFRESH_PHIS]
+
+
+class TestForkedNewtonBatch:
+    """A Newton run split into interleaved slices seeds[w::k], all but the
+    first solved in forked children, holds the bytes of one serial run."""
+
+    @pytest.fixture(scope="class")
+    def batch(self, params, target, odd_seeds):
+        """Three cases, each its seed grid and the odd seeds, and their
+        serial run."""
+        cols = []
+        for q, phi in ((15, 0.0), (24, 0.7), (31, 2.1)):
+            seeds = seed_grid(params.with_phi(phi), target)
+            ti = np.concatenate([seeds.ti, odd_seeds[0]])
+            tr = np.concatenate([seeds.tr, odd_seeds[1]])
+            cols.append((np.full(ti.size, q), np.full(ti.size, phi), ti, tr))
+        args = [np.concatenate(col) for col in zip(*cols)]
+        return args, _newton_batch(params, target, *args)
+
+    @staticmethod
+    def forked(params, target, args, monkeypatch, cpus):
+        """The split run on ``cpus`` usable CPUs, and the number of forks."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        usable_cpus(monkeypatch, cpus)
+        got = saddle._forked_newton_batch(params, target, *args, 3)
+        assert_no_child_left()
+        return got, len(forks)
+
+    @staticmethod
+    def assert_same_bytes(got, ref):
+        assert ref[3].sum() > 0 and not ref[3].all()
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_matches_one_worker(self, params, target, batch, monkeypatch, cpus):
+        args, ref = batch
+        got, forks = self.forked(params, target, args, monkeypatch, cpus)
+        assert forks == min(cpus, 3) - 1
+        self.assert_same_bytes(got, ref)
+
+    @pytest.fixture(scope="class", params=[
+        lambda: history_cases(0.0, 0.12), lambda: history_cases(0.7, 0.06),
+        lambda: history_cases(2.1, 0.18), lambda: refresh_cases(0.12),
+        lambda: [(FieldParams.from_ratio(E1, OMEGA, 0.12, 0.0), q) for q in (5, 20, 21)]],
+        ids=["history-0-0.12", "history-0.7-0.06", "history-2.1-0.18", "refresh",
+             "below-threshold"])
+    def one_worker(self, request, target):
+        """A run's cases and their solve on one worker."""
+        cases = request.param()
+        with pytest.MonkeyPatch.context() as mp:
+            usable_cpus(mp, 1)
+            return cases, saddle.solve_cycles(target, cases)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_solve_cycles_matches_one_worker(self, target, one_worker, monkeypatch,
+                                             cpus):
+        cases, ref = one_worker
+        usable_cpus(monkeypatch, cpus)
+        got = saddle.solve_cycles(target, cases)
+        assert_no_child_left()
+        assert len(got) == len(ref) == len(cases) and sum(map(len, ref)) > 0
+        for sads, refs in zip(got, ref):
+            assert len(sads) == len(refs)
+            for a, b in zip(sads, refs):
+                assert_identical_fields(a, b)
+
+    def test_failed_child_is_run_again(self, params, target, batch, monkeypatch):
+        args, ref = batch
+        parent, newton, here = os.getpid(), saddle._newton_batch, []
+
+        def exit_in_child(*a):
+            if os.getpid() != parent:
+                os._exit(3)
+            here.append(1)
+            return newton(*a)
+
+        monkeypatch.setattr(saddle, "_newton_batch", exit_in_child)
+        got, forks = self.forked(params, target, args, monkeypatch, 3)
+        assert forks == 2 and len(here) == 3
+        self.assert_same_bytes(got, ref)
+
+    def test_failed_fork_runs_the_slice_here(self, params, target, batch, monkeypatch):
+        args, ref = batch
+
+        def refuse():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        usable_cpus(monkeypatch, 2)
+        self.assert_same_bytes(saddle._forked_newton_batch(params, target, *args, 3), ref)
+
+    def test_interrupt_reaps_every_child(self, params, target, batch, monkeypatch):
+        args, _ = batch
+        parent, newton = os.getpid(), saddle._newton_batch
+
+        def interrupt_here(*a):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return newton(*a)
+
+        monkeypatch.setattr(saddle, "_newton_batch", interrupt_here)
+        usable_cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            saddle._forked_newton_batch(params, target, *args, 3)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, threads, cases", [(1, 1, 9), (4, 2, 9), (4, 1, 1)],
+                             ids=["one-cpu", "live-thread", "one-case"])
+    def test_serial_runs_never_fork(self, params, target, monkeypatch, cpus, threads,
+                                    cases):
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(saddle.threading, "active_count", lambda: threads)
+        usable_cpus(monkeypatch, cpus)
+        assert all(saddle.solve_cycles(target, history_cases(0.0, 0.12)[:cases]))
 
 
 def assert_identical_fields(a, b):
