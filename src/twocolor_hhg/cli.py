@@ -244,11 +244,10 @@ def cmd_spectrum(p, tgt, opts, echo, args):
     rows = []
     n_fail = 0
     for hd, ix, iy, it in zip(spec.dipoles, spec.Ix, spec.Iy, spec.Itotal):
-        n_rel = sum(1 for c in hd.contributions if c.label.relevant)
         flag = "below-threshold" if hd.below_threshold else "ok"
         if hd.below_threshold and hd.q * p.omega > tgt.Ip:
             n_fail += 1
-        rows.append((hd.q, ix, iy, it, n_rel, flag))
+        rows.append((hd.q, ix, iy, it, len(hd.contributions), flag))
     outdir = opts["outdir"]
     write_table(outdir / "spectrum.csv", echo,
                 ["q", "Ix", "Iy", "Itotal", "n_saddles", "flags"], rows,

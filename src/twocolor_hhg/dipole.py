@@ -48,11 +48,17 @@ class DipoleContribution:
 
 @dataclass(frozen=True)
 class HarmonicDipole:
+    """The harmonic dipole of order q and the contributions it sums."""
+
     q: float
     Dx: complex
     Dy: complex
-    contributions: tuple
-    below_threshold: bool = False
+    contributions: tuple    # the relevant orbits' DipoleContributions, in sum order
+
+    @property
+    def below_threshold(self):
+        """True when no orbit contributes, so the dipole is an empty sum."""
+        return not self.contributions
 
 
 @dataclass(frozen=True)
@@ -127,19 +133,15 @@ def contribution(tgt: TargetParams, sp: SaddlePoint, label: OrbitLabel,
 
 def harmonic_dipole(p: FieldParams, tgt: TargetParams, q, labelled,
                     dme_form="paper"):
-    """Sum relevant per-orbit contributions into the harmonic dipole,
-    divided by the period T (a Fourier coefficient over one period)."""
-    contribs = []
-    total = np.zeros(2, dtype=complex)
-    for sp, label in labelled:
-        c = contribution(tgt, sp, label, dme_form=dme_form)
-        contribs.append(c)
-        if label.relevant:
-            total = total + c.total
-    total = total / p.period
-    empty = not any(label.relevant for _, label in labelled)
+    """Sum the contributions of the relevant orbits of ``labelled``, in their
+    order, into the harmonic dipole divided by the period T (a Fourier
+    coefficient over one period).  The orbits outside the sum are not
+    evaluated, so none of them can fail it."""
+    contribs = tuple(contribution(tgt, sp, label, dme_form=dme_form)
+                     for sp, label in labelled if label.relevant)
+    total = sum((c.total for c in contribs), np.zeros(2, dtype=complex)) / p.period
     return HarmonicDipole(q=float(q), Dx=complex(total[0]), Dy=complex(total[1]),
-                          contributions=tuple(contribs), below_threshold=empty)
+                          contributions=contribs)
 
 
 def intensity(hd: HarmonicDipole, omega):
@@ -215,8 +217,7 @@ def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper"):
     ix = np.zeros(qs.size)
     iy = np.zeros(qs.size)
     for n, (q, labelled) in enumerate(labelled_orbits(p, tgt, qs, audit=audit)):
-        hd = HarmonicDipole(q=q, Dx=0j, Dy=0j, contributions=(),
-                            below_threshold=True)
+        hd = HarmonicDipole(q=q, Dx=0j, Dy=0j, contributions=())
         if not labelled:
             audit.append(f"q={q}: no saddles (below threshold or none converged)")
         else:

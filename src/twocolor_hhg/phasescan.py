@@ -147,8 +147,6 @@ def _scan_cell(p, tgt, q, reps, match, gaps, phi, dme_form, prev_reps=None,
     ix, iy, itot = intensity(hd, p.omega)
     rows = {}
     for c in hd.contributions:
-        if not c.label.relevant:
-            continue
         try:
             dec = decompose(c.total)
         except UndefinedEllipseError:

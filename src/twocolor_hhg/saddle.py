@@ -525,11 +525,8 @@ def solve_cycles(tgt: TargetParams, cases):
         good = conv & (ti.imag > 0) & (excursion > DEDUP_TOL) & (excursion <= tau_max)
         picked = []
         for k in group:
-            p, q = cases[k]
             sel = good & (owner == k)
             ti_k, tr_k = ti[sel], tr[sel]
-            keep = action_value(p, tgt, q, ti_k, tr_k).imag >= 0.0
-            ti_k, tr_k = ti_k[keep], tr_k[keep]
             # fold Re(ti) into [0, T/2): a shift by T/2 lands on the partner saddle
             shift = np.floor(ti_k.real / half) * half
             ti_k, tr_k = ti_k - shift, tr_k - shift
@@ -541,7 +538,9 @@ def solve_cycles(tgt: TargetParams, cases):
                               np.concatenate([a for _, a, _ in picked]),
                               np.concatenate([b for *_, b in picked])))
         for k, ti_k, _ in picked:
-            out[k] = with_partners(cases[k][0], [next(points) for _ in ti_k])
+            # Im S < 0: a growing conjugate; each is a whole dedup cluster
+            reps = [next(points) for _ in ti_k]
+            out[k] = with_partners(cases[k][0], [sp for sp in reps if sp.action.imag >= 0.0])
     return out
 
 

@@ -1,5 +1,7 @@
 """Per-orbit dipole contributions, harmonic dipole sum, spectrum shape."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,49 @@ class TestHarmonicDipole:
         assert hd.below_threshold
         assert hd.Dx == 0.0 and hd.Dy == 0.0
 
+    def test_contributions_are_the_summed_orbits(self, params, target, wide_orbits):
+        # one contribution per relevant orbit, in the order of the sum
+        labelled = wide_orbits.by_q[20]
+        hd = harmonic_dipole(params, target, 20, labelled)
+        summed = [lab for _, lab in labelled if lab.relevant]
+        assert 0 < len(summed) < len(labelled)
+        assert [c.label for c in hd.contributions] == summed
+        total = sum((c.total for c in hd.contributions), np.zeros(2, dtype=complex))
+        assert (hd.Dx, hd.Dy) == tuple(total / params.period)
+
+    @pytest.mark.parametrize("broken", [
+        {"hess": np.ones((2, 2), dtype=complex)},               # det S'' = 0
+        {"k_rec": np.array([1j * (2 * AR_IP) ** 0.25, 0.0])},   # on the dme pole
+    ], ids=["singular-hessian", "dme-pole"])
+    def test_orbit_outside_the_sum_cannot_fail_it(self, params, target, wide_orbits,
+                                                  broken):
+        # an orbit that relevance excluded is not evaluated: a saddle on
+        # which its contribution would raise leaves the dipole's bits alone
+        labelled = wide_orbits.by_q[20]
+        k = next(k for k, (_, lab) in enumerate(labelled) if not lab.relevant)
+        sp, lab = labelled[k]
+        with pytest.raises(ValueError):
+            contribution(target, dataclasses.replace(sp, **broken), lab)
+        spoilt = list(labelled)
+        spoilt[k] = (dataclasses.replace(sp, **broken), lab)
+        ref = harmonic_dipole(params, target, 20, labelled)
+        hd = harmonic_dipole(params, target, 20, spoilt)
+        assert (hd.Dx, hd.Dy) == (ref.Dx, ref.Dy)
+
+    def test_below_threshold_is_an_empty_sum(self, params, target, wide_orbits):
+        # the flag is derived from the contributions, so the two cannot
+        # disagree: a sum with orbits, one with none relevant, and the
+        # placeholder of a spectrum's order below threshold (a skipped
+        # order's: test_coalescent_saddle_is_audited)
+        labelled = wide_orbits.by_q[20]
+        none = [(sp, dataclasses.replace(lab, relevant=False)) for sp, lab in labelled]
+        dipoles = [harmonic_dipole(params, target, 20, labelled),
+                   harmonic_dipole(params, target, 20, none),
+                   *spectrum(params, target, [5]).dipoles]
+        assert [hd.below_threshold for hd in dipoles] == [False, True, True]
+        assert all(hd.below_threshold == (not hd.contributions) for hd in dipoles)
+        assert "below_threshold" not in {f.name for f in dataclasses.fields(HarmonicDipole)}
+
 
 class TestIntensity:
     def test_zero_dipole(self, params):
@@ -178,6 +223,7 @@ class TestSpectrum:
         skipped = [line for line in spec.audit if "skipped" in line]
         assert len(skipped) == 2
         assert all("coalesced" in line for line in skipped)
+        assert all(hd.below_threshold and not hd.contributions for hd in spec.dipoles)
 
     def test_off_grid_order_rejected(self, params, target):
         # branch histories run in unit steps from the lowest order, so 20.5

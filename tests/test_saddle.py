@@ -183,6 +183,25 @@ class TestSolveCycle:
         for q, sads in zip(qs, saddle.solve_cycles(target, [(p, q) for q in qs])):
             assert sads and min(sp.excursion for sp in sads) > DEDUP_TOL, q
 
+    def test_growing_conjugates_dropped_after_dedup(self, params, target,
+                                                    monkeypatch):
+        # the deduplicated representatives are built, then those with
+        # Im S < 0 (exponentially growing conjugates) are dropped; at q = 20
+        # two of the seven are, and the others are kept in order
+        points, built = saddle._points, []
+
+        def recording_points(*args):
+            out = points(*args)
+            built.extend(out)
+            return out
+
+        monkeypatch.setattr(saddle, "_points", recording_points)
+        sads = solve_cycle(params, target, 20)
+        assert sum(sp.action.imag < 0.0 for sp in built) == 2
+        kept = [sp for sp in built if sp.action.imag >= 0.0]
+        reps = sads[:len(sads) // 2]
+        assert len(reps) == len(kept) and all(a is b for a, b in zip(reps, kept))
+
     def test_below_threshold_empty(self, params, target):
         assert solve_cycle(params, target, 5) == []
 
