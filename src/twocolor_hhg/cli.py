@@ -68,14 +68,25 @@ class UsageError(ValueError):
 
 
 def _load_config_file(path):
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    """The settings of an INI file as one flat dict.  The sections only group
+    the keys, so a key set in two sections is a UsageError, as is a file that
+    does not parse.  No section inherits another's keys: [DEFAULT] is a
+    section like the rest."""
+    cp = configparser.ConfigParser(default_section="")
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise UsageError(f"config file not found: {path}")
-    flat = {}
+    flat, home = {}, {}
     for section in cp.sections():
         for key, val in cp.items(section):
-            flat[key.replace("-", "_")] = val
+            key = key.replace("-", "_")
+            if key in home:
+                raise UsageError(f"{path}: {key} is set in [{home[key]}] and "
+                                 f"again in [{section}]")
+            flat[key], home[key] = val, section
     return flat
 
 
@@ -105,31 +116,43 @@ def resolve_config(args):
             raise UsageError(f"supply only one of --{a} / --{b}")
 
     def value(key, kind=float):
-        """The supplied (else default) value of ``key`` as ``kind``."""
+        """The supplied (else default) value of ``key`` as ``kind``; a float
+        must be finite."""
         v = supplied.get(key, _DEFAULTS.get(key))
         try:
-            return kind(v)
+            out = kind(v)
         except ValueError:
             raise UsageError(f"{key}: expected {kind.__name__}, got {v!r}") from None
+        if kind is float and not np.isfinite(out):
+            raise UsageError(f"{key}: expected a finite number, got {v!r}")
+        return out
+
+    def signed(key, zero=False):
+        """value(key), refused unless positive (or zero, when ``zero``)."""
+        v = value(key)
+        if not (v >= 0.0 if zero else v > 0.0):
+            raise UsageError(f"{key}: must be {'nonnegative' if zero else 'positive'}, "
+                             f"got {v}")
+        return v
 
     if "omega" in supplied:
-        omega = value("omega")
+        omega = signed("omega")
     else:
-        omega, _ = convert_units(value("lambda_nm"), _DEFAULTS["i1"])
+        try:
+            omega, _ = convert_units(value("lambda_nm"), _DEFAULTS["i1"])
+        except ValueError as exc:
+            raise UsageError(f"lambda_nm: {exc}") from None
     if "e1" in supplied:
-        e1 = value("e1")
+        e1 = signed("e1")
     else:
-        e1 = np.sqrt(value("i1") / ATOMIC_INTENSITY)
+        e1 = np.sqrt(signed("i1") / ATOMIC_INTENSITY)
     if "i2" in supplied:
-        e2 = np.sqrt(value("i2") / ATOMIC_INTENSITY)
+        e2 = np.sqrt(signed("i2", zero=True) / ATOMIC_INTENSITY)
     else:
-        ratio = value("ratio")
-        if ratio < 0:
-            raise UsageError(f"intensity ratio must be nonnegative, got {ratio}")
-        e2 = e1 * np.sqrt(ratio)
+        e2 = e1 * np.sqrt(signed("ratio", zero=True))
     phi = value("phi")
     if "ip" in supplied:
-        ip = value("ip")
+        ip = signed("ip")
     else:
         species = value("species", str)
         if species not in SPECIES:

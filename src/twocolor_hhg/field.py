@@ -47,12 +47,15 @@ class FieldParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.E1 <= 0:
-            raise ValueError(f"E1 must be positive, got {self.E1}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.E2 < 0:
-            raise ValueError(f"E2 must be nonnegative, got {self.E2}")
+        # each check is written so that NaN fails it
+        if not 0 < self.E1 < np.inf:
+            raise ValueError(f"E1 must be positive and finite, got {self.E1}")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if not 0 <= self.E2 < np.inf:
+            raise ValueError(f"E2 must be nonnegative and finite, got {self.E2}")
+        if not np.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
 
     @classmethod
@@ -86,8 +89,8 @@ class TargetParams:
     Ip: float
 
     def __post_init__(self):
-        if self.Ip <= 0:
-            raise ValueError(f"Ip must be positive, got {self.Ip}")
+        if not 0 < self.Ip < np.inf:
+            raise ValueError(f"Ip must be positive and finite, got {self.Ip}")
 
 
 def _phases(p: FieldParams, t, phi=None):

@@ -338,7 +338,20 @@ class TestConfigValidation:
         ("ratio = abc", "ratio"),
         ("dme_form = foo", "dme_form"),
         ("ration = 0.5", "ration"),
-    ], ids=["q_min", "ratio", "dme_form", "unknown_key"])
+        # physical inputs out of range, refused before any square root
+        ("i1 = -1e14", "i1"),
+        ("i2 = -1e13", "i2"),
+        ("lambda_nm = -800", "lambda_nm"),
+        # non-finite inputs
+        ("e1 = nan", "e1"),
+        ("ratio = nan", "ratio"),
+        ("omega = nan", "omega"),
+        ("phi = inf", "phi"),
+        ("i1 = inf", "i1"),
+        ("ip = nan", "ip"),
+    ], ids=["q_min", "ratio", "dme_form", "unknown_key", "i1-negative",
+            "i2-negative", "lambda-negative", "e1-nan", "ratio-nan", "omega-nan",
+            "phi-inf", "i1-inf", "ip-nan"])
     def test_bad_config_file_values(self, line, key, tmp_path, capsys,
                                     monkeypatch):
         def no_solve(*args):
@@ -352,6 +365,43 @@ class TestConfigValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("ratio = 0.5\n", "File contains no section headers."),
+        ("[run]\nratio = 0.5\nratio = 0.6\n", "option 'ratio' in section 'run' "
+                                             "already exists"),
+        ("[run]\nratio = 0.5\n[more]\nq-min = 20\nratio = 0.6\n",
+         "ratio is set in [run] and again in [more]"),
+        ("[DEFAULT]\nq_min = 20\n[run]\nq_min = 21\n",
+         "q_min is set in [DEFAULT] and again in [run]"),
+    ], ids=["no-section", "repeated-in-section", "in-two-sections", "default-section"])
+    def test_unparsable_config_file(self, text, message, tmp_path, capsys,
+                                    monkeypatch):
+        # each key has one home in the file, so no setting is taken silently
+        # from whichever section comes last
+        def no_solve(*args):
+            raise AssertionError("a saddle was solved")
+
+        monkeypatch.setattr(saddle, "_evaluate", no_solve)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", cfg, "--outdir", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: ")
+        assert message in err[0]
+        assert not out.exists()
+
+    def test_config_sections_only_group_keys(self, tmp_path):
+        # keys of several sections, [DEFAULT] among them, all apply
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\nq_min = 20\n[field]\nratio = 0.5\n"
+                       "[orders]\nq-max = 20\n")
+        assert run(["lissajous", "--config", cfg, "--n-samples", "64",
+                    "--outdir", tmp_path]) == 0
+        meta, _ = read_table(tmp_path / "lissajous.csv")
+        assert {"# config q_min = 20", "# config q_max = 20",
+                f"# config E2_au = {'%.12e' % (E1 * np.sqrt(0.5))}"} <= set(meta)
 
 
 def _phase_table(path, phis, q=24):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twocolor_hhg import (FieldParams, apot, apot_integral, apot_sq_integral,
-                          convert_units, efield, lissajous)
+from twocolor_hhg import (FieldParams, TargetParams, apot, apot_integral,
+                          apot_sq_integral, convert_units, efield, lissajous)
 from twocolor_hhg.field import _sincos
 
 from conftest import E1, OMEGA, RATIO
@@ -35,6 +35,18 @@ class TestFieldParams:
             FieldParams(E1=-1.0, E2=0.0, omega=OMEGA, phi=0.0)
         with pytest.raises(ValueError):
             FieldParams(E1=E1, E2=0.0, omega=0.0, phi=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: FieldParams(E1=v, E2=0.0, omega=OMEGA),
+        lambda v: FieldParams(E1=E1, E2=v, omega=OMEGA),
+        lambda v: FieldParams(E1=E1, E2=0.0, omega=v),
+        lambda v: FieldParams(E1=E1, E2=0.0, omega=OMEGA, phi=v),
+        lambda v: TargetParams(Ip=v),
+    ], ids=["E1", "E2", "omega", "phi", "Ip"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, make, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
 
     def test_with_phi_and_ratio(self, params):
         assert params.with_phi(1.0).phi == pytest.approx(1.0)
