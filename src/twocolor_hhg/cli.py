@@ -127,32 +127,32 @@ def resolve_config(args):
             raise UsageError(f"{key}: expected a finite number, got {v!r}")
         return out
 
-    def signed(key, zero=False):
-        """value(key), refused unless positive (or zero, when ``zero``)."""
+    def positive(key, zero_ok=False):
+        """value(key), refused unless positive (or zero, when ``zero_ok``)."""
         v = value(key)
-        if not (v >= 0.0 if zero else v > 0.0):
-            raise UsageError(f"{key}: must be {'nonnegative' if zero else 'positive'}, "
-                             f"got {v}")
+        if not (v >= 0.0 if zero_ok else v > 0.0):
+            raise UsageError(f"{key}: must be "
+                             f"{'nonnegative' if zero_ok else 'positive'}, got {v}")
         return v
 
     if "omega" in supplied:
-        omega = signed("omega")
+        omega = positive("omega")
     else:
         try:
             omega, _ = convert_units(value("lambda_nm"), _DEFAULTS["i1"])
         except ValueError as exc:
             raise UsageError(f"lambda_nm: {exc}") from None
     if "e1" in supplied:
-        e1 = signed("e1")
+        e1 = positive("e1")
     else:
-        e1 = np.sqrt(signed("i1") / ATOMIC_INTENSITY)
+        e1 = np.sqrt(positive("i1") / ATOMIC_INTENSITY)
     if "i2" in supplied:
-        e2 = np.sqrt(signed("i2", zero=True) / ATOMIC_INTENSITY)
+        e2 = np.sqrt(positive("i2", zero_ok=True) / ATOMIC_INTENSITY)
     else:
-        e2 = e1 * np.sqrt(signed("ratio", zero=True))
+        e2 = e1 * np.sqrt(positive("ratio", zero_ok=True))
     phi = value("phi")
     if "ip" in supplied:
-        ip = signed("ip")
+        ip = positive("ip")
     else:
         species = value("species", str)
         if species not in SPECIES:
