@@ -74,8 +74,8 @@ def _load_config_file(path):
     section like the rest."""
     cp = configparser.ConfigParser(default_section="")
     try:
-        read = cp.read(path)
-    except configparser.Error as exc:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise UsageError(f"config file not found: {path}")

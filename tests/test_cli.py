@@ -374,7 +374,9 @@ class TestConfigValidation:
          "ratio is set in [run] and again in [more]"),
         ("[DEFAULT]\nq_min = 20\n[run]\nq_min = 21\n",
          "q_min is set in [DEFAULT] and again in [run]"),
-    ], ids=["no-section", "repeated-in-section", "in-two-sections", "default-section"])
+        ("[run]\nratio = 0.5\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["no-section", "repeated-in-section", "in-two-sections", "default-section",
+            "not-utf-8"])
     def test_unparsable_config_file(self, text, message, tmp_path, capsys,
                                     monkeypatch):
         # each key has one home in the file, so no setting is taken silently
@@ -384,7 +386,7 @@ class TestConfigValidation:
 
         monkeypatch.setattr(saddle, "_evaluate", no_solve)
         cfg = tmp_path / "run.ini"
-        cfg.write_text(text)
+        cfg.write_bytes(text.encode("latin-1"))
         out = tmp_path / "out"
         assert run(["spectrum", "--config", cfg, "--outdir", out]) == 2
         err = capsys.readouterr().err.splitlines()
