@@ -149,7 +149,12 @@ def resolve_config(args):
     if "i2" in supplied:
         e2 = np.sqrt(positive("i2", zero_ok=True) / ATOMIC_INTENSITY)
     else:
-        e2 = e1 * np.sqrt(positive("ratio", zero_ok=True))
+        ratio = positive("ratio", zero_ok=True)
+        with np.errstate(over="ignore"):
+            e2 = e1 * np.sqrt(ratio)
+        if not np.isfinite(e2):
+            raise UsageError(f"ratio: E2 = E1 * sqrt(ratio) overflows at "
+                             f"E1 = {e1:g} and ratio = {ratio:g}")
     phi = value("phi")
     if "ip" in supplied:
         ip = positive("ip")

@@ -20,6 +20,8 @@ and each order is then a Fourier coefficient over tr.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ from .field import (SPEED_OF_LIGHT, FieldParams, TargetParams, _apot,
                     _apot_integral, _apot_sq_antideriv, _check_samples, _phases)
 from .dipole import HarmonicSpectrum, dme, ionisation_amplitude
 
-BLOCK_POINTS = 1 << 15     # (tr, tau) grid points built at a time
+BLOCK_POINTS = 1 << 14     # (tr, tau) grid points in flight at a time
 
 
 class ResolutionError(ValueError):
@@ -103,9 +105,14 @@ def _tau_sums(p, tgt, cfg, dme_form="paper", weight=None):
 
     g has shape (2, n_tr): the tau sum of d(p_s + A(tr)) * Y * spread *
     e^{i S0} * dt, each term times ``weight`` (one per tau) when given, with
-    S0 the action without the q w tr term.  The grid is built BLOCK_POINTS
-    points (whole tr rows) at a time; every term is elementwise and each row
-    sums the same contiguous tau terms, so g does not depend on the block.
+    S0 the action without the q w tr term.  The tr rows are split into
+    k = min(usable CPUs, rows) contiguous ranges; threads sum ranges 1..k-1,
+    which run together since numpy's ufuncs release the interpreter lock, and
+    this thread range 0, each building whole rows in blocks that together
+    hold at most BLOCK_POINTS points.  Every term is elementwise and each row
+    sums the same contiguous tau terms, so g depends on neither the block nor
+    k.  Every thread is joined before this returns; a range that raised
+    re-raises here, the lowest first.
     """
     dt = cfg.dt(p)
     tr, tau = _grid(p, cfg)
@@ -116,17 +123,39 @@ def _tau_sums(p, tgt, cfg, dme_form="paper", weight=None):
     fr = _apot_sq_antideriv(p, tr[:, None])
     spread = (2.0 * np.pi / (1j * (tau + 1j * cfg.eps))) ** 1.5
     g = np.empty((2, tr.size), dtype=complex)
-    n_rows = max(1, BLOCK_POINTS // tau.size)
-    for start in range(0, tr.size, n_rows):
-        b = slice(start, start + n_rows)
-        ps = np.stack(_apot_integral(p, si1[b], si2[b], sr1[b], sr2[b])) / -tau
-        d_rec = dme(ps + a_tr[:, b], tgt.Ip, form=dme_form)
-        ps2 = (ps * ps).sum(axis=0)
-        s0 = -tgt.Ip * tau + 0.5 * ps2 * tau - 0.5 * (fr[b] - fi[b])
-        terms = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0)) * dt
-        if weight is not None:
-            terms = terms * weight
-        g[:, b] = terms.sum(axis=-1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(cpus, tr.size)
+    n_rows = max(1, BLOCK_POINTS // (k * tau.size))
+    edges = [tr.size * w // k for w in range(k + 1)]
+    errors = [None] * k
+
+    def sum_rows(w):
+        try:
+            for start in range(edges[w], edges[w + 1], n_rows):
+                b = slice(start, min(start + n_rows, edges[w + 1]))
+                ps = np.stack(_apot_integral(p, si1[b], si2[b], sr1[b], sr2[b])) / -tau
+                d_rec = dme(ps + a_tr[:, b], tgt.Ip, form=dme_form)
+                ps2 = (ps * ps).sum(axis=0)
+                s0 = -tgt.Ip * tau + 0.5 * ps2 * tau - 0.5 * (fr[b] - fi[b])
+                terms = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0)) * dt
+                if weight is not None:
+                    terms = terms * weight
+                g[:, b] = terms.sum(axis=-1)
+        except BaseException as exc:
+            errors[w] = exc
+
+    threads = [threading.Thread(target=sum_rows, args=(w,)) for w in range(1, k)]
+    try:
+        for t in threads:
+            t.start()
+        sum_rows(0)
+    finally:
+        for t in threads:
+            if t.is_alive():
+                t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return tr, g
 
 

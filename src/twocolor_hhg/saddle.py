@@ -266,20 +266,22 @@ def _newton_batch(p, tgt, q, phi, ti, tr):
         if not at.size:
             break
         (f_rec, f_ion), ((j00, j01), (j10, j11)) = _jacobian(state)
-        det = j00 * j11 - j01 * j10
-        singular = np.abs(det) < 1e-300
-        det = np.where(singular, 1.0, det)
-        dti = -(j11 * f_rec - j01 * f_ion) / det
-        dtr = -(-j10 * f_rec + j00 * f_ion) / det
-        dti[singular] = np.nan
-        dtr[singular] = np.nan
-        # trust region: cap the step at half a period to keep iterates sane
-        cap = 0.5 * p.period
-        size = np.maximum(np.abs(dti), np.abs(dtr))
-        shrink = size > cap
-        factor = np.where(shrink, cap / np.where(size > 0, size, 1.0), 1.0)
-        dti = dti * factor
-        dtr = dtr * factor
+        # an overflowing step is NaN or infinite, and its trials are not better
+        with np.errstate(all="ignore"):
+            det = j00 * j11 - j01 * j10
+            singular = np.abs(det) < 1e-300
+            det = np.where(singular, 1.0, det)
+            dti = -(j11 * f_rec - j01 * f_ion) / det
+            dtr = -(-j10 * f_rec + j00 * f_ion) / det
+            dti[singular] = np.nan
+            dtr[singular] = np.nan
+            # trust region: cap the step at half a period to keep iterates sane
+            cap = 0.5 * p.period
+            size = np.maximum(np.abs(dti), np.abs(dtr))
+            shrink = size > cap
+            factor = np.where(shrink, cap / np.where(size > 0, size, 1.0), 1.0)
+            dti = dti * factor
+            dtr = dtr * factor
         # step-halving line search on the residual max-norm: first the
         # predicted depth, then twice as many further halvings per round
         halvings, trial, pick, trial_state = _line_search(

@@ -7,6 +7,7 @@ relevance is judged as in the spectrum, on the branch history padded by
 HISTORY_PAD orders beyond the range.
 """
 
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +71,17 @@ def wide_orbits(params, target):
 def mono_orbits(mono, target):
     """Monochromatic field, q = 20..35 (branch history over 20..38)."""
     return labelled_run(mono, target, np.arange(20, 36))
+
+
+def usable_cpus(mp, n):
+    """Let the forked Newton runs and the threaded oracle see ``n`` usable
+    CPUs."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # Pass/fail lines recorded by the acceptance tests; echoed after the run so

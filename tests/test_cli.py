@@ -349,9 +349,11 @@ class TestConfigValidation:
         ("phi = inf", "phi"),
         ("i1 = inf", "i1"),
         ("ip = nan", "ip"),
+        # finite inputs whose E2 = E1 sqrt(ratio) overflows
+        ("e1 = 1e200\nratio = 1e300", "ratio"),
     ], ids=["q_min", "ratio", "dme_form", "unknown_key", "i1-negative",
             "i2-negative", "lambda-negative", "e1-nan", "ratio-nan", "omega-nan",
-            "phi-inf", "i1-inf", "ip-nan"])
+            "phi-inf", "i1-inf", "ip-nan", "ratio-overflow"])
     def test_bad_config_file_values(self, line, key, tmp_path, capsys,
                                     monkeypatch):
         def no_solve(*args):

@@ -1,5 +1,8 @@
 """Direct-integration oracle: symmetries, additivity, cross-method checks."""
 
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,12 +12,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from twocolor_hhg import (FieldParams, OracleConfig, ResolutionError,
                           contribution, direct_dipole, spectrum,
                           windowed_dipole)
-from twocolor_hhg import oracle
-from twocolor_hhg.dipole import dme, ionisation_amplitude
+from twocolor_hhg import oracle, saddle
+from twocolor_hhg.dipole import PoleError, dme, ionisation_amplitude
 from twocolor_hhg.field import (_apot, _apot_integral, _apot_sq_antideriv,
                                 _phases, apot, apot_integral, apot_sq_integral)
 
-from conftest import E1, OMEGA
+from conftest import E1, OMEGA, assert_no_child_left, usable_cpus
 
 
 CFG = OracleConfig()
@@ -117,7 +120,7 @@ def half_period_rows(p, tgt, cfg, dme_form="paper"):
 
 class TestBlockedGrid:
     """The blocked tau sums equal the whole half-period grid's, byte for
-    byte, whatever the block size."""
+    byte, whatever the block size and the number of usable CPUs."""
 
     QS = [19, 20, 21]
     SMALL_BLOCK = 5000      # a few rows, and not a whole number of them
@@ -175,16 +178,134 @@ class TestBlockedGrid:
         self.assert_windowed_bytes(params, target, whole_grid, monkeypatch,
                                    taper_periods)
 
-    def test_memory_bounded_by_the_block(self, params, target):
-        # the whole grid at T/1024 would hold about 150 MB of temporaries
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("block", [None, SMALL_BLOCK],
+                             ids=["default-block", "small-block"])
+    def test_direct_dipole_bytes_on_usable_cpus(self, params, target, whole_grid,
+                                                monkeypatch, cpus, block):
+        # each thread sums a contiguous range of whole tr rows
+        usable_cpus(monkeypatch, cpus)
+        if block:
+            monkeypatch.setattr(oracle, "BLOCK_POINTS", block)
+        threads = threading.active_count()
+        self.assert_direct_bytes(params, target, whole_grid, monkeypatch)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("block", [None, SMALL_BLOCK],
+                             ids=["default-block", "small-block"])
+    @pytest.mark.parametrize("taper_periods", [0.0, 0.4])
+    def test_windowed_dipole_bytes_on_usable_cpus(self, params, target, whole_grid,
+                                                  monkeypatch, cpus, block,
+                                                  taper_periods):
+        usable_cpus(monkeypatch, cpus)
+        if block:
+            monkeypatch.setattr(oracle, "BLOCK_POINTS", block)
+        threads = threading.active_count()
+        self.assert_windowed_bytes(params, target, whole_grid, monkeypatch,
+                                   taper_periods)
+        assert threading.active_count() == threads
+
+    @staticmethod
+    def peak_bytes(params, target):
+        """tracemalloc's peak over one direct_dipole call at T/1024."""
         tracemalloc.start()
         try:
             direct_dipole(params, target, OracleConfig(steps_per_period=1024),
                           [20])
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+
+    def test_memory_bounded_by_the_block(self, params, target):
+        # the whole grid at T/1024 would hold about 150 MB of temporaries
+        assert self.peak_bytes(params, target) < 16e6
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_memory_bounded_by_the_block_on_usable_cpus(self, params, target,
+                                                        monkeypatch, cpus):
+        # the blocks of all threads in flight together hold BLOCK_POINTS
+        # points, so k threads take about the memory of one (a whole block
+        # per thread took 2x and 3.3x at 2 and 4 CPUs)
+        with monkeypatch.context() as mp:
+            usable_cpus(mp, 1)
+            alone = self.peak_bytes(params, target)
+        usable_cpus(monkeypatch, cpus)
+        peak = self.peak_bytes(params, target)
+        assert peak < 16e6 and peak < 1.25 * alone
+
+
+class TestThreads:
+    """No thread outlives an oracle call, and an error in any of them
+    reaches the caller."""
+
+    @staticmethod
+    def raising_dme(monkeypatch, where):
+        """Make dme raise PoleError naming its thread, in the threads
+        ``where`` accepts."""
+        def pole(*args, **kwargs):
+            here = threading.current_thread()
+            if where(here):
+                raise PoleError(f"pole in {here.name}")
+            return dme(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "dme", pole)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_worker_error_reaches_the_caller(self, params, target, monkeypatch,
+                                             cpus):
+        usable_cpus(monkeypatch, cpus)
+        self.raising_dme(monkeypatch, lambda t: t is not threading.main_thread())
+        threads = threading.active_count()
+        with pytest.raises(PoleError, match="pole in"):
+            direct_dipole(params, target, CFG, [20])
+        assert threading.active_count() == threads
+
+    def test_lowest_range_error_wins(self, params, target, monkeypatch):
+        # the calling thread sums range 0, so its error is the one raised
+        usable_cpus(monkeypatch, 3)
+        self.raising_dme(monkeypatch, lambda t: True)
+        threads = threading.active_count()
+        with pytest.raises(PoleError, match=threading.main_thread().name):
+            windowed_dipole(params, target, CFG, 20, (0.0, params.period))
+        assert threading.active_count() == threads
+
+    def test_rows_survive_frequent_thread_switches(self, params, target,
+                                                   monkeypatch):
+        # more threads than cores, switching every microsecond, each writing
+        # its rows of one shared array: a lost or misplaced row write would
+        # change the bytes
+        qs = TestBlockedGrid.QS
+        usable_cpus(monkeypatch, 1)
+        ref = direct_dipole(params, target, CFG, qs)
+        usable_cpus(monkeypatch, 8)
+        monkeypatch.setattr(oracle, "BLOCK_POINTS", TestBlockedGrid.SMALL_BLOCK)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = direct_dipole(params, target, CFG, qs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array(got.dipoles).tobytes() == np.array(ref.dipoles).tobytes()
+
+    def test_one_usable_cpu_starts_no_thread(self, params, target, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        usable_cpus(monkeypatch, 1)
+        monkeypatch.setattr(oracle.threading, "Thread", refuse)
+        direct_dipole(params, target, CFG, [20])
+
+    def test_newton_run_still_forks_after_a_threaded_call(self, params, target,
+                                                          monkeypatch):
+        # _forked_newton_batch forks only while no other thread is alive
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        usable_cpus(monkeypatch, 2)
+        direct_dipole(params, target, CFG, [20])
+        assert all(saddle.solve_cycles(target, [(params, q) for q in (24, 25)]))
+        assert_no_child_left()
+        assert len(forks) == 1
 
 
 # (phi, R) of the half-period checks: a benchmark field whose q = 22

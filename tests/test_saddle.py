@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from twocolor_hhg import (BranchLostError, CoalescenceError, NoConvergenceError,
-                          SaddlePoint, action_value, apot, apot_integral,
+                          SaddlePoint, action_value, apot, apot_integral, convert_units,
                           efield, hessian, newton_solve,
                           saddle_residual, solve_cycle, stationary_momentum)
 from twocolor_hhg import saddle
@@ -18,7 +18,7 @@ from twocolor_hhg.saddle import (DEDUP_TOL, RESIDUAL_TOL, _dedup, _evaluate,
                                  _jacobian, _newton_batch, continue_branches,
                                  seed_grid, solve_seeds)
 
-from conftest import AR_IP, E1, OMEGA
+from conftest import AR_IP, E1, OMEGA, assert_no_child_left, usable_cpus
 
 
 def classical_return(p, t0):
@@ -631,6 +631,17 @@ class TestNewtonBatch:
             for ti, tr in zip(*a):
                 assert np.min(np.abs(b[0] - ti) + np.abs(b[1] - tr)) <= 1e-10
 
+    def test_overflowing_steps_raise_no_warning(self, target):
+        # at 1e300 and 1e308 W/cm^2 the Jacobian's products overflow, so the
+        # steps are infinite or NaN and no trial is better; under
+        # filterwarnings = error an escaping RuntimeWarning fails the solve
+        omega, e1 = convert_units(800.0, 1e300)
+        e2 = convert_units(800.0, 1e308)[1]
+        p = FieldParams(E1=e1, E2=e2, omega=omega, phi=0.0)
+        seeds = seed_grid(p, target)
+        _, _, rn, converged = _newton_batch(p, target, 24, p.phi, seeds.ti, seeds.tr)
+        assert not converged.any() and np.isfinite(rn).any()
+
     @staticmethod
     def kernel_work(params, target, monkeypatch, q):
         """The points of each kernel call of one solve_cycle, and the
@@ -662,11 +673,6 @@ class TestNewtonBatch:
         # iteration's first kernel call, and a longer search doubles its rounds
         points, work = self.kernel_work(params, target, monkeypatch, q)
         assert len(points) <= 0.5 * work["rounds"]
-
-
-def usable_cpus(mp, n):
-    """Let the Newton runs of solve_cycles see ``n`` usable CPUs."""
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 class TestSolveCycles:
@@ -781,11 +787,6 @@ class TestSolveCases:
     def test_fields_must_share_amplitudes(self, params, target):
         with pytest.raises(ValueError, match="only in phi"):
             saddle.solve_cycles(target, [(params, 24), (params.with_ratio(0.2), 24)])
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def history_cases(phi, ratio):
