@@ -20,6 +20,7 @@ GOLDEN_SCAN_R1 = Path(__file__).parent / "data" / "golden_scan_h24_r1"
 GOLDEN_SCAN_Q14_17 = Path(__file__).parent / "data" / "golden_scan_q14_17_r006"
 GOLDEN_Q20_23 = Path(__file__).parent / "data" / "golden_q20_23"
 GOLDEN_Q20_23_R1 = Path(__file__).parent / "data" / "golden_q20_23_r1"
+GOLDEN_Q12_35_R1 = Path(__file__).parent / "data" / "golden_q12_35_r1"
 
 
 def run(args):
@@ -189,30 +190,31 @@ class TestScanCommand:
 
 class TestGoldenTables:
     @pytest.mark.parametrize("command, names, golden", [
-        pytest.param("spectrum", ("spectrum.csv", "audit.txt"), GOLDEN_Q20_23,
-                     id="spectrum-names0"),
-        pytest.param("saddles", ("saddles.csv",), GOLDEN_Q20_23,
+        pytest.param("spectrum --q-min 20 --q-max 23", ("spectrum.csv", "audit.txt"),
+                     GOLDEN_Q20_23, id="spectrum-names0"),
+        pytest.param("saddles --q-min 20 --q-max 23", ("saddles.csv",), GOLDEN_Q20_23,
                      id="saddles-names1"),
-        pytest.param("spectrum --oracle", ("spectrum.csv", "audit.txt",
-                                           "spectrum_direct.csv",
-                                           "comparison.txt"), GOLDEN_Q20_23,
-                     id="spectrum-oracle"),
+        pytest.param("spectrum --oracle --q-min 20 --q-max 23",
+                     ("spectrum.csv", "audit.txt", "spectrum_direct.csv",
+                      "comparison.txt"), GOLDEN_Q20_23, id="spectrum-oracle"),
         # the paper's regime of comparable intensities of the two colours
-        pytest.param("saddles --ratio 1.0", ("saddles.csv",), GOLDEN_Q20_23_R1,
-                     id="saddles-r1"),
+        pytest.param("saddles --ratio 1.0 --q-min 20 --q-max 23", ("saddles.csv",),
+                     GOLDEN_Q20_23_R1, id="saddles-r1"),
         # the dipole sum at R = 1.0, 1.1 to 2.6 decades above the oracle
         # there: it pins today's sum, not the right answer
-        pytest.param("spectrum --oracle --ratio 1.0", ("spectrum.csv", "audit.txt",
-                                                       "spectrum_direct.csv",
-                                                       "comparison.txt"),
-                     GOLDEN_Q20_23_R1, id="spectrum-oracle-r1"),
+        pytest.param("spectrum --oracle --ratio 1.0 --q-min 20 --q-max 23",
+                     ("spectrum.csv", "audit.txt", "spectrum_direct.csv",
+                      "comparison.txt"), GOLDEN_Q20_23_R1, id="spectrum-oracle-r1"),
+        # the short/long pair rule over a wide range: its audit holds 72
+        # "closest approach" discards
+        pytest.param("spectrum --ratio 1.0 --q-min 12 --q-max 35",
+                     ("spectrum.csv", "audit.txt"), GOLDEN_Q12_35_R1,
+                     id="spectrum-q12-35-r1"),
     ])
     def test_golden_bytes(self, command, names, golden, tmp_path, monkeypatch):
-        # reference tables of q = 20..23; the relative --outdir keeps the
-        # config echo in the header identical
+        # the relative --outdir keeps the config echo in the header identical
         monkeypatch.chdir(tmp_path)
-        assert run([*command.split(), "--q-min", "20", "--q-max", "23",
-                    "--outdir", "out"]) == 0
+        assert run([*command.split(), "--outdir", "out"]) == 0
         for name in names:
             assert ((tmp_path / "out" / name).read_bytes()
                     == (golden / name).read_bytes()), name
