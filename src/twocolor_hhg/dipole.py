@@ -155,14 +155,12 @@ def intensity(hd: HarmonicDipole, omega):
 def build_history(p: FieldParams, tgt: TargetParams, qs):
     """Solve the orders and track branches across orders by continuity.
 
-    Returns (per_q, assignment, history): ``per_q[q]`` is the
+    Returns (per_q, history): ``per_q[q]`` is the
     :func:`.saddle.solve_cycle` list, from one :func:`.saddle.solve_cycles`
-    call; ``assignment[q]`` the parallel branch keys, ``history[key]`` the
-    q-sorted (q, SaddlePoint) series of one branch.
+    call, and ``history`` the :func:`.taxonomy.track_branches` value over it.
     """
     per_q = dict(zip(qs, solve_cycles(tgt, [(p, q) for q in qs])))
-    assignment, history = track_branches(per_q, p.period)
-    return per_q, assignment, history
+    return per_q, track_branches(per_q, p.period)
 
 
 def history_orders(qs):
@@ -193,15 +191,14 @@ def labelled_orbits(p: FieldParams, tgt: TargetParams, qs, audit=None):
     ``audit`` before that order is yielded.
     """
     qs = np.asarray(sorted(qs), dtype=float)
-    per_q, assignment, history = build_history(p, tgt, history_orders(qs))
+    per_q, history = build_history(p, tgt, history_orders(qs))
     for q in qs:
         saddles = per_q[q]
         if not saddles:
             yield q, []
             continue
-        n = len(saddles) // 2
-        mask = relevance_mask(p, tgt, q, saddles[:n], history=history,
-                              keys=assignment[q][:n], audit=audit)
+        mask = relevance_mask(p, tgt, q, saddles[:len(saddles) // 2],
+                              history=history, audit=audit)
         yield q, classify(p, saddles, relevant_mask=mask)
 
 

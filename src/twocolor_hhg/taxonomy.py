@@ -13,15 +13,19 @@ harmonic order, the signature of the anti-Stokes partner of a physical
 orbit; extra families also face an amplitude floor.  The growth slope is
 exact: at a saddle dS/dti = dS/dtr = 0, so dS/dq is the explicit q w tr
 term and d ln|e^{iS}|/dq = -w Im(tr).
-Tier (b) tracks branches across harmonic order: a branch must persist for
-MIN_BRANCH_SUPPORT orders, and once a short/long pair passes its closest
-approach in ti (the cutoff), the branch growing beyond that point is dropped
-for larger orders.  Every discard is written to the audit log.
+Tier (b) reads the branch history of :func:`track_branches`, which tracks
+branches across harmonic order and finds the closest approach in ti of each
+pair of branches once: a branch must persist for MIN_BRANCH_SUPPORT orders,
+and once a short/long pair passes a closest approach within
+APPROACH_TOL_PERIODS (the cutoff), the branch growing beyond that point is
+dropped for larger orders.  :func:`find_cutoff` is the tightest of these
+approaches.  Every discard is written to the audit log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -34,6 +38,7 @@ MATCH_TOL_PERIODS = 0.12         # branch identification step tolerance
 MIN_EXCURSION_PERIODS = 0.1      # stationary-phase validity floor on tau
 IM_TI_FLOOR = 0.3                # fraction of the Keldysh time sqrt(2 Ip)/E
 MIN_BRANCH_SUPPORT = 3           # orders a trusted branch must persist
+APPROACH_TOL_PERIODS = 0.1      # short/long pair's closest approach, |d ti|
 
 
 @dataclass(frozen=True)
@@ -88,9 +93,20 @@ def classify(p: FieldParams, saddles, relevant_mask=None):
     return out
 
 
-def _range_size(history):
-    """Number of distinct orders covered by a continuation history."""
-    return len({qq for entries in history.values() for qq, _ in entries})
+@dataclass(frozen=True)
+class BranchHistory:
+    """Branches tracked across harmonic order, with their close approaches.
+
+    ``keys[q]`` lists the branch keys parallel to the saddle list of order
+    q; ``branches[key]`` is the q-sorted list of (q, SaddlePoint) of one
+    branch; ``approaches[(a, b)]`` is the (q_c, distance) of each pair of
+    branches, a < b in key order, whose :func:`closest_approach` lies within
+    APPROACH_TOL_PERIODS, in the order the pairs were visited.
+    """
+
+    keys: dict
+    branches: dict
+    approaches: dict
 
 
 def track_branches(per_q, period):
@@ -98,10 +114,9 @@ def track_branches(per_q, period):
 
     ``per_q`` maps order q to a saddle list (one fundamental period each).
     Saddles at neighbouring orders are matched greedily by their distance
-    |d ti| + |d tr|; unmatched saddles open new branches.  Returns
-    (assignment, history): ``assignment[q]`` is the list of branch keys
-    parallel to ``per_q[q]``; ``history[key]`` is the q-sorted list of
-    (q, SaddlePoint).
+    |d ti| + |d tr|; unmatched saddles open new branches.  Each pair of
+    branches is then searched once for its closest approach.  Returns the
+    :class:`BranchHistory`.
     """
     qs = sorted(per_q)
     tol = MATCH_TOL_PERIODS * period
@@ -132,7 +147,13 @@ def track_branches(per_q, period):
         prev_keys, prev_sads = keys, sads
     for key in history:
         history[key].sort(key=lambda t: t[0])
-    return assignment, history
+    approaches = {}
+    for a, b in combinations(history, 2):
+        hit = closest_approach(history[a], history[b])
+        if hit is not None and hit[1] <= APPROACH_TOL_PERIODS * period:
+            approaches[(a, b)] = hit
+    return BranchHistory(keys=assignment, branches=history,
+                         approaches=approaches)
 
 
 def closest_approach(entry_a, entry_b):
@@ -153,16 +174,17 @@ def closest_approach(entry_a, entry_b):
 
 
 def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
-                   history=None, keys=None, audit=None):
+                   history=None, audit=None):
     """Per-saddle relevance decisions (True = include in the dipole sum).
 
     The pipelines pass the representatives of :func:`.saddle.solve_cycle`
     and give each partner its representative's flag, so half-cycle partners
-    agree by construction and each discard is audited once.  With
-    ``history``/``keys`` from :func:`track_branches` over at least
-    MIN_BRANCH_SUPPORT orders, the branch-support rule and the short/long
-    closest-approach rule also apply.  The growth slope needs no solve on
-    either path: it is d ln|e^{iS}|/dq = -w Im(tr), exact at a saddle.
+    agree by construction and each discard is audited once.  With the
+    :class:`BranchHistory` of :func:`track_branches`, whose order q lists
+    ``saddles`` first, over at least MIN_BRANCH_SUPPORT orders, the
+    branch-support rule and the short/long closest-approach rule also apply.
+    The growth slope needs no solve on either path: it is
+    d ln|e^{iS}|/dq = -w Im(tr), exact at a saddle.
     """
     if audit is None:
         audit = []
@@ -170,7 +192,9 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
     mask = np.ones(n, dtype=bool)
     reasons = [None] * n
     amps = np.array([amplitude(sp) for sp in saddles])
-    tracked = history is not None and _range_size(history) >= MIN_BRANCH_SUPPORT
+    tracked = (history is not None and
+               sum(map(bool, history.keys.values())) >= MIN_BRANCH_SUPPORT)
+    keys = history.keys[q][:n] if tracked else None
     im_floor = IM_TI_FLOOR * np.sqrt(2.0 * tgt.Ip) / max(p.E1, p.E2)
     tau_floor = MIN_EXCURSION_PERIODS * p.period
     for i, sp in enumerate(saddles):
@@ -186,11 +210,17 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
         elif slope > GROWTH_LOG_SLOPE:
             mask[i], reasons[i] = False, (
                 f"amplitude grows with order (log-slope {slope:.2f})")
-        elif tracked and len(history[keys[i]]) < MIN_BRANCH_SUPPORT:
+        elif tracked and len(history.branches[keys[i]]) < MIN_BRANCH_SUPPORT:
             mask[i], reasons[i] = False, (
-                f"branch persists for only {len(history[keys[i]])} orders")
-    if tracked:
-        _apply_pair_rule(p, q, saddles, keys, history, mask, reasons)
+                f"branch persists for only {len(history.branches[keys[i]])} orders")
+        elif tracked:
+            # drop the growing member of a collided pair past closest approach
+            own = dict(history.branches[keys[i]])
+            for pair, (q_c, _) in history.approaches.items():
+                if keys[i] in pair and q > q_c and amps[i] > amplitude(own[q_c]):
+                    mask[i], reasons[i] = False, (
+                        f"grows past short/long closest approach at q={q_c}")
+                    break
     # amplitude floor relative to the dominant relevant saddle; the
     # representatives are the orbits of one half-cycle, wherever continuation
     # has carried their Re(ti)
@@ -207,43 +237,11 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
     return mask
 
 
-def _apply_pair_rule(p, q, saddles, keys, history, mask, reasons):
-    """Drop the growing member of a collided pair past closest approach."""
-    for i, sp in enumerate(saddles):
-        if not mask[i]:
-            continue
-        own = history[keys[i]]
-        for other_key, other in history.items():
-            if other_key == keys[i]:
-                continue
-            hit = closest_approach(own, other)
-            if hit is None:
-                continue
-            q_c, d_min = hit
-            if q <= q_c or d_min > 0.1 * p.period:
-                continue
-            qa = {qq: amplitude(s) for qq, s in own}
-            if q_c in qa and amplitude(sp) > qa[q_c]:
-                mask[i] = False
-                reasons[i] = f"grows past short/long closest approach at q={q_c}"
-                break
-
-
-def find_cutoff(history, period):
+def find_cutoff(history):
     """Flagged cutoff order: closest approach of the dominant orbit pair.
 
-    Scans all branch pairs for an interior minimum of |ti_a - ti_b| and
-    returns the (q_c, distance) of the tightest approach, or None.
+    Returns the (q_c, distance) of the tightest of the branch pairs'
+    close approaches in ``history`` (a :class:`BranchHistory`), or None.
     """
-    best = None
-    items = list(history.items())
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            hit = closest_approach(items[a][1], items[b][1])
-            if hit is None:
-                continue
-            if hit[1] > 0.1 * period:
-                continue
-            if best is None or hit[1] < best[1]:
-                best = hit
-    return best
+    return min(history.approaches.values(), key=lambda hit: hit[1],
+               default=None)

@@ -63,9 +63,9 @@ def test_3_cutoff_flag(params, target):
     # plateau cutoff near H29
     best = None
     for phi in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4):
-        _, _, history = build_history(params.with_phi(phi), target,
-                                      np.arange(20, 37))
-        hit = find_cutoff(history, params.period)
+        _, history = build_history(params.with_phi(phi), target,
+                                   np.arange(20, 37))
+        hit = find_cutoff(history)
         if hit is not None and (best is None or hit[1] < best[1]):
             best = hit
     ok = best is not None and 27 <= best[0] <= 31

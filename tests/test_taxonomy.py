@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twocolor_hhg import (SaddlePoint, classify, find_cutoff, relevance_mask,
-                          saddle, solve_cycle, taxonomy, track_branches)
+from twocolor_hhg import (SaddlePoint, classify, dipole, find_cutoff,
+                          relevance_mask, saddle, solve_cycle, spectrum,
+                          taxonomy, track_branches)
 from twocolor_hhg.dipole import build_history
 from twocolor_hhg.saddle import solve_seeds
 
@@ -56,17 +57,17 @@ class TestClassify:
 class TestTrackBranches:
     def test_histories_are_continuous(self, mono, target):
         per_q = {q: solve_cycle(mono, target, q) for q in range(19, 25)}
-        assignment, history = track_branches(per_q, mono.period)
+        history = track_branches(per_q, mono.period)
         for q, sads in per_q.items():
-            assert len(assignment[q]) == len(sads)
+            assert len(history.keys[q]) == len(sads)
         # the four principal branches persist through the whole window
-        spans = sorted(len(v) for v in history.values())
+        spans = sorted(len(v) for v in history.branches.values())
         assert spans[-4:] == [6, 6, 6, 6]
 
     def test_branch_entries_move_slowly(self, mono, target):
         per_q = {q: solve_cycle(mono, target, q) for q in range(19, 25)}
-        _, history = track_branches(per_q, mono.period)
-        for entries in history.values():
+        history = track_branches(per_q, mono.period)
+        for entries in history.branches.values():
             for (qa, a), (qb, b) in zip(entries, entries[1:]):
                 assert qb - qa == 1
                 assert abs(a.ti - b.ti) + abs(a.tr - b.tr) < 0.12 * mono.period
@@ -84,9 +85,9 @@ class TestRelevance:
         # the long one kept (branch identity, not the degenerate post-cutoff
         # excursion ordering)
         by_q = mono_orbits.by_q
-        assignment, _ = track_branches(
+        assignment = track_branches(
             {q: [sp for sp, _ in labelled] for q, labelled in by_q.items()},
-            mono.period)
+            mono.period).keys
         fam_key = {}
         for (sp, lab), key in zip(by_q[25], assignment[25]):
             if lab.relevant and lab.half_cycle == 0:
@@ -125,16 +126,41 @@ class TestRelevance:
 
 class TestFindCutoff:
     def test_mono_flag_near_cutoff(self, mono, target):
-        _, _, history = build_history(mono, target, np.arange(20, 39))
-        hit = find_cutoff(history, mono.period)
+        _, history = build_history(mono, target, np.arange(20, 39))
+        hit = find_cutoff(history)
         assert hit is not None
         q_c, d_min = hit
         assert 29 <= q_c <= 33
         assert d_min < 0.1 * mono.period
 
     def test_no_flag_inside_plateau(self, params, target):
-        per_q, _, history = build_history(params, target, np.arange(18, 23))
-        assert find_cutoff(history, params.period) is None
+        _, history = build_history(params, target, np.arange(18, 23))
+        assert find_cutoff(history) is None
+
+
+class TestCloseApproaches:
+    def test_found_once_per_history(self, params, target, monkeypatch):
+        # one spectrum tracks one branch history and searches each pair of
+        # its branches once, however many orders judge the pair rule
+        histories, calls = [], []
+        track, closest = taxonomy.track_branches, taxonomy.closest_approach
+
+        def tracked(per_q, period):
+            histories.append(track(per_q, period))
+            return histories[-1]
+
+        def counted(entry_a, entry_b):
+            calls.append(1)
+            return closest(entry_a, entry_b)
+
+        monkeypatch.setattr(dipole, "track_branches", tracked)
+        monkeypatch.setattr(taxonomy, "closest_approach", counted)
+        spec = spectrum(params, target, np.arange(12, 36))
+        (history,) = histories
+        n = len(history.branches)
+        assert len(calls) == n * (n - 1) // 2
+        assert history.approaches
+        assert any("closest approach" in line for line in spec.audit)
 
 
 class TestGrowthSlope:
@@ -187,9 +213,8 @@ class TestNoNewtonSolves:
         assert mask.any()
 
     def test_with_history(self, params, target, monkeypatch):
-        per_q, assignment, history = build_history(params, target, np.arange(20, 30))
+        per_q, history = build_history(params, target, np.arange(20, 30))
         self._forbid_newton(monkeypatch)
         n = len(per_q[24]) // 2
-        mask = relevance_mask(params, target, 24, per_q[24][:n], history=history,
-                              keys=assignment[24][:n])
+        mask = relevance_mask(params, target, 24, per_q[24][:n], history=history)
         assert mask.any()
