@@ -194,10 +194,11 @@ def apot_sq_integral(p: FieldParams, ta, tb):
 
 def convert_units(lambda_nm, intensity_Wcm2):
     """Convert (wavelength nm, intensity W/cm^2) to (omega, E) in a.u."""
-    if lambda_nm <= 0:
-        raise ValueError(f"wavelength must be positive, got {lambda_nm}")
-    if intensity_Wcm2 <= 0:
-        raise ValueError(f"intensity must be positive, got {intensity_Wcm2}")
+    # each check is written so that NaN fails it
+    if not 0 < lambda_nm < np.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {lambda_nm}")
+    if not 0 < intensity_Wcm2 < np.inf:
+        raise ValueError(f"intensity must be positive and finite, got {intensity_Wcm2}")
     omega = NM_TO_OMEGA / lambda_nm
     e0 = np.sqrt(intensity_Wcm2 / ATOMIC_INTENSITY)
     return omega, e0

@@ -62,10 +62,11 @@ class OracleConfig:
         if self.steps_per_period % 2:
             raise ValueError("steps_per_period must be even, so that T/2 "
                              "is a grid step")
-        if self.tau_max_periods < 1.2:
-            raise ValueError("tau_max must be at least 1.2 T")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        # each check is written so that NaN fails it
+        if not 1.2 <= self.tau_max_periods < np.inf:
+            raise ValueError("tau_max must be at least 1.2 T and finite")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         if self.n_cycles < 1:
             raise ValueError("need at least one cycle")
         if q_max * p.omega * self.dt(p) > 0.5:
@@ -216,8 +217,8 @@ def windowed_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, q,
     lo, hi = tau_band
     if not (0.0 <= lo < hi <= cfg.tau_max_periods * p.period + 1e-12):
         raise ValueError(f"invalid tau band ({lo}, {hi})")
-    if taper < 0:
-        raise ValueError(f"taper width must be nonnegative, got {taper}")
+    if not 0 <= taper < np.inf:
+        raise ValueError(f"taper width must be nonnegative and finite, got {taper}")
     _, tau = _grid(p, cfg)
     tau_top = cfg.tau_max_periods * p.period
     if taper == 0.0:

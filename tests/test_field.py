@@ -217,6 +217,13 @@ class TestConvertUnits:
         with pytest.raises(ValueError):
             convert_units(800.0, 0.0)
 
+    @pytest.mark.parametrize("lambda_nm, intensity", [
+        (np.nan, 1.0e14), (np.inf, 1.0e14), (800.0, np.nan), (800.0, np.inf)])
+    def test_non_finite_rejected(self, lambda_nm, intensity):
+        # a NaN input gave a NaN omega or E, an infinite wavelength omega = 0
+        with pytest.raises(ValueError, match="finite"):
+            convert_units(lambda_nm, intensity)
+
 
 class TestLissajous:
     def test_point_symmetry_phi0(self, params):

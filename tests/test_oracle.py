@@ -37,6 +37,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(n_cycles=0).validate(params)
 
+    @pytest.mark.parametrize("cfg, message", [
+        (OracleConfig(eps=np.nan), "eps must be"),
+        (OracleConfig(eps=np.inf), "eps must be"),
+        (OracleConfig(tau_max_periods=np.nan), "tau_max must be"),
+        (OracleConfig(tau_max_periods=np.inf), "tau_max must be"),
+    ], ids=["eps-nan", "eps-inf", "tau_max-nan", "tau_max-inf"])
+    def test_non_finite_values_rejected(self, params, target, cfg, message):
+        # a NaN or infinite eps made NaN intensities with only a warning; an
+        # infinite tau_max overflowed in the grid and a NaN one failed there
+        with pytest.raises(ValueError, match=message):
+            cfg.validate(params)
+        with pytest.raises(ValueError, match=message):
+            direct_dipole(params, target, cfg, [20])
+
     def test_odd_step_count_rejected(self, params, target):
         # the half-period mirror needs tr + T/2 on the grid
         with pytest.raises(ValueError, match="even"):
@@ -402,6 +416,12 @@ class TestWindowedDipole:
             windowed_dipole(params, target, CFG, 20, (0.5, 0.1))
         with pytest.raises(ValueError):
             windowed_dipole(params, target, CFG, 20, (0.0, 0.5), taper=-1.0)
+
+    @pytest.mark.parametrize("taper", [np.nan, np.inf])
+    def test_non_finite_taper_rejected(self, params, target, taper):
+        # a NaN or infinite taper gave NaN weights without a warning
+        with pytest.raises(ValueError, match="taper width"):
+            windowed_dipole(params, target, CFG, 20, (0.0, 0.5), taper=taper)
 
     def test_short_family_dominates_h20(self, params, target):
         # the excursion-windowed oracle confirms the saddle-point family
