@@ -1,5 +1,5 @@
-"""Repository tooling: the CI install step, the package's test extra and
-its runtime dependencies."""
+"""Repository tooling: the CI install step, the package's test extra, its
+runtime dependencies and the checked-in golden fixtures."""
 
 import ast
 import re
@@ -61,3 +61,16 @@ def test_runtime_dependencies_are_the_imports():
     # a module imported under src/ but not declared breaks a plain install;
     # one declared but not imported is a dependency nothing needs
     assert third_party_imports() == runtime_dependencies()
+
+
+def test_golden_fixtures_are_documented_and_used():
+    # a fixture directory that no test reads, or whose regeneration the
+    # README does not give, is a stale artifact
+    data = ROOT / "tests" / "data"
+    readme = (data / "README.md").read_text()
+    tests = "".join(path.read_text() for path in (ROOT / "tests").glob("test_*.py"))
+    names = sorted(path.name for path in data.glob("golden_*") if path.is_dir())
+    assert names
+    for name in names:
+        assert f"`{name}/`" in readme, name
+        assert f'"{name}"' in tests, name
