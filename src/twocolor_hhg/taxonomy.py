@@ -97,14 +97,14 @@ def classify(p: FieldParams, saddles, relevant_mask=None):
 class BranchHistory:
     """Branches tracked across harmonic order, with their close approaches.
 
-    ``keys[q]`` lists the branch keys parallel to the saddle list of order
-    q; ``branches[key]`` is the q-sorted list of (q, SaddlePoint) of one
-    branch; ``approaches[(a, b)]`` is the (q_c, distance) of each pair of
-    branches, a < b in key order, whose :func:`closest_approach` lies within
-    APPROACH_TOL_PERIODS, in the order the pairs were visited.
+    ``assignment[q]`` lists the branch keys parallel to the saddle list of
+    order q; ``branches[key]`` is the q-sorted list of (q, SaddlePoint) of
+    one branch; ``approaches[(a, b)]`` is the (q_c, distance) of each pair
+    of branches, a < b in key order, whose :func:`closest_approach` lies
+    within APPROACH_TOL_PERIODS, in the order the pairs were visited.
     """
 
-    keys: dict
+    assignment: dict
     branches: dict
     approaches: dict
 
@@ -152,7 +152,7 @@ def track_branches(per_q, period):
         hit = closest_approach(history[a], history[b])
         if hit is not None and hit[1] <= APPROACH_TOL_PERIODS * period:
             approaches[(a, b)] = hit
-    return BranchHistory(keys=assignment, branches=history,
+    return BranchHistory(assignment=assignment, branches=history,
                          approaches=approaches)
 
 
@@ -192,9 +192,10 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
     mask = np.ones(n, dtype=bool)
     reasons = [None] * n
     amps = np.array([amplitude(sp) for sp in saddles])
-    tracked = (history is not None and
-               sum(map(bool, history.keys.values())) >= MIN_BRANCH_SUPPORT)
-    keys = history.keys[q][:n] if tracked else None
+    # branch support needs saddles at MIN_BRANCH_SUPPORT orders or more
+    tracked = (history is not None and sum(map(bool, history.assignment.values()))
+               >= MIN_BRANCH_SUPPORT)
+    keys = history.assignment[q] if tracked else None
     im_floor = IM_TI_FLOOR * np.sqrt(2.0 * tgt.Ip) / max(p.E1, p.E2)
     tau_floor = MIN_EXCURSION_PERIODS * p.period
     for i, sp in enumerate(saddles):

@@ -59,7 +59,7 @@ class TestTrackBranches:
         per_q = {q: solve_cycle(mono, target, q) for q in range(19, 25)}
         history = track_branches(per_q, mono.period)
         for q, sads in per_q.items():
-            assert len(history.keys[q]) == len(sads)
+            assert len(history.assignment[q]) == len(sads)
         # the four principal branches persist through the whole window
         spans = sorted(len(v) for v in history.branches.values())
         assert spans[-4:] == [6, 6, 6, 6]
@@ -87,7 +87,7 @@ class TestRelevance:
         by_q = mono_orbits.by_q
         assignment = track_branches(
             {q: [sp for sp, _ in labelled] for q, labelled in by_q.items()},
-            mono.period).keys
+            mono.period).assignment
         fam_key = {}
         for (sp, lab), key in zip(by_q[25], assignment[25]):
             if lab.relevant and lab.half_cycle == 0:
