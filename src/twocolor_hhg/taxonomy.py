@@ -38,7 +38,7 @@ MATCH_TOL_PERIODS = 0.12         # branch identification step tolerance
 MIN_EXCURSION_PERIODS = 0.1      # stationary-phase validity floor on tau
 IM_TI_FLOOR = 0.3                # fraction of the Keldysh time sqrt(2 Ip)/E
 MIN_BRANCH_SUPPORT = 3           # orders a trusted branch must persist
-APPROACH_TOL_PERIODS = 0.1      # short/long pair's closest approach, |d ti|
+APPROACH_TOL_PERIODS = 0.1       # largest |d ti| of a short/long closest approach
 
 
 @dataclass(frozen=True)
