@@ -19,14 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .field import (ATOMIC_INTENSITY, FieldParams, SamplingError, TargetParams,
-                    _check_samples, convert_units, lissajous)
-from .dipole import DME_FORMS, labelled_orbits
+from .field import (ATOMIC_INTENSITY, DME_FORMS, FieldParams, SamplingError,
+                    TargetParams, _check_samples, convert_units, lissajous)
+from .dipole import labelled_orbits
 from .dipole import spectrum as saddle_spectrum
 from .oracle import OracleConfig, ResolutionError, direct_dipole
 from .phasescan import (ClassificationRefusedError, IllConditionedFitError,
                         NonFiniteSampleError, align_shift, classify_modality,
                         fourier_fit, run_scan)
+from .saddle import below_threshold
 from .taxonomy import amplitude
 from .trajectory import MIN_SAMPLES, displacement
 
@@ -166,24 +167,21 @@ def resolve_config(args):
         ip = SPECIES[species]
     try:
         p = FieldParams(E1=e1, E2=e2, omega=omega, phi=phi)
-        tgt = TargetParams(Ip=ip)
+        tgt = TargetParams(Ip=ip, dme_form=value("dme_form", str))
     except ValueError as exc:
         raise UsageError(str(exc))
     opts = {
         "q_min": value("q_min", int),
         "q_max": value("q_max", int),
         "n_phi": value("n_phi", int),
-        "dme_form": value("dme_form", str),
         "outdir": Path(value("outdir", str)),
     }
-    if opts["dme_form"] not in DME_FORMS:
-        raise UsageError(f"dme_form: unknown form {opts['dme_form']!r}; known: "
-                         + ", ".join(DME_FORMS))
     if opts["q_min"] > opts["q_max"]:
         raise UsageError("q_min must not exceed q_max")
     echo = {
         "E1_au": e1, "E2_au": e2, "omega_au": omega, "phi_rad": phi,
-        "Ip_au": ip, **{k: str(v) for k, v in opts.items()},
+        "Ip_au": ip, "dme_form": tgt.dme_form,
+        **{k: str(v) for k, v in opts.items()},
     }
     return p, tgt, opts, echo
 
@@ -268,13 +266,15 @@ def cmd_spectrum(p, tgt, opts, echo, args):
     qs = _q_range(opts)
     if args.oracle:     # before any output is written
         OracleConfig().validate(p, qs[-1])
-    spec = saddle_spectrum(p, tgt, qs, dme_form=opts["dme_form"])
+    spec = saddle_spectrum(p, tgt, qs)
     rows = []
     n_fail = 0
     for hd, ix, iy, it in zip(spec.dipoles, spec.Ix, spec.Iy, spec.Itotal):
-        flag = "below-threshold" if hd.below_threshold else "ok"
-        if hd.below_threshold and hd.q * p.omega > tgt.Ip:
-            n_fail += 1
+        flag = "ok"
+        if not hd.contributions:
+            flag = ("below-threshold" if below_threshold(p, tgt, hd.q)
+                    else "no-dipole")
+        n_fail += flag == "no-dipole"
         rows.append((hd.q, ix, iy, it, len(hd.contributions), flag))
     outdir = opts["outdir"]
     write_table(outdir / "spectrum.csv", echo,
@@ -306,7 +306,7 @@ def cmd_spectrum(p, tgt, opts, echo, args):
 
 def cmd_scan(p, tgt, opts, echo, args):
     qs = list(range(opts["q_min"], opts["q_max"] + 1))
-    scan = run_scan(p, tgt, qs, opts["n_phi"], dme_form=opts["dme_form"])
+    scan = run_scan(p, tgt, qs, opts["n_phi"])
     rows = []
     for m, q in enumerate(scan.qs):
         for j, phi in enumerate(scan.phis):
@@ -450,7 +450,7 @@ def cmd_fit(p, tgt, opts, echo, args):
 
 def _write_direct(p, tgt, qs, opts, echo):
     """The oracle spectrum at ``qs``, also written to spectrum_direct.csv."""
-    direct = direct_dipole(p, tgt, OracleConfig(), qs, dme_form=opts["dme_form"])
+    direct = direct_dipole(p, tgt, OracleConfig(), qs)
     rows = [(q, ix, iy, it, 0, "ok") for q, ix, iy, it in
             zip(direct.qs, direct.Ix, direct.Iy, direct.Itotal)]
     write_table(opts["outdir"] / "spectrum_direct.csv", echo,

@@ -23,7 +23,6 @@ from .field import SPEED_OF_LIGHT, FieldParams, TargetParams, _check_samples
 from .saddle import CoalescenceError, SaddlePoint, solve_cycles
 from .taxonomy import OrbitLabel, classify, relevance_mask, track_branches
 
-DME_FORMS = ("paper", "hydrogenic")
 POLE_TOL = 1e-12
 COALESCENCE_DET = 1e-18
 HISTORY_PAD = 3
@@ -72,24 +71,22 @@ class HarmonicSpectrum:
     method: str = "saddle"
 
 
-def dme(k, Ip, form="paper"):
-    """Bound-continuum dipole matrix element d(k) for a hydrogenic target.
+def dme(k, tgt: TargetParams):
+    """Bound-continuum dipole matrix element d(k) of the target ``tgt``.
 
-    ``form="paper"`` uses the denominator (k^2 + sqrt(2 Ip))^2; the
-    ``"hydrogenic"`` switch substitutes the standard (k^2 + 2 Ip)^2.  k^2 is
-    the unconjugated self-product, so complex momenta are continued
+    Its ``dme_form`` "paper" uses the denominator (k^2 + sqrt(2 Ip))^2;
+    "hydrogenic" substitutes the standard (k^2 + 2 Ip)^2.  k^2 is the
+    unconjugated self-product, so complex momenta are continued
     analytically; real momenta keep k^2 and the denominator real.
     """
-    if form not in DME_FORMS:
-        raise ValueError(f"unknown dme form {form!r}")
     k = np.asarray(k)
     k = k.astype(np.result_type(k, float), copy=False)
     k2 = (k * k).sum(axis=0)
-    shift = np.sqrt(2.0 * Ip) if form == "paper" else 2.0 * Ip
+    shift = np.sqrt(2.0 * tgt.Ip) if tgt.dme_form == "paper" else 2.0 * tgt.Ip
     den = (k2 + shift) ** 2
     if np.any(np.abs(den) < POLE_TOL):
         raise PoleError(f"dme pole: |k^2 + {shift:.4f}|^2 = {np.min(np.abs(den)):.3e}")
-    return 1j * np.sqrt(2.0) * k / (np.pi * np.sqrt(2.0 * Ip) * den)
+    return 1j * np.sqrt(2.0) * k / (np.pi * np.sqrt(2.0 * tgt.Ip) * den)
 
 
 def ionisation_amplitude(tgt: TargetParams):
@@ -116,12 +113,11 @@ def _hess_prefactor(hess):
     return np.sqrt(2.0 * np.pi / (-1j * lam1)) * np.sqrt(2.0 * np.pi / (-1j * lam2))
 
 
-def contribution(tgt: TargetParams, sp: SaddlePoint, label: OrbitLabel,
-                 dme_form="paper"):
+def contribution(tgt: TargetParams, sp: SaddlePoint, label: OrbitLabel):
     """Assemble the factorized dipole contribution of one saddle."""
     tau = sp.tr - sp.ti
     hess_factor = _hess_prefactor(sp.hess)
-    d_rec = dme(sp.k_rec, tgt.Ip, form=dme_form)
+    d_rec = dme(sp.k_rec, tgt)
     ion_amp = ionisation_amplitude(tgt)
     spread = (2.0 * np.pi / (1j * tau)) ** 1.5
     phase = np.exp(1j * sp.action)
@@ -131,13 +127,12 @@ def contribution(tgt: TargetParams, sp: SaddlePoint, label: OrbitLabel,
                               phase=phase, total=total)
 
 
-def harmonic_dipole(p: FieldParams, tgt: TargetParams, q, labelled,
-                    dme_form="paper"):
+def harmonic_dipole(p: FieldParams, tgt: TargetParams, q, labelled):
     """Sum the contributions of the relevant orbits of ``labelled``, in their
     order, into the harmonic dipole divided by the period T (a Fourier
     coefficient over one period).  The orbits outside the sum are not
     evaluated, so none of them can fail it."""
-    contribs = tuple(contribution(tgt, sp, label, dme_form=dme_form)
+    contribs = tuple(contribution(tgt, sp, label)
                      for sp, label in labelled if label.relevant)
     total = sum((c.total for c in contribs), np.zeros(2, dtype=complex)) / p.period
     return HarmonicDipole(q=float(q), Dx=complex(total[0]), Dy=complex(total[1]),
@@ -202,7 +197,7 @@ def labelled_orbits(p: FieldParams, tgt: TargetParams, qs, audit=None):
         yield q, classify(p, saddles, relevant_mask=mask)
 
 
-def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper"):
+def spectrum(p: FieldParams, tgt: TargetParams, qs):
     """Saddle-point harmonic spectrum over the orders ``qs``.
 
     The orbits of each order come from :func:`labelled_orbits`.  Per-order
@@ -219,7 +214,7 @@ def spectrum(p: FieldParams, tgt: TargetParams, qs, dme_form="paper"):
             audit.append(f"q={q}: no saddles (below threshold or none converged)")
         else:
             try:
-                hd = harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+                hd = harmonic_dipole(p, tgt, q, labelled)
             except (PoleError, CoalescenceError) as exc:
                 audit.append(f"q={q}: skipped ({exc})")
         dipoles.append(hd)

@@ -21,6 +21,7 @@ ATOMIC_INTENSITY = 3.50945e16      # W/cm^2 corresponding to E = 1 a.u.
 NM_TO_OMEGA = 45.5633              # omega[a.u.] = 45.5633 / lambda[nm]
 
 TWO_PI = 2.0 * np.pi
+DME_FORMS = ("paper", "hydrogenic")    # TargetParams.dme_form values
 
 
 class SamplingError(ValueError):
@@ -84,13 +85,18 @@ class FieldParams:
 
 @dataclass(frozen=True)
 class TargetParams:
-    """Target atom: ionisation potential (a.u.)."""
+    """Target atom: ionisation potential (a.u.) and the DME_FORMS entry that
+    both the saddle sum and the oracle evaluate (:func:`.dipole.dme`)."""
 
     Ip: float
+    dme_form: str = "paper"
 
     def __post_init__(self):
         if not 0 < self.Ip < np.inf:
             raise ValueError(f"Ip must be positive and finite, got {self.Ip}")
+        if self.dme_form not in DME_FORMS:
+            raise ValueError(f"dme_form: unknown form {self.dme_form!r}; known: "
+                             + ", ".join(DME_FORMS))
 
 
 def _phases(p: FieldParams, t, phi=None):

@@ -5,7 +5,8 @@ integral over real recombination time and excursion tau is discretized with
 plain rectangle rules (tau on midpoints, tr commensurate with the period, so
 exact field symmetries survive discretization and disjoint tau bands add
 exactly).  The tau -> 0 spreading singularity is regularized by the complex
-shift tau -> tau + i*eps.  No saddle-point approximation is made.
+shift tau -> tau + i*eps.  No saddle-point approximation is made.  The
+matrix element is the target's, as in the saddle sum (:func:`.dipole.dme`).
 
 The grid covers tr in the first half period only.  t -> t + T/2 maps
 (Ex, Ey) to (-Ex, Ey), so the integrand at tr + T/2 is diag(-1, 1) times
@@ -100,7 +101,7 @@ def _ti_windows(p, dt, n_tr, n_tau):
                                _apot_sq_antideriv(p, ti)))
 
 
-def _tau_sums(p, tgt, cfg, dme_form="paper", weight=None):
+def _tau_sums(p, tgt, cfg, weight=None):
     """(tr, g): the tau integral of the q-independent integrand at each tr
     of the first half period.
 
@@ -135,7 +136,7 @@ def _tau_sums(p, tgt, cfg, dme_form="paper", weight=None):
             for start in range(edges[w], edges[w + 1], n_rows):
                 b = slice(start, min(start + n_rows, edges[w + 1]))
                 ps = np.stack(_apot_integral(p, si1[b], si2[b], sr1[b], sr2[b])) / -tau
-                d_rec = dme(ps + a_tr[:, b], tgt.Ip, form=dme_form)
+                d_rec = dme(ps + a_tr[:, b], tgt)
                 ps2 = (ps * ps).sum(axis=0)
                 s0 = -tgt.Ip * tau + 0.5 * ps2 * tau - 0.5 * (fr[b] - fi[b])
                 terms = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0)) * dt
@@ -181,13 +182,12 @@ def _project(p, cfg, tr, g, q):
     return half * np.array([1.0 - flip, 1.0 + flip]) * cycles
 
 
-def direct_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, qs,
-                  dme_form="paper"):
-    """Direct-integration harmonic spectrum over the orders ``qs``."""
+def direct_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, qs):
+    """Direct-integration harmonic spectrum of ``tgt`` over the orders ``qs``."""
     qs = np.asarray(sorted(qs), dtype=float)
     _check_samples(qs.size, 1, "orders")
     cfg.validate(p, qs[-1])
-    tr, g = _tau_sums(p, tgt, cfg, dme_form=dme_form)
+    tr, g = _tau_sums(p, tgt, cfg)
     ix = np.zeros(qs.size)
     iy = np.zeros(qs.size)
     dips = []
@@ -203,7 +203,7 @@ def direct_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, qs,
 
 
 def windowed_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, q,
-                    tau_band, dme_form="paper", taper=0.0):
+                    tau_band, taper=0.0):
     """Direct dipole with the excursion restricted to (tau_min, tau_max].
 
     With ``taper = 0`` bands are sharp and half-open over the midpoint grid,
@@ -232,5 +232,5 @@ def windowed_dipole(p: FieldParams, tgt: TargetParams, cfg: OracleConfig, q,
             weight = weight * rise(lo)
         if hi < tau_top - 1e-12:
             weight = weight * (1.0 - rise(hi))
-    tr, g = _tau_sums(p, tgt, cfg, dme_form=dme_form, weight=weight)
+    tr, g = _tau_sums(p, tgt, cfg, weight=weight)
     return _project(p, cfg, tr, g, q)

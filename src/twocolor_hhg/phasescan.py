@@ -111,9 +111,8 @@ def _match_indices(prev_reps, reps, period):
     return out
 
 
-def _scan_cell(p, tgt, q, reps, match, gaps, phi, dme_form, prev_reps=None,
-               prev_banned=None):
-    """Relevance + classification + dipole sum for one (q, phi) cell.
+def _scan_cell(p, tgt, q, reps, match, gaps, prev_reps=None, prev_banned=None):
+    """Relevance + classification + dipole sum for the cell (q, p.phi).
 
     Relevance is judged on the representatives ``reps`` and copied to their
     partners.  ``match`` holds each representative's predecessor, an index
@@ -135,14 +134,14 @@ def _scan_cell(p, tgt, q, reps, match, gaps, phi, dme_form, prev_reps=None,
             banned[i] = True
         elif amplitude(sp) > PHI_GROWTH_FACTOR * amplitude(prev_reps[k]):
             banned[i] = True
-            gaps.append((q, phi, f"branch at ti={sp.ti:.2f} grows with phi "
-                                 "(anti-Stokes crossing)"))
+            gaps.append((q, p.phi, f"branch at ti={sp.ti:.2f} grows with phi "
+                                   "(anti-Stokes crossing)"))
     mask &= ~banned
     labelled = classify(p, with_partners(p, reps), relevant_mask=mask)
     try:
-        hd = harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+        hd = harmonic_dipole(p, tgt, q, labelled)
     except (CoalescenceError, PoleError) as exc:
-        gaps.append((q, phi, str(exc)))
+        gaps.append((q, p.phi, str(exc)))
         return np.nan, np.nan, np.nan, {}, banned
     ix, iy, itot = intensity(hd, p.omega)
     rows = {}
@@ -150,13 +149,13 @@ def _scan_cell(p, tgt, q, reps, match, gaps, phi, dme_form, prev_reps=None,
         try:
             dec = decompose(c.total)
         except UndefinedEllipseError:
-            gaps.append((q, phi, f"{c.label.branch_id}: zero contribution"))
+            gaps.append((q, p.phi, f"{c.label.branch_id}: zero contribution"))
             continue
         rows[c.label.branch_id] = (*dec.M, *dec.N, dec.gamma, dec.ellipticity)
     return ix, iy, itot, rows, banned
 
 
-def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper"):
+def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
     """Sweep phi over ``n_phi`` uniform points for each order in ``q_list``.
 
     The representative saddles are carried from cell to cell by
@@ -170,8 +169,8 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
     carries the branches of every order and refresh segment one phi step
     on.  The cells (relevance, phi-bans, dipoles) then follow in sweep
     order.  Failed cells or lost branches become gap records, never aborts;
-    a lost branch is named by its index in the cell it left.  ``dme_form``
-    is passed to :func:`.dipole.dme`.
+    a lost branch is named by its index in the cell it left.  The dipoles
+    use the matrix element form of ``tgt`` (:func:`.dipole.dme`).
 
     Shifting phi by pi reflects the driving field in y exactly, so only the
     half grid [0, pi) is computed and the second half is tiled from it after
@@ -229,7 +228,7 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi, dme_form="paper")
                 match, lost = carried[m, j]
                 gaps.extend((q, phi, reason) for reason in lost)
             ix[m, j], iy[m, j], itot[m, j], rows, banned = _scan_cell(
-                p.with_phi(phi), tgt, q, reps[m, j], match, gaps, phi, dme_form,
+                p.with_phi(phi), tgt, q, reps[m, j], match, gaps,
                 prev_reps=prev_reps, prev_banned=prev_banned)
             for bid, row in rows.items():
                 tables.setdefault((q, bid), np.full((n_phi, 6), np.nan))[j] = row

@@ -46,7 +46,6 @@ class OrbitLabel:
     half_cycle: int
     family: str                # "short", "long", "extra-3", ...
     relevant: bool
-    excursion: float
 
     @property
     def branch_id(self):
@@ -87,8 +86,7 @@ def classify(p: FieldParams, saddles, relevant_mask=None):
         half = int(np.floor(2.0 * reps[i].ti.real / p.period)) % 2
         for sp, h in ((reps[i], half), (saddles[n + i], 1 - half)):
             out.append((sp, OrbitLabel(half_cycle=h, family=family,
-                                       relevant=bool(relevant_mask[i]),
-                                       excursion=sp.excursion)))
+                                       relevant=bool(relevant_mask[i]))))
     out.sort(key=lambda t: (t[0].ti.real, t[0].tr.real))
     return out
 
@@ -157,9 +155,10 @@ def track_branches(per_q, period):
 
 
 def closest_approach(entry_a, entry_b):
-    """Interior minimum of |ti_a - ti_b| over the common q support.
+    """Global minimum of |ti_a - ti_b| over the common q support, if interior.
 
-    Returns (q_c, distance) or None when there is no interior local minimum.
+    Returns (q_c, distance), or None when the support has under three orders
+    or the global minimum lies at an end, even beside an interior local one.
     """
     qa = {qq: sp for qq, sp in entry_a}
     qb = {qq: sp for qq, sp in entry_b}

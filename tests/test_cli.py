@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twocolor_hhg import FieldParams, PoleError, phasescan, run_scan, saddle, spectrum
-from twocolor_hhg.cli import main, read_table
+from twocolor_hhg import (FieldParams, OracleConfig, PoleError, TargetParams,
+                          dipole, direct_dipole, phasescan, run_scan, saddle,
+                          spectrum)
+from twocolor_hhg.cli import FLOAT_FMT, main, read_table
 
-from conftest import E1, OMEGA
+from conftest import AR_IP, E1, OMEGA
 
 
 GOLDEN_SCAN = Path(__file__).parent / "data" / "golden_scan_h24"
@@ -79,6 +81,48 @@ class TestSpectrumCommand:
         _, cols = read_table(tmp_path / "spectrum.csv")
         assert cols["Ix"][0] < 1e-12 * cols["Iy"][0]
         assert cols["Iy"][1] < 1e-12 * cols["Ix"][1]
+
+    @pytest.mark.parametrize("command", [["spectrum", "--oracle"], ["oracle"]],
+                             ids=["spectrum", "oracle"])
+    def test_dme_form_reaches_the_oracle(self, command, tmp_path, params):
+        # spectrum_direct.csv holds the oracle of the hydrogenic target to
+        # its last written digit, and the paper form's differs from it
+        assert run([*command, "--q-min", "19", "--q-max", "21",
+                    "--dme-form", "hydrogenic", "--outdir", tmp_path]) == 0
+        _, cols = read_table(tmp_path / "spectrum_direct.csv")
+
+        def written(form):
+            spec = direct_dipole(params, TargetParams(AR_IP, dme_form=form),
+                                 OracleConfig(), [19, 20, 21])
+            return [[float(FLOAT_FMT % v) for v in getattr(spec, name)]
+                    for name in ("Ix", "Iy", "Itotal")]
+
+        table = [cols[name].tolist() for name in ("Ix", "Iy", "Itotal")]
+        assert table == written("hydrogenic")
+        assert table[2] != written("paper")[2]
+
+    @pytest.mark.parametrize("fail, flags, code", [
+        (False, ["below-threshold", "below-threshold", "ok"], 0),
+        (True, ["below-threshold", "below-threshold", "no-dipole"], 1),
+    ], ids=["ok", "no-dipole"])
+    def test_flags_tell_threshold_from_failure(self, fail, flags, code, tmp_path,
+                                               monkeypatch, capsys):
+        # q 9 and 10 lie below the Ar threshold (q w <= Ip) and are no
+        # failure; q 11 lies above it, and its dipole fails when a pole is
+        # injected there
+        harmonic_dipole = dipole.harmonic_dipole
+
+        def failing_dipole(p, tgt, q, labelled):
+            if fail and q == 11:
+                raise PoleError("injected pole")
+            return harmonic_dipole(p, tgt, q, labelled)
+
+        monkeypatch.setattr(dipole, "harmonic_dipole", failing_dipole)
+        assert run(["spectrum", "--q-min", "9", "--q-max", "11",
+                    "--outdir", tmp_path]) == code
+        _, cols = read_table(tmp_path / "spectrum.csv")
+        assert cols["flags"].tolist() == flags
+        assert ("1 orders produced no dipole" in capsys.readouterr().err) == fail
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +193,8 @@ class TestScanCommand:
             assert len(rows[form]) == 33
         assert rows["paper"][1:] != rows["hydrogenic"][1:]
         _, cols = read_table(tmp_path / "hydrogenic" / "scan.csv")
-        ref = spectrum(params, target, [24], dme_form="hydrogenic").Itotal[0]
+        ref = spectrum(params, TargetParams(target.Ip, dme_form="hydrogenic"),
+                       [24]).Itotal[0]
         assert cols["Itotal"][0] == pytest.approx(ref, rel=1e-9)
 
     def test_audit_lists_every_gap(self, tmp_path, target):
@@ -169,10 +214,10 @@ class TestScanCommand:
         # fit instead of writing NaN coefficients, and stays valid JSON
         harmonic_dipole = phasescan.harmonic_dipole
 
-        def failing_dipole(p, tgt, q, labelled, dme_form="paper"):
+        def failing_dipole(p, tgt, q, labelled):
             if q == 21 and p.phi == 0.0:
                 raise PoleError("injected pole")
-            return harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+            return harmonic_dipole(p, tgt, q, labelled)
 
         monkeypatch.setattr(phasescan, "harmonic_dipole", failing_dipole)
         assert run(["scan", "--q-min", "20", "--q-max", "21", "--n-phi", "32",

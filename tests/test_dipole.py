@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from twocolor_hhg import (HarmonicDipole, OracleConfig, PoleError, SaddlePoint,
-                          SamplingError, classify, contribution, direct_dipole,
-                          dme, harmonic_dipole, intensity, run_scan,
-                          solve_cycle, spectrum)
+                          SamplingError, TargetParams, classify, contribution,
+                          direct_dipole, dme, harmonic_dipole, intensity,
+                          run_scan, solve_cycle, spectrum)
 from twocolor_hhg import dipole, saddle
 from twocolor_hhg.dipole import ionisation_amplitude
 
@@ -16,31 +16,32 @@ from conftest import AR_IP
 
 
 class TestDme:
-    def test_zero_momentum(self):
-        assert np.allclose(dme(np.zeros(2, dtype=complex), AR_IP), 0.0)
+    def test_zero_momentum(self, target):
+        assert np.allclose(dme(np.zeros(2, dtype=complex), target), 0.0)
 
-    def test_odd_parity(self):
+    def test_odd_parity(self, target):
         g = np.random.default_rng(3)
         for _ in range(10):
             k = g.normal(size=2) + 1j * g.normal(size=2)
-            assert np.allclose(dme(-k, AR_IP), -dme(k, AR_IP))
+            assert np.allclose(dme(-k, target), -dme(k, target))
 
     def test_small_k_linearity_both_forms(self):
         k = np.array([1e-4, 2e-4], dtype=complex)
         for form in ("paper", "hydrogenic"):
-            d1 = dme(k, AR_IP, form=form)
-            d2 = dme(2 * k, AR_IP, form=form)
+            tgt = TargetParams(AR_IP, dme_form=form)
+            d1 = dme(k, tgt)
+            d2 = dme(2 * k, tgt)
             assert np.allclose(d2, 2 * d1, rtol=1e-3)
 
-    def test_pole_raises(self):
+    def test_pole_raises(self, target):
         # k^2 = -sqrt(2 Ip) is on the paper-form pole manifold
         k = np.array([1j * (2 * AR_IP) ** 0.25, 0.0])
         with pytest.raises(PoleError):
-            dme(k, AR_IP)
+            dme(k, target)
 
     def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            dme(np.array([0.1, 0.1], dtype=complex), AR_IP, form="bogus")
+        with pytest.raises(ValueError, match="dme_form: unknown form 'bogus'"):
+            TargetParams(AR_IP, dme_form="bogus")
 
 
 class TestContribution:
@@ -246,6 +247,7 @@ class TestSpectrum:
         assert dipole.CoalescenceError is saddle.CoalescenceError
 
     def test_dme_form_preserves_selection_rules(self, params, target):
-        spec = spectrum(params, target, [20, 21], dme_form="hydrogenic")
+        spec = spectrum(params, TargetParams(target.Ip, dme_form="hydrogenic"),
+                        [20, 21])
         assert spec.Ix[0] < 1e-12 * spec.Iy[0]   # even: y-polarized
         assert spec.Iy[1] < 1e-12 * spec.Ix[1]   # odd: x-polarized

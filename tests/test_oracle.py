@@ -84,7 +84,7 @@ class TestDirectDipole:
         assert spec.method == "direct"
 
 
-def full_period_dipoles(p, tgt, cfg, qs, dme_form="paper"):
+def full_period_dipoles(p, tgt, cfg, qs):
     """The dipoles at ``qs`` from the whole (tr, tau) grid of all n_cycles
     periods, as the oracle summed it before the half-period mirror; built
     64 tr rows at a time, which gives the same bytes as one whole grid."""
@@ -98,7 +98,7 @@ def full_period_dipoles(p, tgt, cfg, qs, dme_form="paper"):
         trg = tr[start:start + 64, None]
         tig = trg - taug
         ps = -apot_integral(p, tig, trg) / taug
-        d_rec = dme(ps + apot(p, trg), tgt.Ip, form=dme_form)
+        d_rec = dme(ps + apot(p, trg), tgt)
         ps2 = (ps * ps).sum(axis=0)
         s0 = -tgt.Ip * taug + 0.5 * ps2 * taug - 0.5 * apot_sq_integral(p, tig, trg)
         terms = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0)) * dt
@@ -107,7 +107,7 @@ def full_period_dipoles(p, tgt, cfg, qs, dme_form="paper"):
                      / (cfg.n_cycles * p.period) for q in qs])
 
 
-def half_period_rows(p, tgt, cfg, dme_form="paper"):
+def half_period_rows(p, tgt, cfg):
     """(tr, rows): every tau term of every tr row of the first half period in
     one (2, n_tr, n_tau) array, times dt, in the oracle's arithmetic order."""
     dt = cfg.dt(p)
@@ -122,8 +122,7 @@ def half_period_rows(p, tgt, cfg, dme_form="paper"):
                     (np.sin(x1), np.sin(x2), _apot_sq_antideriv(p, ti)))
     x1, x2 = _phases(p, tr[:, None])
     ps = np.stack(_apot_integral(p, si1, si2, np.sin(x1), np.sin(x2))) / -tau
-    d_rec = dme(ps + np.stack(_apot(p, np.cos(x1), np.cos(x2))), tgt.Ip,
-                form=dme_form)
+    d_rec = dme(ps + np.stack(_apot(p, np.cos(x1), np.cos(x2))), tgt)
     spread = (2.0 * np.pi / (1j * (tau + 1j * cfg.eps))) ** 1.5
     ps2 = (ps * ps).sum(axis=0)
     s0 = (-tgt.Ip * tau + 0.5 * ps2 * tau
@@ -148,7 +147,7 @@ class TestBlockedGrid:
     @staticmethod
     def on_whole_grid(monkeypatch, tr, rows):
         """Make the oracle take its tau sums from the whole-grid rows."""
-        def tau_sums(p, tgt, cfg, dme_form="paper", weight=None):
+        def tau_sums(p, tgt, cfg, weight=None):
             return tr, (rows if weight is None else rows * weight).sum(axis=-1)
         monkeypatch.setattr(oracle, "_tau_sums", tau_sums)
 

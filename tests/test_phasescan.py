@@ -325,9 +325,9 @@ class TestRunScan:
         # family, in the other half-cycle
         cells = []
 
-        def recording_dipole(p, tgt, q, labelled, dme_form="paper"):
+        def recording_dipole(p, tgt, q, labelled):
             cells.append((p.period, labelled))
-            return harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+            return harmonic_dipole(p, tgt, q, labelled)
 
         monkeypatch.setattr(phasescan, "harmonic_dipole", recording_dipole)
         scan = run_scan(params, target, range(14, 28), 32)
@@ -422,11 +422,11 @@ class TestFailedCell:
         step = 2.0 * np.pi / 64
         failed = []
 
-        def failing_dipole(p, tgt, q, labelled, dme_form="paper"):
+        def failing_dipole(p, tgt, q, labelled):
             if round(p.phi / step) == self.FAILED and not failed:
                 failed.append(p.phi)
                 raise PoleError("injected pole")
-            return harmonic_dipole(p, tgt, q, labelled, dme_form=dme_form)
+            return harmonic_dipole(p, tgt, q, labelled)
 
         ref = run_scan(params, target, [24], 64)
         monkeypatch.setattr(phasescan, "harmonic_dipole", failing_dipole)

@@ -74,3 +74,18 @@ def test_golden_fixtures_are_documented_and_used():
     for name in names:
         assert f"`{name}/`" in readme, name
         assert f'"{name}"' in tests, name
+
+
+def test_the_dme_form_is_a_field_of_the_target_only():
+    # TargetParams.dme_form picks the matrix element of the saddle sum and
+    # of the oracle alike; a function (exported or not, method or not) with
+    # a form parameter of its own could pair a sum with another form's oracle
+    takers = []
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = [a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                          *node.args.kwonlyargs)]
+                if {"dme_form", "form"} & set(params):
+                    takers.append(f"{path.name}:{node.name}")
+    assert takers == []
