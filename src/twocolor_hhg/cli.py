@@ -15,6 +15,7 @@ import configparser
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from .field import (ATOMIC_INTENSITY, DME_FORMS, FieldParams, SamplingError,
 from .dipole import labelled_orbits
 from .dipole import spectrum as saddle_spectrum
 from .oracle import OracleConfig, ResolutionError, direct_dipole
-from .phasescan import (ClassificationRefusedError, IllConditionedFitError,
-                        NonFiniteSampleError, align_shift, classify_modality,
-                        fourier_fit, run_scan)
+from .phasescan import (AXES_COLUMNS, ClassificationRefusedError,
+                        IllConditionedFitError, NonFiniteSampleError,
+                        align_shift, classify_modality, fourier_fit, run_scan)
 from .saddle import below_threshold
 from .taxonomy import amplitude
 from .trajectory import MIN_SAMPLES, displacement
@@ -43,25 +44,43 @@ SPECIES = {
 
 FLOAT_FMT = "%.12e"
 
-_PAIRS = [
-    ("lambda_nm", "omega"),
-    ("i1", "e1"),
-    ("ratio", "i2"),
-    ("species", "ip"),
-]
+class Setting(NamedTuple):
+    """One setting, given as the flag --<key with - for _> or as a config key."""
 
-_DEFAULTS = {
-    "lambda_nm": 800.0,
-    "i1": 1.5e14,
-    "ratio": 0.12,
-    "phi": 0.0,
-    "species": "Ar",
-    "q_min": 12,
-    "q_max": 35,
-    "n_phi": 64,
-    "dme_form": "paper",
-    "outdir": ".",
-}
+    key: str
+    type: type
+    default: object
+    bound: str | None      # None, "nonnegative" or "positive"
+    help: str
+    choices: tuple | None = None
+
+
+# each setting once, in --help order; a setting with no default is the
+# alternative of the setting above it, and at most one of the two is supplied
+SETTINGS = (
+    Setting("lambda_nm", float, 800.0, None, "fundamental wavelength (nm)"),
+    Setting("omega", float, None, "positive", "fundamental frequency (a.u.)"),
+    Setting("i1", float, 1.5e14, "positive", "fundamental intensity (W/cm^2)"),
+    Setting("e1", float, None, "positive", "fundamental field amplitude (a.u.)"),
+    Setting("ratio", float, 0.12, "nonnegative", "intensity ratio I2/I1"),
+    Setting("i2", float, None, "nonnegative", "second-harmonic intensity (W/cm^2)"),
+    Setting("phi", float, 0.0, None, "relative phase (rad)"),
+    Setting("species", str, "Ar", None, "target species (default Ar)"),
+    Setting("ip", float, None, "positive", "ionisation potential (a.u.)"),
+    Setting("q_min", int, 12, None, "lowest order"),
+    Setting("q_max", int, 35, None, "highest order"),
+    Setting("n_phi", int, 64, None, "phase points per 2 pi"),
+    Setting("dme_form", str, "paper", None,
+            "dipole matrix element denominator form", DME_FORMS),
+    Setting("outdir", str, ".", None, "output directory"),
+)
+_SETTING = {s.key: s for s in SETTINGS}
+_PAIRS = [(a.key, b.key) for a, b in zip(SETTINGS, SETTINGS[1:])
+          if b.default is None]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 class UsageError(ValueError):
@@ -99,58 +118,51 @@ def resolve_config(args):
     A value that does not parse, an unknown dme_form, or a config-file key
     that is none of these settings is a UsageError naming its key.
     """
-    keys = ("lambda_nm", "omega", "i1", "e1", "ratio", "i2", "phi", "species",
-            "ip", "q_min", "q_max", "n_phi", "dme_form", "outdir")
     supplied = {}
     if getattr(args, "config", None):
         supplied.update(_load_config_file(args.config))
-        unknown = sorted(set(supplied) - set(keys))
+        unknown = sorted(set(supplied) - set(_SETTING))
         if unknown:
             raise UsageError(f"{unknown[0]}: unknown key in config file "
                              f"{args.config}")
-    for key in keys:
+    for key in _SETTING:
         val = getattr(args, key, None)
         if val is not None:
             supplied[key] = val
     for a, b in _PAIRS:
         if a in supplied and b in supplied:
-            raise UsageError(f"supply only one of --{a} / --{b}")
+            raise UsageError(f"supply only one of {_flag(a)} / {_flag(b)}")
 
-    def value(key, kind=float):
-        """The supplied (else default) value of ``key`` as ``kind``; a float
-        must be finite."""
-        v = supplied.get(key, _DEFAULTS.get(key))
+    def value(key):
+        """The supplied (else default) value of ``key`` as its setting's type;
+        a float must be finite, and within the setting's bound."""
+        s = _SETTING[key]
+        v = supplied.get(key, s.default)
         try:
-            out = kind(v)
+            out = s.type(v)
         except ValueError:
-            raise UsageError(f"{key}: expected {kind.__name__}, got {v!r}") from None
-        if kind is float and not np.isfinite(out):
+            raise UsageError(f"{key}: expected {s.type.__name__}, got {v!r}") from None
+        if s.type is float and not np.isfinite(out):
             raise UsageError(f"{key}: expected a finite number, got {v!r}")
+        if s.bound and not (out > 0.0 if s.bound == "positive" else out >= 0.0):
+            raise UsageError(f"{key}: must be {s.bound}, got {out}")
         return out
 
-    def positive(key, zero_ok=False):
-        """value(key), refused unless positive (or zero, when ``zero_ok``)."""
-        v = value(key)
-        if not (v >= 0.0 if zero_ok else v > 0.0):
-            raise UsageError(f"{key}: must be "
-                             f"{'nonnegative' if zero_ok else 'positive'}, got {v}")
-        return v
-
     if "omega" in supplied:
-        omega = positive("omega")
+        omega = value("omega")
     else:
         try:
-            omega, _ = convert_units(value("lambda_nm"), _DEFAULTS["i1"])
+            omega, _ = convert_units(value("lambda_nm"), _SETTING["i1"].default)
         except ValueError as exc:
             raise UsageError(f"lambda_nm: {exc}") from None
     if "e1" in supplied:
-        e1 = positive("e1")
+        e1 = value("e1")
     else:
-        e1 = np.sqrt(positive("i1") / ATOMIC_INTENSITY)
+        e1 = np.sqrt(value("i1") / ATOMIC_INTENSITY)
     if "i2" in supplied:
-        e2 = np.sqrt(positive("i2", zero_ok=True) / ATOMIC_INTENSITY)
+        e2 = np.sqrt(value("i2") / ATOMIC_INTENSITY)
     else:
-        ratio = positive("ratio", zero_ok=True)
+        ratio = value("ratio")
         with np.errstate(over="ignore"):
             e2 = e1 * np.sqrt(ratio)
         if not np.isfinite(e2):
@@ -158,23 +170,23 @@ def resolve_config(args):
                              f"E1 = {e1:g} and ratio = {ratio:g}")
     phi = value("phi")
     if "ip" in supplied:
-        ip = positive("ip")
+        ip = value("ip")
     else:
-        species = value("species", str)
+        species = value("species")
         if species not in SPECIES:
             raise UsageError(f"unknown species {species!r}; known: "
                              + ", ".join(sorted(SPECIES)))
         ip = SPECIES[species]
     try:
         p = FieldParams(E1=e1, E2=e2, omega=omega, phi=phi)
-        tgt = TargetParams(Ip=ip, dme_form=value("dme_form", str))
+        tgt = TargetParams(Ip=ip, dme_form=value("dme_form"))
     except ValueError as exc:
         raise UsageError(str(exc))
     opts = {
-        "q_min": value("q_min", int),
-        "q_max": value("q_max", int),
-        "n_phi": value("n_phi", int),
-        "outdir": Path(value("outdir", str)),
+        "q_min": value("q_min"),
+        "q_max": value("q_max"),
+        "n_phi": value("n_phi"),
+        "outdir": Path(value("outdir")),
     }
     if opts["q_min"] > opts["q_max"]:
         raise UsageError("q_min must not exceed q_max")
@@ -304,6 +316,15 @@ def cmd_spectrum(p, tgt, opts, echo, args):
     return 0
 
 
+def _modality(series, phis):
+    """:func:`.phasescan.classify_modality`'s (label, maxima per pi), or
+    ("refused (<reason>)", 0) when it refuses the series."""
+    try:
+        return classify_modality(series, phis)
+    except ClassificationRefusedError as exc:
+        return f"refused ({exc})", 0
+
+
 def cmd_scan(p, tgt, opts, echo, args):
     qs = list(range(opts["q_min"], opts["q_max"] + 1))
     scan = run_scan(p, tgt, qs, opts["n_phi"])
@@ -318,19 +339,11 @@ def cmd_scan(p, tgt, opts, echo, args):
     _write_text(outdir / "audit.txt",
                 "\n".join(f"q={q} phi={phi}: {reason}"
                           for q, phi, reason in scan.gaps) + "\n")
-    arow = []
-    for (q, bid) in sorted(scan.axes):
-        M = scan.axes[(q, bid)]
-        N = scan.minor[(q, bid)]
-        g = scan.gamma[(q, bid)]
-        e = scan.ellipticity[(q, bid)]
-        for j, phi in enumerate(scan.phis):
-            if np.isfinite(M[j]).all():
-                arow.append((q, phi, bid, M[j, 0], M[j, 1], N[j, 0], N[j, 1],
-                             g[j], e[j]))
+    arow = [(q, phi, bid, *row) for q, bid in sorted(scan.orbit_axes)
+            for phi, row in zip(scan.phis, scan.orbit_axes[q, bid])
+            if np.isfinite(row).all()]
     write_table(outdir / "axes.csv", echo,
-                ["q", "phi", "branch_id", "Mx", "My", "Nx", "Ny", "gamma",
-                 "ellipticity"], arow)
+                ["q", "phi", "branch_id", *AXES_COLUMNS], arow)
     fits = {}
     for q in scan.qs:
         series = scan.series(q)
@@ -339,10 +352,7 @@ def cmd_scan(p, tgt, opts, echo, args):
         except NonFiniteSampleError as exc:     # failed cells are NaN
             fits[f"H{q:g}"] = {"error": f"refused ({exc})"}
             continue
-        try:
-            modality, n_max = classify_modality(series, scan.phis)
-        except ClassificationRefusedError as exc:
-            modality, n_max = f"refused ({exc})", 0
+        modality, n_max = _modality(series, scan.phis)
         fits[f"H{q:g}"] = {
             "a0": fit.a0, "a1": fit.a1, "b1": fit.b1, "a2": fit.a2,
             "b2": fit.b2, "a4": fit.a4, "b4": fit.b4,
@@ -435,10 +445,7 @@ def cmd_fit(p, tgt, opts, echo, args):
             tau = align_shift(ref_fit, mval[msel], mphi[msel])
         except (NonFiniteSampleError, SamplingError) as exc:
             raise UsageError(f"{args.data}: H{q:g}: {exc}") from None
-        try:
-            modality, n_max = classify_modality(mval[msel], mphi[msel])
-        except ClassificationRefusedError as exc:
-            modality, n_max = f"refused ({exc})", 0
+        modality, n_max = _modality(mval[msel], mphi[msel])
         report[f"H{q:g}"] = {
             "tau": tau, "rms": ref_fit.rms, "extended": ref_fit.extended,
             "modality": modality, "maxima_per_pi": n_max,
@@ -472,24 +479,9 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file")
-    common.add_argument("--lambda-nm", dest="lambda_nm", type=float,
-                        help="fundamental wavelength (nm)")
-    common.add_argument("--omega", type=float, help="fundamental frequency (a.u.)")
-    common.add_argument("--i1", type=float, help="fundamental intensity (W/cm^2)")
-    common.add_argument("--e1", type=float, help="fundamental field amplitude (a.u.)")
-    common.add_argument("--ratio", type=float, help="intensity ratio I2/I1")
-    common.add_argument("--i2", type=float, help="second-harmonic intensity (W/cm^2)")
-    common.add_argument("--phi", type=float, help="relative phase (rad)")
-    common.add_argument("--species", help="target species (default Ar)")
-    common.add_argument("--ip", type=float, help="ionisation potential (a.u.)")
-    common.add_argument("--q-min", dest="q_min", type=int, help="lowest order")
-    common.add_argument("--q-max", dest="q_max", type=int, help="highest order")
-    common.add_argument("--n-phi", dest="n_phi", type=int,
-                        help="phase points per 2 pi")
-    common.add_argument("--dme-form", dest="dme_form",
-                        choices=DME_FORMS,
-                        help="dipole matrix element denominator form")
-    common.add_argument("--outdir", help="output directory")
+    for s in SETTINGS:
+        common.add_argument(_flag(s.key), type=s.type, choices=s.choices,
+                            help=s.help)
     sub = ap.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("spectrum", parents=[common],
                         help="saddle-point harmonic spectrum")

@@ -54,11 +54,6 @@ class HarmonicDipole:
     Dy: complex
     contributions: tuple    # the relevant orbits' DipoleContributions, in sum order
 
-    @property
-    def below_threshold(self):
-        """True when no orbit contributes, so the dipole is an empty sum."""
-        return not self.contributions
-
 
 @dataclass(frozen=True)
 class HarmonicSpectrum:

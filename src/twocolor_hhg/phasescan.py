@@ -35,6 +35,8 @@ RMS_EXTEND_FRACTION = 0.05
 TAU_GRID_STEP = 1e-3
 PERIODICITY_TOL = 1e-6
 PHI_GROWTH_FACTOR = 5.0    # max amplitude growth per phi step for a branch
+# the columns of each orbit's axis table in PhaseScan.orbit_axes
+AXES_COLUMNS = ("Mx", "My", "Nx", "Ny", "gamma", "ellipticity")
 
 
 class IllConditionedFitError(ValueError):
@@ -81,10 +83,7 @@ class PhaseScan:
     Ix: np.ndarray         # (m, n)
     Iy: np.ndarray
     Itotal: np.ndarray
-    axes: dict             # (q, branch_id) -> (n, 2) signed major axes
-    minor: dict            # (q, branch_id) -> (n, 2) minor axes
-    gamma: dict            # (q, branch_id) -> (n,) rectifying phase
-    ellipticity: dict      # (q, branch_id) -> (n,) |N|/|M|
+    orbit_axes: dict       # (q, branch_id) -> (n, 6) table, AXES_COLUMNS
     gaps: tuple            # (q, phi, reason) for failed cells/branches
 
     def series(self, q):
@@ -117,11 +116,11 @@ def _scan_cell(p, tgt, q, reps, match, gaps, prev_reps=None, prev_banned=None):
     Relevance is judged on the representatives ``reps`` and copied to their
     partners.  ``match`` holds each representative's predecessor, an index
     into the previous cell's ``prev_reps`` (-1 if new).  Returns the cell's
-    intensities, each relevant orbit's axis row (Mx, My, Nx, Ny, gamma,
-    ellipticity) and the `banned` flags to carry to the next cell: a branch
-    whose amplitude explodes between neighbouring phi cells is an
-    anti-Stokes partner crossing in phi — invisible to the per-order growth
-    test — and stays excluded for as long as it is tracked.  A dipole that
+    intensities, each relevant orbit's axis row (AXES_COLUMNS) and the
+    `banned` flags to carry to the next cell: a branch whose amplitude
+    explodes between neighbouring phi cells is an anti-Stokes partner
+    crossing in phi — invisible to the per-order growth test — and stays
+    excluded for as long as it is tracked.  A dipole that
     fails (a coalescence or a pole) makes the cell a gap: NaN intensities
     and no axis rows, with the flags still returned.
     """
@@ -178,9 +177,9 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
     flip their y components.  This keeps the exact pi-periodicity of the
     single-atom response free of path-dependent branch-tracking hysteresis
     (the underlying symmetry is verified independently at the spectrum
-    level).  Each orbit's axes are one (n_phi, 6) table (Mx, My, Nx, Ny,
-    gamma, ellipticity), of which ``PhaseScan.axes``, ``minor``, ``gamma``
-    and ``ellipticity`` are column views.
+    level).  Each orbit's axes are one (n_phi, 6) table in
+    ``PhaseScan.orbit_axes``, its columns AXES_COLUMNS; a row the scan did
+    not fill (a gap, or the orbit absent or irrelevant there) is NaN.
     """
     qs = np.asarray(sorted(q_list), dtype=float)
     _check_samples(qs.size, 1, "orders")
@@ -239,11 +238,7 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
         table[half:] = table[:half] * [1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
     _pair_signs(tables)
     return PhaseScan(phis=phis, qs=qs, Ix=ix, Iy=iy, Itotal=itot,
-                     axes={k: t[:, :2] for k, t in tables.items()},
-                     minor={k: t[:, 2:4] for k, t in tables.items()},
-                     gamma={k: t[:, 4] for k, t in tables.items()},
-                     ellipticity={k: t[:, 5] for k, t in tables.items()},
-                     gaps=tuple(gaps))
+                     orbit_axes=tables, gaps=tuple(gaps))
 
 
 def _pair_signs(tables):

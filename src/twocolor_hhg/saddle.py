@@ -59,7 +59,6 @@ class SaddlePoint:
     tr: complex
     ps: np.ndarray          # complex (2,) stationary momentum
     action: complex
-    hessdet: complex
     q: float
     residual: float
     # the kernel's values at the point, so the dipole need not recompute them
@@ -363,9 +362,8 @@ def _forked_newton_batch(p, tgt, q, phi, ti, tr, cases):
 def _points(p, tgt, q, phi, ti, tr):
     """The SaddlePoints at converged (ti, tr), one per point, each at its own
     order ``q`` and field phase ``phi``, from one kernel evaluation.  The array
-    terms are taken for all points at once, each point's complex products
-    (Hessian determinant, action) on numpy scalars, so every point is
-    bit-identical to one built alone."""
+    terms are taken for all points at once, each point's action sum on numpy
+    scalars, so every point is bit-identical to one built alone."""
     t = np.array([ti, tr], dtype=complex)
     state, ps = _terms(p, t, phi)
     tau, vr, vi, ps = state[0], state[3:5], state[5:7], np.array(ps)
@@ -378,8 +376,7 @@ def _points(p, tgt, q, phi, ti, tr):
     return [SaddlePoint(
         ti=complex(t[0, k]), tr=complex(t[1, k]), ps=ps[k],
         action=complex(_action_sum(p, tgt, q[k], t[1, k], tau[k], ps_sq[k], a_sq[k])),
-        hessdet=complex(h[0, 0] * h[1, 1] - h[0, 1] * h[0, 1]), q=float(q[k]),
-        residual=float(residual[k]), hess=h, k_rec=k_rec[k])
+        q=float(q[k]), residual=float(residual[k]), hess=h, k_rec=k_rec[k])
         for k, h in enumerate(hess)]
 
 

@@ -79,12 +79,12 @@ def test_4_ellipticity(plateau_scan):
     scan, _ = plateau_scan
     ells = []
     for q in scan.qs:
-        keys = [k for k in scan.axes if k[0] == q]
+        keys = [k for k in scan.orbit_axes if k[0] == q]
         for idx in range(0, 32, 2):
             best_norm, best_ell = -1.0, np.nan
             for key in keys:
-                m = scan.axes[key][idx]
-                e = scan.ellipticity[key][idx]
+                m = scan.orbit_axes[key][idx, :2]
+                e = scan.orbit_axes[key][idx, 5]
                 if np.all(np.isfinite(m)) and np.isfinite(e):
                     norm = float(np.hypot(*m))
                     if norm > best_norm:

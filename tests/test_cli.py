@@ -11,7 +11,7 @@ import pytest
 from twocolor_hhg import (FieldParams, OracleConfig, PoleError, TargetParams,
                           dipole, direct_dipole, phasescan, run_scan, saddle,
                           spectrum)
-from twocolor_hhg.cli import FLOAT_FMT, main, read_table
+from twocolor_hhg.cli import FLOAT_FMT, build_parser, main, read_table
 
 from conftest import AR_IP, E1, OMEGA
 
@@ -325,6 +325,30 @@ class TestConfigValidation:
         assert run(["spectrum", "--species", "Ar", "--ip", "0.5",
                     "--outdir", tmp_path]) == 2
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("a, va, b, vb", [
+        ("--lambda-nm", "800", "--omega", "0.057"),
+        ("--i1", "1.5e14", "--e1", "0.065"),
+        ("--ratio", "0.12", "--i2", "1e13"),
+        ("--species", "Ar", "--ip", "0.5"),
+    ], ids=["lambda-omega", "i1-e1", "ratio-i2", "species-ip"])
+    def test_pair_error_names_both_flags(self, a, va, b, vb, source, tmp_path,
+                                         capsys):
+        # the first member from a flag or from its config key, the second
+        # from a flag: either way the error spells both as flags
+        out = tmp_path / "out"
+        args = ["spectrum", b, vb, "--outdir", out]
+        if source == "flags":
+            args += [a, va]
+        else:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[run]\n{a[2:].replace('-', '_')} = {va}\n")
+            args += ["--config", cfg]
+        assert run(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: supply only one of {a} / {b}"]
+        assert not out.exists()
+
     def test_unknown_species(self, tmp_path):
         assert run(["spectrum", "--species", "Unobtainium",
                     "--outdir", tmp_path]) == 2
@@ -455,6 +479,47 @@ class TestConfigValidation:
                 f"# config E2_au = {'%.12e' % (E1 * np.sqrt(0.5))}"} <= set(meta)
 
 
+# a valid value other than the default for each setting; outdir's is a path
+SETTING_VALUES = {
+    "lambda_nm": "1300", "omega": "0.05", "i1": "1e14", "e1": "0.05",
+    "ratio": "0.5", "i2": "1e13", "phi": "0.7", "species": "Ne", "ip": "0.6",
+    "q_min": "20", "q_max": "30", "n_phi": "32", "dme_form": "hydrogenic",
+    "outdir": None,
+}
+
+
+class TestSettings:
+    def test_setting_keys_are_the_parser_dests(self):
+        # the dests every subcommand has, but for --config, are the settings
+        ap = build_parser()
+        dests = None
+        for argv in (["spectrum"], ["scan"], ["saddles"], ["orbits"],
+                     ["lissajous"], ["fit", "m.csv", "--reference", "r.csv"],
+                     ["oracle"]):
+            got = set(vars(ap.parse_args(argv))) - {"command", "func", "config"}
+            dests = got if dests is None else dests & got
+        assert dests == set(SETTING_VALUES)
+
+    @pytest.mark.parametrize("key", sorted(SETTING_VALUES))
+    def test_every_setting_flag_is_a_config_key(self, key, tmp_path):
+        # a setting read from its flag or from its config key gives the same
+        # bytes, and not the default run's: none is parsed and then ignored
+        out = tmp_path / "out"
+        value = tmp_path / "elsewhere" if key == "outdir" else SETTING_VALUES[key]
+        written = value if key == "outdir" else out
+        tail = [] if key == "outdir" else ["--outdir", out]
+        base = ["lissajous", "--n-samples", "64"]
+        assert run([*base, "--outdir", out]) == 0
+        default = (out / "lissajous.csv").read_bytes()
+        assert run([*base, "--" + key.replace("_", "-"), value, *tail]) == 0
+        by_flag = (written / "lissajous.csv").read_bytes()
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\n{key} = {value}\n")
+        assert run([*base, "--config", cfg, *tail]) == 0
+        by_config = (written / "lissajous.csv").read_bytes()
+        assert by_flag == by_config != default
+
+
 def _phase_table(path, phis, q=24):
     """A minimal scan-like CSV: one order sampled at ``phis``."""
     rows = [f"{phi:.17g},{q},{1.0 + 0.5 * np.cos(2 * phi) + 0.1 * k:.17g}"
@@ -576,6 +641,16 @@ class TestFitOrders:
                         "--outdir", tmp_path / f"only{q}"]) == 0
             only = json.loads((tmp_path / f"only{q}" / "fit_report.json").read_text())
             assert only == {f"H{q:g}": report[f"H{q:g}"]}
+
+    def test_unclassifiable_order_keeps_its_fit(self, tmp_path):
+        # the ramp of _phase_table is not pi-periodic: the order gets its
+        # shift and a refusal record for the modality, not an error
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        table = _phase_table(tmp_path / "ramp.csv", grid)
+        assert run(["fit", table, "--reference", table, "--outdir", tmp_path]) == 0
+        h24 = json.loads((tmp_path / "fit_report.json").read_text())["H24"]
+        assert h24["modality"].startswith("refused (series not pi-periodic")
+        assert h24["maxima_per_pi"] == 0 and "tau" in h24
 
 
 class TestRoundTrip:

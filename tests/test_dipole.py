@@ -107,7 +107,7 @@ class TestHarmonicDipole:
 
     def test_empty_set_flagged(self, params, target):
         hd = harmonic_dipole(params, target, 20, [])
-        assert hd.below_threshold
+        assert not hd.contributions
         assert hd.Dx == 0.0 and hd.Dy == 0.0
 
     def test_contributions_are_the_summed_orbits(self, params, target, wide_orbits):
@@ -141,18 +141,17 @@ class TestHarmonicDipole:
         assert (hd.Dx, hd.Dy) == (ref.Dx, ref.Dy)
 
     def test_below_threshold_is_an_empty_sum(self, params, target, wide_orbits):
-        # the flag is derived from the contributions, so the two cannot
-        # disagree: a sum with orbits, one with none relevant, and the
-        # placeholder of a spectrum's order below threshold (a skipped
-        # order's: test_coalescent_saddle_is_audited)
+        # a sum with orbits, one with none relevant, and the placeholder of
+        # a spectrum's order below threshold (a skipped order's:
+        # test_coalescent_saddle_is_audited); an empty sum says nothing of
+        # the threshold, so the dipole carries no threshold flag
         labelled = wide_orbits.by_q[20]
         none = [(sp, dataclasses.replace(lab, relevant=False)) for sp, lab in labelled]
         dipoles = [harmonic_dipole(params, target, 20, labelled),
                    harmonic_dipole(params, target, 20, none),
                    *spectrum(params, target, [5]).dipoles]
-        assert [hd.below_threshold for hd in dipoles] == [False, True, True]
-        assert all(hd.below_threshold == (not hd.contributions) for hd in dipoles)
-        assert "below_threshold" not in {f.name for f in dataclasses.fields(HarmonicDipole)}
+        assert [not hd.contributions for hd in dipoles] == [False, True, True]
+        assert not hasattr(HarmonicDipole, "below_threshold")
 
 
 class TestIntensity:
@@ -205,7 +204,8 @@ class TestSpectrum:
     def test_below_threshold_orders_flagged(self, params, target):
         spec = spectrum(params, target, [5, 6])
         assert np.all(spec.Itotal == 0.0)
-        assert all(hd.below_threshold for hd in spec.dipoles)
+        assert all(not hd.contributions and saddle.below_threshold(params, target, hd.q)
+                   for hd in spec.dipoles)
 
     def test_coalescent_saddle_is_audited(self, params, target, monkeypatch):
         # a saddle whose Hessian is singular (two saddles merged) fails in
@@ -215,7 +215,7 @@ class TestSpectrum:
             t = 20.0 + 5.0j
             return [saddle.with_partners(p, [SaddlePoint(
                 ti=t, tr=t + 30.0, ps=np.zeros(2, dtype=complex), action=0j,
-                hessdet=0j, q=float(q), residual=0.0,
+                q=float(q), residual=0.0,
                 hess=np.ones((2, 2), dtype=complex),
                 k_rec=np.ones(2, dtype=complex))]) for p, q in cases]
 
@@ -225,7 +225,8 @@ class TestSpectrum:
         skipped = [line for line in spec.audit if "skipped" in line]
         assert len(skipped) == 2
         assert all("coalesced" in line for line in skipped)
-        assert all(hd.below_threshold and not hd.contributions for hd in spec.dipoles)
+        assert all(not hd.contributions and not saddle.below_threshold(params, target, hd.q)
+                   for hd in spec.dipoles)
 
     def test_off_grid_order_rejected(self, params, target):
         # branch histories run in unit steps from the lowest order, so 20.5

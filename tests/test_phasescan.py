@@ -294,7 +294,7 @@ class TestRunScan:
         assert np.nanmax(scan17.Iy[0] / scan17.Ix[0]) < 1e-12
 
     def test_axes_tracked_for_principal_orbits(self, scan17):
-        bids = {bid for (q, bid) in scan17.axes}
+        bids = {bid for (q, bid) in scan17.orbit_axes}
         assert {"h0-short", "h0-long"} <= bids
 
     def test_unknown_order_rejected(self, scan17):
@@ -347,7 +347,7 @@ class TestRunScan:
         # every axes key still names half-cycle 0 or 1, and each h0 branch
         # has its h1 twin
         scan = run_scan(params.with_ratio(1.0), target, [24], 32)
-        ids = {bid for _, bid in scan.axes}
+        ids = {bid for _, bid in scan.orbit_axes}
         assert ids
         assert all(bid.startswith(("h0-", "h1-")) for bid in ids)
         assert {bid[3:] for bid in ids if bid.startswith("h0-")} == \

@@ -1,47 +1,44 @@
-"""Repository tooling: the CI install step, the package's test extra, its
-runtime dependencies and the checked-in golden fixtures."""
+"""Repository tooling: the CI install step and Python version, the
+package's test extra, its runtime dependencies and the checked-in golden
+fixtures."""
 
 import ast
 import re
 import sys
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
 
 
 def workflow_pins():
     """The name==version pins of the CI workflow's pip install step."""
-    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    (line,) = [ln for ln in text.splitlines()
+    (line,) = [ln for ln in WORKFLOW.splitlines()
                if re.match(r"\s*run:\s*python -m pip install ", ln)]
     return re.findall(r"\S+==\S+", line)
-
-
-def extra_pins():
-    """The requirements of pyproject.toml's `test` extra (read as text: the
-    package supports Python 3.10, which has no tomllib)."""
-    text = (ROOT / "pyproject.toml").read_text()
-    extras = text.split("[project.optional-dependencies]", 1)[1].split("\n[", 1)[0]
-    (body,) = re.findall(r"^test\s*=\s*\[(.*?)\]", extras, flags=re.M | re.S)
-    return re.findall(r'"([^"]+)"', body)
 
 
 def test_ci_installs_the_test_extra_pins():
     # the golden fixtures depend on the last bits of the pinned numpy, so
     # CI must test with exactly the versions the extra pins
-    ci, extra = workflow_pins(), extra_pins()
+    ci, extra = workflow_pins(), PROJECT["optional-dependencies"]["test"]
     assert extra and all("==" in req for req in extra), extra
     assert sorted(ci) == sorted(extra)
 
 
+def test_ci_tests_the_python_floor():
+    # the one Python that CI runs is the lowest the package claims; numpy
+    # 2.4.6, the test extra's pin, needs Python 3.11 or later
+    (version,) = re.findall(r'python-version:\s*"([^"]+)"', WORKFLOW)
+    assert PROJECT["requires-python"] == f">={version}"
+
+
 def runtime_dependencies():
     """The distribution names in pyproject.toml's [project] dependencies."""
-    text = (ROOT / "pyproject.toml").read_text()
-    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
-    (body,) = re.findall(r"^dependencies\s*=\s*\[(.*?)\]", project,
-                         flags=re.M | re.S)
     return {re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0]
-            for req in re.findall(r'"([^"]+)"', body)}
+            for req in PROJECT["dependencies"]}
 
 
 def third_party_imports():
