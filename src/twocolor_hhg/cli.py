@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -151,8 +152,9 @@ def resolve_config(args):
     if "omega" in supplied:
         omega = value("omega")
     else:
+        lambda_nm = value("lambda_nm")
         try:
-            omega, _ = convert_units(value("lambda_nm"), _SETTING["i1"].default)
+            omega, _ = convert_units(lambda_nm, _SETTING["i1"].default)
         except ValueError as exc:
             raise UsageError(f"lambda_nm: {exc}") from None
     if "e1" in supplied:
@@ -353,12 +355,8 @@ def cmd_scan(p, tgt, opts, echo, args):
             fits[f"H{q:g}"] = {"error": f"refused ({exc})"}
             continue
         modality, n_max = _modality(series, scan.phis)
-        fits[f"H{q:g}"] = {
-            "a0": fit.a0, "a1": fit.a1, "b1": fit.b1, "a2": fit.a2,
-            "b2": fit.b2, "a4": fit.a4, "b4": fit.b4,
-            "extended": fit.extended, "tau": fit.tau, "rms": fit.rms,
-            "modality": modality, "maxima_per_pi": n_max,
-        }
+        fits[f"H{q:g}"] = {**dataclasses.asdict(fit), "modality": modality,
+                           "maxima_per_pi": n_max}
     _write_text(
         outdir / "fits.json",
         json.dumps({"model": "a0 + a1 cos(phi) + b1 sin(phi) + a2 cos(2 phi)"

@@ -145,9 +145,9 @@ def intensity(hd: HarmonicDipole, omega):
 def build_history(p: FieldParams, tgt: TargetParams, qs):
     """Solve the orders and track branches across orders by continuity.
 
-    Returns (per_q, history): ``per_q[q]`` is the
-    :func:`.saddle.solve_cycle` list, from one :func:`.saddle.solve_cycles`
-    call, and ``history`` the :func:`.taxonomy.track_branches` value over it.
+    Returns (per_q, history): ``per_q[q]`` holds the representatives of
+    order q, from one :func:`.saddle.solve_cycles` call, and ``history`` the
+    :func:`.taxonomy.track_branches` value over them.
     """
     per_q = dict(zip(qs, solve_cycles(tgt, [(p, q) for q in qs])))
     return per_q, track_branches(per_q, p.period)
@@ -174,22 +174,18 @@ def history_orders(qs):
 def labelled_orbits(p: FieldParams, tgt: TargetParams, qs, audit=None):
     """Yield (q, labelled saddles) for every order in sorted ``qs``.
 
-    Branches are tracked over :func:`history_orders` on the full saddle
-    lists; relevance is judged on the representatives and copied to their
-    partners.  ``labelled`` is :func:`classify`'s list, empty when the order
-    has no saddles.  The relevance discards of an order are appended to
-    ``audit`` before that order is yielded.
+    Branches are tracked over :func:`history_orders` on the representatives,
+    and relevance is judged on them; :func:`classify` builds the partners and
+    copies each representative's flag to its partner.  ``labelled`` is
+    :func:`classify`'s list, empty when the order has no saddles.  The
+    relevance discards of an order are appended to ``audit`` before that
+    order is yielded.
     """
     qs = np.asarray(sorted(qs), dtype=float)
     per_q, history = build_history(p, tgt, history_orders(qs))
     for q in qs:
-        saddles = per_q[q]
-        if not saddles:
-            yield q, []
-            continue
-        mask = relevance_mask(p, tgt, q, saddles[:len(saddles) // 2],
-                              history=history, audit=audit)
-        yield q, classify(p, saddles, relevant_mask=mask)
+        mask = relevance_mask(p, tgt, q, per_q[q], history=history, audit=audit)
+        yield q, classify(p, per_q[q], relevant_mask=mask)
 
 
 def spectrum(p: FieldParams, tgt: TargetParams, qs):

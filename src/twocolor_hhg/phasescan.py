@@ -25,8 +25,9 @@ import numpy as np
 
 from .field import FieldParams, SamplingError, TargetParams, _check_samples
 from .saddle import (BranchLostError, CoalescenceError, continue_branches,
-                     solve_cycles, with_partners)
-from .taxonomy import MATCH_TOL_PERIODS, amplitude, classify, relevance_mask
+                     solve_cycles)
+from .taxonomy import (MATCH_TOL_PERIODS, _fold_distance, amplitude, classify,
+                       relevance_mask)
 from .dipole import PoleError, harmonic_dipole, intensity
 from .polarization import UndefinedEllipseError, decompose, signed_axes
 
@@ -98,13 +99,9 @@ def _match_indices(prev_reps, reps, period):
     """Index of each representative's predecessor in the previous cell (-1 if
     new), matched modulo T/2 at a dense refresh: it folds a representative
     that continuation carried out of [0, T/2) back onto its partner's times."""
-    half = 0.5 * period
     out = np.full(len(reps), -1, dtype=int)
     for i, sp in enumerate(reps):
-        d = []
-        for ref in prev_reps:
-            s = half * np.round((sp.ti - ref.ti).real / half)
-            d.append(abs(sp.ti - ref.ti - s) + abs(sp.tr - ref.tr - s))
+        d = [_fold_distance(sp, ref, period)[1] for ref in prev_reps]
         if d and min(d) < MATCH_TOL_PERIODS * period:
             out[i] = int(np.argmin(d))
     return out
@@ -113,9 +110,10 @@ def _match_indices(prev_reps, reps, period):
 def _scan_cell(p, tgt, q, reps, match, gaps, prev_reps=None, prev_banned=None):
     """Relevance + classification + dipole sum for the cell (q, p.phi).
 
-    Relevance is judged on the representatives ``reps`` and copied to their
-    partners.  ``match`` holds each representative's predecessor, an index
-    into the previous cell's ``prev_reps`` (-1 if new).  Returns the cell's
+    Relevance is judged on the representatives ``reps``, and
+    :func:`.taxonomy.classify` copies it to their partners.  ``match`` holds
+    each representative's predecessor, an index into the previous cell's
+    ``prev_reps`` (-1 if new).  Returns the cell's
     intensities, each relevant orbit's axis row (AXES_COLUMNS) and the
     `banned` flags to carry to the next cell: a branch whose amplitude
     explodes between neighbouring phi cells is an anti-Stokes partner
@@ -136,7 +134,7 @@ def _scan_cell(p, tgt, q, reps, match, gaps, prev_reps=None, prev_banned=None):
             gaps.append((q, p.phi, f"branch at ti={sp.ti:.2f} grows with phi "
                                    "(anti-Stokes crossing)"))
     mask &= ~banned
-    labelled = classify(p, with_partners(p, reps), relevant_mask=mask)
+    labelled = classify(p, reps, relevant_mask=mask)
     try:
         hd = harmonic_dipole(p, tgt, q, labelled)
     except (CoalescenceError, PoleError) as exc:
@@ -158,9 +156,9 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
     """Sweep phi over ``n_phi`` uniform points for each order in ``q_list``.
 
     The representative saddles are carried from cell to cell by
-    continuation and each cell appends their exact partners; every
-    REFRESH_EVERY-th cell re-solves from a dense seed grid so branches
-    born mid-scan are picked up.  Every other cell is a continuation, also
+    continuation, and each cell's :func:`.taxonomy.classify` builds their
+    exact partners; every REFRESH_EVERY-th cell re-solves from a dense seed
+    grid so branches born mid-scan are picked up.  Every other cell is a continuation, also
     after a failed cell, so the solves do not depend on the cells' results
     and run first, step-major: the refreshes of all orders in one
     :func:`.saddle.solve_cycles` call, then for each of the REFRESH_EVERY - 1
@@ -196,8 +194,8 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
     # solve phase: the dense refreshes of every order in one batched solve,
     # then one continuation per phi step over every order and segment
     refreshes = [(m, j) for m in range(qs.size) for j in range(0, half, REFRESH_EVERY)]
-    reps = {key: sads[:len(sads) // 2] for key, sads in zip(refreshes, solve_cycles(
-        tgt, [(p.with_phi(phis[j]), qs[m]) for m, j in refreshes]))}
+    reps = dict(zip(refreshes, solve_cycles(
+        tgt, [(p.with_phi(phis[j]), qs[m]) for m, j in refreshes])))
     carried = {}    # continued cell -> (predecessor of each branch, losses)
     for s in range(1, REFRESH_EVERY):
         cells = [(m, j + s) for m, j in refreshes if j + s < half]

@@ -476,22 +476,22 @@ def with_partners(p: FieldParams, representatives):
 
 def solve_cycle(p: FieldParams, tgt: TargetParams, q):
     """All distinct saddles with Re(ti) in one fundamental period: the
-    representatives, then their partners (:func:`with_partners`).
-
-    The representatives are solved from :func:`seed_grid`, folded to Re(ti)
-    in [0, T/2), deduplicated and sorted by (Re ti, Re tr).  Below the Ip
-    threshold the result is empty (see :func:`below_threshold`).  Excursions
-    Re(tr - ti) lie in (DEDUP_TOL, TAU_MAX_PERIODS periods] (no purely
-    imaginary excursions, no multi-cycle returns); solutions
-    with Im(ti) < 0 or Im(S) < 0 are the exponentially growing conjugate
-    partners and are discarded.
-    """
-    return solve_cycles(tgt, [(p, q)])[0]
+    representatives of :func:`solve_cycles`, then their partners
+    (:func:`with_partners`)."""
+    return with_partners(p, solve_cycles(tgt, [(p, q)])[0])
 
 
 def solve_cycles(tgt: TargetParams, cases):
-    """:func:`solve_cycle` at each (field, order) pair of ``cases``, as a
-    parallel list.
+    """The representatives at each (field, order) pair of ``cases``, as a
+    parallel list: the distinct saddles with Re(ti) in [0, T/2), solved
+    from :func:`seed_grid`, folded, deduplicated and sorted by (Re ti, Re
+    tr); their t + T/2 images (:func:`with_partners`) are the other
+    half-cycle's.  Below the Ip threshold a case has none (see
+    :func:`below_threshold`).  Excursions
+    Re(tr - ti) lie in (DEDUP_TOL, TAU_MAX_PERIODS periods] (no purely
+    imaginary excursions, no multi-cycle returns); solutions with Im(ti) < 0
+    or Im(S) < 0 are the exponentially growing conjugate partners and are
+    discarded.
 
     The fields must share E1, E2 and omega; their phases may differ.  Each
     case is seeded from its own field's :func:`seed_grid`, the seeds of the
@@ -539,7 +539,7 @@ def solve_cycles(tgt: TargetParams, cases):
         for k, ti_k, _ in picked:
             # Im S < 0: a growing conjugate; each is a whole dedup cluster
             reps = [next(points) for _ in ti_k]
-            out[k] = with_partners(cases[k][0], [sp for sp in reps if sp.action.imag >= 0.0])
+            out[k] = [sp for sp in reps if sp.action.imag >= 0.0]
     return out
 
 

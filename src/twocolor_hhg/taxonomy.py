@@ -1,9 +1,9 @@
 """Classification of quantum orbits and relevance selection for the dipole sum.
 
-The saddles of one period come as representatives followed by their exact
-t + T/2 partners (:func:`.saddle.with_partners`).  The representatives are
-ordered by travel time Re(tr - ti); the two leading *relevant* families are
-"short" and "long", further ones "extra-3", "extra-4", ...  Each partner
+The pipelines carry the representatives, the saddles of one half-cycle;
+:func:`classify` builds their exact t + T/2 partners.  The representatives
+are ordered by travel time Re(tr - ti); the two leading *relevant* families
+are "short" and "long", further ones "extra-3", "extra-4", ...  Each partner
 takes its representative's family and flag, in the other half-cycle.
 
 Relevance is decided in two tiers.  Tier (a) judges each saddle alone:
@@ -14,12 +14,12 @@ orbit; extra families also face an amplitude floor.  The growth slope is
 exact: at a saddle dS/dti = dS/dtr = 0, so dS/dq is the explicit q w tr
 term and d ln|e^{iS}|/dq = -w Im(tr).
 Tier (b) reads the branch history of :func:`track_branches`, which tracks
-branches across harmonic order and finds the closest approach in ti of each
-pair of branches once: a branch must persist for MIN_BRANCH_SUPPORT orders,
-and once a short/long pair passes a closest approach within
-APPROACH_TOL_PERIODS (the cutoff), the branch growing beyond that point is
-dropped for larger orders.  :func:`find_cutoff` is the tightest of these
-approaches.  Every discard is written to the audit log.
+branches across harmonic order modulo T/2 and finds the closest approach in
+ti of each pair of branches once: a branch must persist for
+MIN_BRANCH_SUPPORT orders, and once a short/long pair passes a closest
+approach within APPROACH_TOL_PERIODS (the cutoff), the branch growing beyond
+that point is dropped for larger orders.  :func:`find_cutoff` is the
+tightest of these approaches.  Every discard is written to the audit log.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .field import FieldParams, TargetParams
-from .saddle import SaddlePoint
+from .saddle import SaddlePoint, with_partners
 
 EXTRA_AMPLITUDE_CUT = 1e-6
 GROWTH_LOG_SLOPE = np.log(2.0)   # per harmonic order
@@ -57,22 +57,22 @@ def amplitude(sp: SaddlePoint):
     return float(np.exp(-complex(sp.action).imag))
 
 
-def classify(p: FieldParams, saddles, relevant_mask=None):
-    """Label the saddles of one fundamental period.
+def classify(p: FieldParams, reps, relevant_mask=None):
+    """Label the saddles of one fundamental period: the representatives
+    ``reps`` and the partners this builds (:func:`.saddle.with_partners`).
 
-    ``saddles`` is in :func:`.saddle.with_partners` layout: n representatives,
-    then their n partners.  ``relevant_mask`` has one flag per representative
-    and marks the orbits the family naming ranks first; without it every
-    representative is principal.  The families are ranked once, over the
-    representatives: the principal ones by travel time (short, long,
-    extra-3, ...), then the remaining ones continuing the extra numbering.
-    Each partner takes its representative's family and flag.  A
-    representative's half-cycle is floor(2 Re(ti) / T) mod 2, wherever
-    continuation has carried it; its partner's is the other one.  The result
-    is sorted by (Re ti, Re tr), which fixes the dipole summation order.
+    ``relevant_mask`` has one flag per representative and marks the orbits
+    the family naming ranks first; without it every representative is
+    principal.  The families are ranked once, over the representatives: the
+    principal ones by travel time (short, long, extra-3, ...), then the
+    remaining ones continuing the extra numbering.  Each partner takes its
+    representative's family and flag.  A representative's half-cycle is
+    floor(2 Re(ti) / T) mod 2, wherever continuation has carried it; its
+    partner's is the other one.  The result is sorted by (Re ti, Re tr),
+    which fixes the dipole summation order.
     """
-    n = len(saddles) // 2
-    reps = saddles[:n]
+    n = len(reps)
+    partners = with_partners(p, reps)[n:]
     if relevant_mask is None:
         relevant_mask = [True] * n
     n_principal = int(np.count_nonzero(relevant_mask))
@@ -84,7 +84,7 @@ def classify(p: FieldParams, saddles, relevant_mask=None):
         family = (("short", "long")[rank] if rank < min(n_principal, 2)
                   else f"extra-{rank + 1 + skip}")
         half = int(np.floor(2.0 * reps[i].ti.real / p.period)) % 2
-        for sp, h in ((reps[i], half), (saddles[n + i], 1 - half)):
+        for sp, h in ((reps[i], half), (partners[i], 1 - half)):
             out.append((sp, OrbitLabel(half_cycle=h, family=family,
                                        relevant=bool(relevant_mask[i]))))
     out.sort(key=lambda t: (t[0].ti.real, t[0].tr.real))
@@ -95,9 +95,9 @@ def classify(p: FieldParams, saddles, relevant_mask=None):
 class BranchHistory:
     """Branches tracked across harmonic order, with their close approaches.
 
-    ``assignment[q]`` lists the branch keys parallel to the saddle list of
-    order q; ``branches[key]`` is the q-sorted list of (q, SaddlePoint) of
-    one branch; ``approaches[(a, b)]`` is the (q_c, distance) of each pair
+    ``assignment[q]`` lists the branch keys parallel to the representatives
+    of order q; ``branches[key]`` is the q-sorted list of (q, representative)
+    of one branch; ``approaches[(a, b)]`` is the (q_c, distance) of each pair
     of branches, a < b in key order, whose :func:`closest_approach` lies
     within APPROACH_TOL_PERIODS, in the order the pairs were visited.
     """
@@ -108,13 +108,13 @@ class BranchHistory:
 
 
 def track_branches(per_q, period):
-    """Assign stable branch keys to saddles across harmonic orders.
+    """Assign stable branch keys to representatives across harmonic orders.
 
-    ``per_q`` maps order q to a saddle list (one fundamental period each).
-    Saddles at neighbouring orders are matched greedily by their distance
-    |d ti| + |d tr|; unmatched saddles open new branches.  Each pair of
-    branches is then searched once for its closest approach.  Returns the
-    :class:`BranchHistory`.
+    ``per_q`` maps order q to its representatives.  Those at neighbouring
+    orders are matched greedily by their distance modulo T/2, so an orbit
+    whose Re(ti) leaves [0, T/2) stays one branch; unmatched ones open new
+    branches.  Each pair of branches is then searched once for its closest
+    approach.  Returns the :class:`BranchHistory`.
     """
     qs = sorted(per_q)
     tol = MATCH_TOL_PERIODS * period
@@ -125,7 +125,7 @@ def track_branches(per_q, period):
     for q in qs:
         sads = per_q[q]
         keys = [None] * len(sads)
-        pairs = sorted((abs(sp.ti - ref.ti) + abs(sp.tr - ref.tr), i, k)
+        pairs = sorted((_fold_distance(sp, ref, period)[1], i, k)
                        for i, sp in enumerate(sads)
                        for k, ref in enumerate(prev_sads))
         used_i, used_k = set(), set()
@@ -143,29 +143,35 @@ def track_branches(per_q, period):
         for sp, key in zip(sads, keys):
             history.setdefault(key, []).append((q, sp))
         prev_keys, prev_sads = keys, sads
-    for key in history:
-        history[key].sort(key=lambda t: t[0])
     approaches = {}
     for a, b in combinations(history, 2):
-        hit = closest_approach(history[a], history[b])
+        hit = closest_approach(history[a], history[b], period)
         if hit is not None and hit[1] <= APPROACH_TOL_PERIODS * period:
             approaches[(a, b)] = hit
     return BranchHistory(assignment=assignment, branches=history,
                          approaches=approaches)
 
 
-def closest_approach(entry_a, entry_b):
-    """Global minimum of |ti_a - ti_b| over the common q support, if interior.
+def _fold_distance(a, b, period):
+    """(|d ti - s|, |d ti - s| + |d tr - s|), d = a - b and s the multiple of
+    T/2 nearest Re(d ti): how far saddles a and b lie apart modulo T/2."""
+    half = 0.5 * period
+    s = half * np.round((a.ti - b.ti).real / half)
+    d_ti = abs(a.ti - b.ti - s)
+    return d_ti, d_ti + abs(a.tr - b.tr - s)
+
+
+def closest_approach(entry_a, entry_b, period):
+    """Global minimum of |ti_a - ti_b| modulo T/2 over the common q, if interior.
 
     Returns (q_c, distance), or None when the support has under three orders
     or the global minimum lies at an end, even beside an interior local one.
     """
-    qa = {qq: sp for qq, sp in entry_a}
-    qb = {qq: sp for qq, sp in entry_b}
+    qa, qb = dict(entry_a), dict(entry_b)
     common = sorted(set(qa) & set(qb))
     if len(common) < 3:
         return None
-    dist = np.array([abs(qa[qq].ti - qb[qq].ti) for qq in common])
+    dist = np.array([_fold_distance(qa[qq], qb[qq], period)[0] for qq in common])
     k = int(np.argmin(dist))
     if k == 0 or k == len(common) - 1:
         return None
@@ -176,11 +182,11 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
                    history=None, audit=None):
     """Per-saddle relevance decisions (True = include in the dipole sum).
 
-    The pipelines pass the representatives of :func:`.saddle.solve_cycle`
-    and give each partner its representative's flag, so half-cycle partners
-    agree by construction and each discard is audited once.  With the
-    :class:`BranchHistory` of :func:`track_branches`, whose order q lists
-    ``saddles`` first, over at least MIN_BRANCH_SUPPORT orders, the
+    ``saddles`` are the representatives of one half-cycle;
+    :func:`classify` gives each partner its representative's flag, so
+    half-cycle partners agree by construction and each discard is audited
+    once.  With the :class:`BranchHistory` of :func:`track_branches`, whose
+    order q lists ``saddles``, over at least MIN_BRANCH_SUPPORT orders, the
     branch-support rule and the short/long closest-approach rule also apply.
     The growth slope needs no solve on either path: it is
     d ln|e^{iS}|/dq = -w Im(tr), exact at a saddle.

@@ -439,6 +439,23 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith(f"error: {key}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, got", [("flag", "nan"), ("config", "'inf'")])
+    def test_non_finite_wavelength_names_its_key_once(self, source, got, tmp_path,
+                                                      capsys):
+        # the wavelength's own check comes before the unit conversion, whose
+        # errors carry the key as well
+        out = tmp_path / "out"
+        if source == "flag":
+            args = ["spectrum", "--lambda-nm", "nan"]
+        else:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text("[run]\nlambda_nm = inf\n")
+            args = ["spectrum", "--config", cfg]
+        assert run([*args, "--outdir", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: lambda_nm: expected a finite number, got {got}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("ratio = 0.5\n", "File contains no section headers."),
         ("[run]\nratio = 0.5\nratio = 0.6\n", "option 'ratio' in section 'run' "

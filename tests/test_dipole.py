@@ -213,11 +213,11 @@ class TestSpectrum:
         # entry, not a traceback
         def solve_cycles(tgt, cases):
             t = 20.0 + 5.0j
-            return [saddle.with_partners(p, [SaddlePoint(
+            return [[SaddlePoint(
                 ti=t, tr=t + 30.0, ps=np.zeros(2, dtype=complex), action=0j,
                 q=float(q), residual=0.0,
                 hess=np.ones((2, 2), dtype=complex),
-                k_rec=np.ones(2, dtype=complex))]) for p, q in cases]
+                k_rec=np.ones(2, dtype=complex))] for p, q in cases]
 
         monkeypatch.setattr(dipole, "solve_cycles", solve_cycles)
         spec = spectrum(params, target, [20, 21])

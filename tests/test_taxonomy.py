@@ -12,42 +12,51 @@ from twocolor_hhg import (SaddlePoint, classify, dipole, find_cutoff,
 from twocolor_hhg.dipole import build_history
 from twocolor_hhg.saddle import solve_seeds
 
+# (phi, R) of five fields across the ratio range
+FIELDS = [(0.0, 0.12), (0.7, 0.06), (2.1, 0.18), (0.0, 1.0), (np.pi / 2, 0.5)]
+
+
+def representatives(p, tgt, q):
+    """The representatives of order q, as the pipelines carry them."""
+    return saddle.solve_cycles(tgt, [(p, q)])[0]
+
 
 class TestClassify:
     def test_empty(self, params):
         assert classify(params, []) == []
 
     def test_mono_short_long_per_half_cycle(self, mono, target):
-        sads = solve_cycle(mono, target, 21)
-        labelled = classify(mono, sads)
+        labelled = classify(mono, representatives(mono, target, 21))
         fams = sorted((lab.half_cycle, lab.family) for _, lab in labelled)
         assert fams == [(0, "long"), (0, "short"), (1, "long"), (1, "short")]
 
     def test_families_ordered_by_excursion(self, mono, target):
-        sads = solve_cycle(mono, target, 21)
         by_half = {}
-        for sp, lab in classify(mono, sads):
+        for sp, lab in classify(mono, representatives(mono, target, 21)):
             by_half.setdefault(lab.half_cycle, {})[lab.family] = sp.excursion
         for fams in by_half.values():
             assert fams["short"] < fams["long"]
 
     def test_branch_id_format(self, mono, target):
-        sads = solve_cycle(mono, target, 21)
-        ids = {lab.branch_id for _, lab in classify(mono, sads)}
+        ids = {lab.branch_id for _, lab in classify(mono, representatives(mono, target, 21))}
         assert ids == {"h0-short", "h0-long", "h1-short", "h1-long"}
 
     def test_output_sorted_like_input(self, params, target):
+        # the representatives come back as they were given, and the
+        # partners as solve_cycle builds them, both in solve_cycle's order
         sads = solve_cycle(params, target, 20)
-        labelled = classify(params, sads)
+        reps = sads[:len(sads) // 2]
+        labelled = classify(params, reps)
+        assert len(labelled) == len(sads)
         for sp, (sp2, _) in zip(sads, labelled):
-            assert sp is sp2
+            assert (sp2.ti, sp2.tr, sp2.action) == (sp.ti, sp.tr, sp.action)
+        assert all(sp is sp2 for sp, (sp2, _) in zip(reps, labelled))
 
     def test_irrelevant_saddles_keep_extra_numbering(self, params, target):
         # with a relevance mask, short/long go to relevant orbits only and
         # the rest get extra-k names starting past the reserved slots
-        sads = solve_cycle(params, target, 20)
-        mask = [False] * (len(sads) // 2)
-        labelled = classify(params, sads, relevant_mask=mask)
+        reps = representatives(params, target, 20)
+        labelled = classify(params, reps, relevant_mask=[False] * len(reps))
         for _, lab in labelled:
             assert lab.family.startswith("extra-")
             assert int(lab.family.split("-")[1]) >= 3
@@ -55,21 +64,43 @@ class TestClassify:
 
 class TestTrackBranches:
     def test_histories_are_continuous(self, mono, target):
-        per_q = {q: solve_cycle(mono, target, q) for q in range(19, 25)}
-        history = track_branches(per_q, mono.period)
-        for q, sads in per_q.items():
-            assert len(history.assignment[q]) == len(sads)
-        # the four principal branches persist through the whole window
+        per_q, history = build_history(mono, target, np.arange(19, 25))
+        for q, reps in per_q.items():
+            assert len(history.assignment[q]) == len(reps)
+        # the two principal branches (each with its partner) persist
+        # through the whole window
         spans = sorted(len(v) for v in history.branches.values())
-        assert spans[-4:] == [6, 6, 6, 6]
+        assert spans[-2:] == [6, 6]
 
     def test_branch_entries_move_slowly(self, mono, target):
-        per_q = {q: solve_cycle(mono, target, q) for q in range(19, 25)}
-        history = track_branches(per_q, mono.period)
+        # one unit step in q moves a branch by under 0.12 T modulo T/2
+        _, history = build_history(mono, target, np.arange(19, 25))
         for entries in history.branches.values():
             for (qa, a), (qb, b) in zip(entries, entries[1:]):
                 assert qb - qa == 1
-                assert abs(a.ti - b.ti) + abs(a.tr - b.tr) < 0.12 * mono.period
+                assert taxonomy._fold_distance(a, b, mono.period)[1] < 0.12 * mono.period
+
+    def test_history_holds_representatives_only(self, params, target):
+        # every entry lies in the first half-cycle: a branch is an orbit
+        # and its partner at once
+        half = 0.5 * params.period
+        for phi, ratio in FIELDS:
+            p = params.with_ratio(ratio).with_phi(phi)
+            _, history = build_history(p, target, np.arange(24, 30))
+            entries = [sp for branch in history.branches.values() for _, sp in branch]
+            assert entries
+            assert all(0.0 <= sp.ti.real < half for sp in entries)
+
+    def test_orbit_crossing_re_ti_zero_is_one_branch(self, params, target):
+        # at (pi/2, 0.5) the orbit ti = 0.33 + 18.1i at q = 30 crosses
+        # Re ti = 0 (= T) after q = 31; modulo T/2 its branch runs on as its
+        # partner's image over all nine orders
+        p = params.with_ratio(0.5).with_phi(np.pi / 2)
+        per_q, history = build_history(p, target, np.arange(30, 39))
+        (i,) = [i for i, sp in enumerate(per_q[30])
+                if abs(sp.ti - (0.33 + 18.1j)) < 0.05]
+        branch = history.branches[history.assignment[30][i]]
+        assert [q for q, _ in branch] == list(range(30, 39))
 
 
 class TestRelevance:
@@ -83,13 +114,14 @@ class TestRelevance:
         # check that past the cutoff the short continuation is dropped and
         # the long one kept (branch identity, not the degenerate post-cutoff
         # excursion ordering)
-        by_q = mono_orbits.by_q
+        by_q = {q: [(sp, lab) for sp, lab in labelled if lab.half_cycle == 0]
+                for q, labelled in mono_orbits.by_q.items()}
         assignment = track_branches(
-            {q: [sp for sp, _ in labelled] for q, labelled in by_q.items()},
+            {q: [sp for sp, _ in reps] for q, reps in by_q.items()},
             mono.period).assignment
         fam_key = {}
         for (sp, lab), key in zip(by_q[25], assignment[25]):
-            if lab.relevant and lab.half_cycle == 0:
+            if lab.relevant:
                 fam_key[lab.family] = key
         assert set(fam_key) == {"short", "long"}
         key_to_mask = {key: lab.relevant
@@ -148,9 +180,9 @@ class TestCloseApproaches:
             histories.append(track(per_q, period))
             return histories[-1]
 
-        def counted(entry_a, entry_b):
+        def counted(entry_a, entry_b, period):
             calls.append(1)
-            return closest(entry_a, entry_b)
+            return closest(entry_a, entry_b, period)
 
         monkeypatch.setattr(dipole, "track_branches", tracked)
         monkeypatch.setattr(taxonomy, "closest_approach", counted)
@@ -161,19 +193,24 @@ class TestCloseApproaches:
         assert history.approaches
         assert any("closest approach" in line for line in spec.audit)
 
+    PERIOD = 100.0      # far above every distance, so no pair is folded
+
     @staticmethod
     def two_branches(distances):
-        """Branch histories over q = 1, 2, ... whose ti lie ``distances`` apart."""
+        """Branch histories over q = 1, 2, ... whose ti (and tr) lie
+        ``distances`` apart."""
         qs = range(1, len(distances) + 1)
-        return ([(q, SimpleNamespace(ti=0j)) for q in qs],
-                [(q, SimpleNamespace(ti=complex(d))) for q, d in zip(qs, distances)])
+        return ([(q, SimpleNamespace(ti=0j, tr=0j)) for q in qs],
+                [(q, SimpleNamespace(ti=complex(d), tr=complex(d)))
+                 for q, d in zip(qs, distances)])
 
     @pytest.mark.parametrize("distances, hit", [
         ([0.5, 0.05, 0.5], (2, 0.05)),
         ([0.05, 0.5], None),                    # under three common orders
     ])
     def test_global_minimum_if_interior(self, distances, hit):
-        assert taxonomy.closest_approach(*self.two_branches(distances)) == hit
+        assert taxonomy.closest_approach(*self.two_branches(distances),
+                                         self.PERIOD) == hit
 
     @pytest.mark.xfail(strict=True, reason=(
         "closest_approach returns None when the global minimum of |d ti| "
@@ -181,7 +218,7 @@ class TestCloseApproaches:
         "minimum is missed (ROADMAP item 10)"))
     def test_interior_local_minimum(self):
         a, b = self.two_branches([0.01, 0.5, 0.05, 0.5, 0.6])
-        assert taxonomy.closest_approach(a, b) == (3, 0.05)
+        assert taxonomy.closest_approach(a, b, self.PERIOD) == (3, 0.05)
 
 
 class TestGrowthSlope:
@@ -236,6 +273,5 @@ class TestNoNewtonSolves:
     def test_with_history(self, params, target, monkeypatch):
         per_q, history = build_history(params, target, np.arange(20, 30))
         self._forbid_newton(monkeypatch)
-        n = len(per_q[24]) // 2
-        mask = relevance_mask(params, target, 24, per_q[24][:n], history=history)
+        mask = relevance_mask(params, target, 24, per_q[24], history=history)
         assert mask.any()

@@ -86,3 +86,28 @@ def test_the_dme_form_is_a_field_of_the_target_only():
                 if {"dme_form", "form"} & set(params):
                     takers.append(f"{path.name}:{node.name}")
     assert takers == []
+
+
+def test_the_partners_are_built_in_two_places():
+    # the pipelines carry the representatives of one half-cycle; classify
+    # builds each labelled period's partners and solve_cycle its public
+    # list, so no other function under src/ can build them again or drop them
+    callers = []
+
+    def visit(node, owner):
+        """Record each with_partners call under ``node`` as made by
+        ``owner``, the innermost function holding it."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "with_partners":
+                    callers.append(owner)
+            visit(child, owner)
+
+    for path in (ROOT / "src").rglob("*.py"):
+        visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    assert sorted(callers) == ["saddle.solve_cycle", "taxonomy.classify"]
