@@ -68,8 +68,8 @@ SETTINGS = (
     Setting("phi", float, 0.0, None, "relative phase (rad)"),
     Setting("species", str, "Ar", None, "target species (default Ar)"),
     Setting("ip", float, None, "positive", "ionisation potential (a.u.)"),
-    Setting("q_min", int, 12, None, "lowest order"),
-    Setting("q_max", int, 35, None, "highest order"),
+    Setting("q_min", int, 12, "positive", "lowest order"),
+    Setting("q_max", int, 35, "positive", "highest order"),
     Setting("n_phi", int, 64, None, "phase points per 2 pi"),
     Setting("dme_form", str, "paper", None,
             "dipole matrix element denominator form", DME_FORMS),
@@ -416,6 +416,8 @@ def _series_from_table(cols, path):
         raise UsageError(
             f"{path}: unrecognized columns {sorted(names)}; need phi or "
             "phi_or_angle, q, and Itotal or intensity")
+    if not cols["q"].size:
+        raise UsageError(f"{path}: no data rows under the header")
     for name in (phi_col, "q", val_col):
         if cols[name].dtype.kind != "f":
             raise UsageError(f"{path}: column {name} is not numeric")

@@ -26,8 +26,7 @@ import numpy as np
 from .field import FieldParams, SamplingError, TargetParams, _check_samples
 from .saddle import (BranchLostError, CoalescenceError, continue_branches,
                      solve_cycles)
-from .taxonomy import (MATCH_TOL_PERIODS, _fold_distance, amplitude, classify,
-                       relevance_mask)
+from .taxonomy import amplitude, classify, match_branches, relevance_mask
 from .dipole import PoleError, harmonic_dipole, intensity
 from .polarization import UndefinedEllipseError, decompose, signed_axes
 
@@ -93,18 +92,6 @@ class PhaseScan:
         if abs(self.qs[idx] - q) > 1e-9:
             raise KeyError(f"order {q} not in scan")
         return self.Itotal[idx]
-
-
-def _match_indices(prev_reps, reps, period):
-    """Index of each representative's predecessor in the previous cell (-1 if
-    new), matched modulo T/2 at a dense refresh: it folds a representative
-    that continuation carried out of [0, T/2) back onto its partner's times."""
-    out = np.full(len(reps), -1, dtype=int)
-    for i, sp in enumerate(reps):
-        d = [_fold_distance(sp, ref, period)[1] for ref in prev_reps]
-        if d and min(d) < MATCH_TOL_PERIODS * period:
-            out[i] = int(np.argmin(d))
-    return out
 
 
 def _scan_cell(p, tgt, q, reps, match, gaps, prev_reps=None, prev_banned=None):
@@ -219,7 +206,7 @@ def run_scan(p: FieldParams, tgt: TargetParams, q_list, n_phi):
         for j in range(half):
             phi = phis[j]
             if j % REFRESH_EVERY == 0:
-                match = _match_indices(prev_reps or [], reps[m, j], p.period)
+                match = match_branches(prev_reps or [], reps[m, j], p.period)
             else:
                 # each surviving branch is matched to the one it continues
                 match, lost = carried[m, j]

@@ -529,7 +529,7 @@ def solve_cycles(tgt: TargetParams, cases):
             # fold Re(ti) into [0, T/2): a shift by T/2 lands on the partner saddle
             shift = np.floor(ti_k.real / half) * half
             ti_k, tr_k = ti_k - shift, tr_k - shift
-            unique = _dedup(ti_k, tr_k, half)
+            unique = _dedup(ti_k, tr_k, p0.period)
             picked.append((k, ti_k[unique], tr_k[unique]))
         # the representatives of every case of the run, built together
         case_of = np.concatenate([np.full(a.size, k) for k, a, _ in picked])
@@ -543,23 +543,33 @@ def solve_cycles(tgt: TargetParams, cases):
     return out
 
 
+def _fold_distance(d_ti, d_tr, period):
+    """(|d_ti - s|, |d_ti - s| + |d_tr - s|), with s the multiple of T/2
+    nearest Re(d_ti): how far two saddles whose times differ by d_ti and
+    d_tr lie apart modulo T/2.  Scalars or arrays; each modulus is a hypot,
+    as Python's complex abs, so both give the same bits."""
+    half = 0.5 * period
+    s = half * np.round(np.real(d_ti) / half)
+    a, b = d_ti - s, d_tr - s
+    near = np.hypot(a.real, a.imag)
+    return near, near + np.hypot(b.real, b.imag)
+
+
 def _dedup(ti, tr, period):
     """Indices of the distinct (ti, tr) pairs, in acceptance order.
 
     Greedy in (Re ti, Re tr) order: the first surviving pair is accepted and
-    every pair within DEDUP_TOL of it, also after shifting both times by
-    +-``period``, is dropped; this repeats once per distinct pair.
+    every pair within DEDUP_TOL of it modulo T/2 (:func:`_fold_distance`,
+    ``period`` = T) is dropped; this repeats once per distinct pair.
     """
     order = np.lexsort((tr.real, ti.real))
     ti, tr = ti[order], tr[order]
-    shifts = np.array([-period, 0.0, period])[:, None]
     alive = np.ones(order.size, dtype=bool)
     keep = []
     while alive.any():
         k = int(np.argmax(alive))
         keep.append(order[k])
-        dist = np.abs(ti - ti[k] - shifts) + np.abs(tr - tr[k] - shifts)
-        alive &= ~(dist < DEDUP_TOL).any(axis=0)
+        alive &= ~(_fold_distance(ti - ti[k], tr - tr[k], period)[1] < DEDUP_TOL)
     return keep
 
 

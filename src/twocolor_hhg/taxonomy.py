@@ -25,12 +25,12 @@ tightest of these approaches.  Every discard is written to the audit log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
 from .field import FieldParams, TargetParams
-from .saddle import SaddlePoint, with_partners
+from .saddle import SaddlePoint, _fold_distance, with_partners
 
 EXTRA_AMPLITUDE_CUT = 1e-6
 GROWTH_LOG_SLOPE = np.log(2.0)   # per harmonic order
@@ -107,38 +107,43 @@ class BranchHistory:
     approaches: dict
 
 
+def match_branches(prev, reps, period):
+    """For each saddle of ``reps`` the index of its predecessor in ``prev``,
+    or -1: pairs are taken nearest first by their distance modulo T/2
+    (:func:`.saddle._fold_distance`), ties in (reps, prev) order, each saddle
+    once and within MATCH_TOL_PERIODS periods, so an orbit whose Re(ti)
+    leaves [0, T/2) keeps its predecessor."""
+    out = np.full(len(reps), -1, dtype=int)
+    a, b = (np.array([(sp.ti, sp.tr) for sp in sads], dtype=complex).reshape(-1, 2)
+            for sads in (reps, prev))
+    dist = _fold_distance(a[:, None, 0] - b[:, 0], a[:, None, 1] - b[:, 1], period)[1]
+    taken = set()
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        i, k = divmod(int(flat), len(prev))
+        if dist[i, k] > MATCH_TOL_PERIODS * period:
+            break
+        if out[i] < 0 and k not in taken:
+            out[i] = k
+            taken.add(k)
+    return out
+
+
 def track_branches(per_q, period):
     """Assign stable branch keys to representatives across harmonic orders.
 
     ``per_q`` maps order q to its representatives.  Those at neighbouring
-    orders are matched greedily by their distance modulo T/2, so an orbit
-    whose Re(ti) leaves [0, T/2) stays one branch; unmatched ones open new
+    orders are paired by :func:`match_branches`; unmatched ones open new
     branches.  Each pair of branches is then searched once for its closest
     approach.  Returns the :class:`BranchHistory`.
     """
-    qs = sorted(per_q)
-    tol = MATCH_TOL_PERIODS * period
     assignment = {}
     history = {}
     prev_keys, prev_sads = [], []
-    next_key = 0
-    for q in qs:
+    new_keys = count()
+    for q in sorted(per_q):
         sads = per_q[q]
-        keys = [None] * len(sads)
-        pairs = sorted((_fold_distance(sp, ref, period)[1], i, k)
-                       for i, sp in enumerate(sads)
-                       for k, ref in enumerate(prev_sads))
-        used_i, used_k = set(), set()
-        for d, i, k in pairs:
-            if d > tol or i in used_i or k in used_k:
-                continue
-            keys[i] = prev_keys[k]
-            used_i.add(i)
-            used_k.add(k)
-        for i in range(len(sads)):
-            if keys[i] is None:
-                keys[i] = next_key
-                next_key += 1
+        keys = [prev_keys[k] if k >= 0 else next(new_keys)
+                for k in match_branches(prev_sads, sads, period)]
         assignment[q] = keys
         for sp, key in zip(sads, keys):
             history.setdefault(key, []).append((q, sp))
@@ -152,15 +157,6 @@ def track_branches(per_q, period):
                          approaches=approaches)
 
 
-def _fold_distance(a, b, period):
-    """(|d ti - s|, |d ti - s| + |d tr - s|), d = a - b and s the multiple of
-    T/2 nearest Re(d ti): how far saddles a and b lie apart modulo T/2."""
-    half = 0.5 * period
-    s = half * np.round((a.ti - b.ti).real / half)
-    d_ti = abs(a.ti - b.ti - s)
-    return d_ti, d_ti + abs(a.tr - b.tr - s)
-
-
 def closest_approach(entry_a, entry_b, period):
     """Global minimum of |ti_a - ti_b| modulo T/2 over the common q, if interior.
 
@@ -171,7 +167,8 @@ def closest_approach(entry_a, entry_b, period):
     common = sorted(set(qa) & set(qb))
     if len(common) < 3:
         return None
-    dist = np.array([_fold_distance(qa[qq], qb[qq], period)[0] for qq in common])
+    d = np.array([(qa[qq].ti - qb[qq].ti, qa[qq].tr - qb[qq].tr) for qq in common])
+    dist = _fold_distance(d[:, 0], d[:, 1], period)[0]
     k = int(np.argmin(dist))
     if k == 0 or k == len(common) - 1:
         return None

@@ -456,6 +456,32 @@ class TestConfigValidation:
             f"error: lambda_nm: expected a finite number, got {got}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, q_min, q_max, key, got", [
+        ("spectrum", "-2", "1", "q_min", "-2"),
+        ("scan", "0", "21", "q_min", "0"),
+        ("saddles", "20", "0", "q_max", "0"),
+    ])
+    def test_orders_must_be_positive(self, command, q_min, q_max, key, got,
+                                     source, tmp_path, capsys, monkeypatch):
+        # an order of zero or below is refused before any solve or output,
+        # from its flag and from its config key alike
+        def no_solve(*args):
+            raise AssertionError("a saddle was solved")
+
+        monkeypatch.setattr(saddle, "_evaluate", no_solve)
+        out = tmp_path / "out"
+        if source == "flag":
+            args = [command, "--q-min", q_min, "--q-max", q_max]
+        else:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[run]\nq_min = {q_min}\nq_max = {q_max}\n")
+            args = [command, "--config", cfg]
+        assert run([*args, "--outdir", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key}: must be positive, got {got}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("ratio = 0.5\n", "File contains no section headers."),
         ("[run]\nratio = 0.5\nratio = 0.6\n", "option 'ratio' in section 'run' "
@@ -613,6 +639,16 @@ class TestFitInputErrors:
         data.write_text("\n".join(lines) + "\n")
         assert self.fit_fails(data, ref, tmp_path, capsys) == \
             f"error: {data}:4: 2 cells, the header has 3"
+
+    @pytest.mark.parametrize("empty", ["data", "reference"])
+    def test_header_without_rows(self, empty, tmp_path, capsys):
+        # a header with no data rows is refused, not fitted to an empty report
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        full = _phase_table(tmp_path / "full.csv", grid)
+        bare = _phase_table(tmp_path / "bare.csv", [])
+        data, ref = (bare, full) if empty == "data" else (full, bare)
+        assert self.fit_fails(data, ref, tmp_path, capsys) == \
+            f"error: {bare}: no data rows under the header"
 
     @pytest.mark.parametrize("missing", ["data", "reference"])
     def test_missing_input_file(self, missing, tmp_path, capsys):

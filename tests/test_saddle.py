@@ -15,8 +15,8 @@ from twocolor_hhg import (BranchLostError, CoalescenceError, NoConvergenceError,
 from twocolor_hhg import saddle
 from twocolor_hhg.field import FieldParams
 from twocolor_hhg.saddle import (DEDUP_TOL, RESIDUAL_TOL, _dedup, _evaluate,
-                                 _jacobian, _newton_batch, continue_branches,
-                                 seed_grid, solve_seeds)
+                                 _fold_distance, _jacobian, _newton_batch,
+                                 continue_branches, seed_grid, solve_seeds)
 
 from conftest import AR_IP, E1, OMEGA, assert_no_child_left, usable_cpus
 
@@ -619,7 +619,7 @@ class TestNewtonBatch:
             ok = conv & (ti.imag > 0) & (exc > DEDUP_TOL) & (exc <= tau_max)
             shift = np.floor(ti[ok].real / half) * half
             ti, tr = ti[ok] - shift, tr[ok] - shift
-            keep = _dedup(ti, tr, half)
+            keep = _dedup(ti, tr, p.period)
             return ti[keep], tr[keep]
 
         got = saddle_set(*_newton_batch(p, target, q, p.phi, seeds.ti, seeds.tr))
@@ -1037,6 +1037,22 @@ class TestSolveSeeds:
         assert solve_seeds(params, target, 20, params.phi, [], []) == []
 
 
+class TestFoldDistance:
+    def test_arrays_give_the_per_pair_bits(self):
+        # one modulus per pair, the same in the array path as for scalars
+        rng = np.random.default_rng(7)
+        period = 110.0
+        d_ti = (rng.uniform(-2, 2, 500) * period
+                + 1j * rng.uniform(-30, 30, 500)) * 10.0 ** rng.integers(-9, 1, 500)
+        d_tr = d_ti + rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        near, both = _fold_distance(d_ti, d_tr, period)
+        for k in range(d_ti.size):
+            for a, b in ((d_ti[k], d_tr[k]), (complex(d_ti[k]), complex(d_tr[k]))):
+                one = _fold_distance(a, b, period)
+                assert np.float64(one[0]).tobytes() == near[k].tobytes()
+                assert np.float64(one[1]).tobytes() == both[k].tobytes()
+
+
 def greedy_dedup(ti, tr, period):
     """Reference: accept pairs one at a time against all accepted so far."""
     accepted = []
@@ -1064,7 +1080,7 @@ class TestDedup:
         tr = np.concatenate([base_tr, base_tr[pick] + jitter[1] + shift])
         perm = rng.permutation(ti.size)
         ti, tr = ti[perm], tr[perm]
-        got = _dedup(ti, tr, period)
+        got = _dedup(ti, tr, 2 * period)
         assert list(got) == greedy_dedup(ti, tr, period)
         assert len(got) == 12
 
@@ -1073,7 +1089,7 @@ class TestDedup:
         ti = np.array([1.0, 1.0 + 0.6 * DEDUP_TOL, 1.0 + 1.2 * DEDUP_TOL,
                        1.0 + 2.5 * DEDUP_TOL]) + 2j
         tr = np.full(ti.shape, 51.0 + 2j)
-        got = _dedup(ti, tr, 110.0)
+        got = _dedup(ti, tr, 220.0)
         assert list(got) == greedy_dedup(ti, tr, 110.0)
         # the second pair is a duplicate of the first; the third is kept,
         # since it is compared with accepted pairs only
@@ -1081,6 +1097,14 @@ class TestDedup:
 
     def test_empty(self):
         assert list(_dedup(np.empty(0, complex), np.empty(0, complex), 1.0)) == []
+
+    def test_half_cycle_images_merge(self):
+        # a pair T/2 on in both times is the same orbit; one T/2 on in ti
+        # only is not
+        period = 220.0
+        ti = np.array([10.0 + 5j, 10.0 + 0.5 * period + 5j])
+        assert list(_dedup(ti, ti + 60.0 - 1j, period)) == [0]
+        assert list(_dedup(ti, np.full(2, 70.0 - 1j), period)) == [0, 1]
 
 
 def reference_continuation(p, tgt, q, sp, to_value, max_halvings=10):

@@ -78,7 +78,8 @@ class TestTrackBranches:
         for entries in history.branches.values():
             for (qa, a), (qb, b) in zip(entries, entries[1:]):
                 assert qb - qa == 1
-                assert taxonomy._fold_distance(a, b, mono.period)[1] < 0.12 * mono.period
+                dist = saddle._fold_distance(a.ti - b.ti, a.tr - b.tr, mono.period)[1]
+                assert dist < 0.12 * mono.period
 
     def test_history_holds_representatives_only(self, params, target):
         # every entry lies in the first half-cycle: a branch is an orbit
@@ -101,6 +102,48 @@ class TestTrackBranches:
                 if abs(sp.ti - (0.33 + 18.1j)) < 0.05]
         branch = history.branches[history.assignment[30][i]]
         assert [q for q, _ in branch] == list(range(30, 39))
+
+
+class TestMatchBranches:
+    PERIOD = 100.0
+    TOL = taxonomy.MATCH_TOL_PERIODS * PERIOD
+
+    @staticmethod
+    def stubs(*tis, excursion=40.0):
+        """Stub saddles at the given ti, each returning ``excursion`` later."""
+        return [SimpleNamespace(ti=complex(ti), tr=complex(ti) + excursion)
+                for ti in tis]
+
+    def match(self, prev, reps):
+        return taxonomy.match_branches(prev, reps, self.PERIOD).tolist()
+
+    def test_nearer_representative_takes_a_shared_predecessor(self):
+        # both lie nearest the predecessor at 10; the nearer one takes it and
+        # the other its next candidate within tolerance (distances count
+        # d ti and d tr, here twice |d ti|)
+        prev = self.stubs(10 + 5j, 14 + 5j)
+        assert self.match(prev, self.stubs(10.5 + 5j, 10.2 + 5j)) == [1, 0]
+        # ... or no predecessor when none is left within tolerance
+        assert self.match(prev[:1], self.stubs(10.5 + 5j, 10.2 + 5j)) == [-1, 0]
+
+    def test_tolerance_is_inclusive(self):
+        prev = self.stubs(0j, excursion=0.0)
+        at = [SimpleNamespace(ti=complex(self.TOL / 2), tr=complex(self.TOL / 2))]
+        past = np.nextafter(self.TOL / 2, np.inf)
+        beyond = [SimpleNamespace(ti=complex(past), tr=complex(past))]
+        assert self.match(prev, at) == [0]
+        assert self.match(prev, beyond) == [-1]
+
+    def test_matches_modulo_half_a_period(self):
+        half = 0.5 * self.PERIOD
+        prev = self.stubs(10 + 5j)
+        # the partner image T/2 on
+        assert self.match(prev, self.stubs(10.1 + half + 5j)) == [0]
+        # a pair on either side of Re ti = 0, and the first-half-cycle image
+        # of the one below it
+        prev = self.stubs(0.2 + 5j)
+        assert self.match(prev, self.stubs(-0.3 + 5j)) == [0]
+        assert self.match(prev, self.stubs(half - 0.3 + 5j)) == [0]
 
 
 class TestRelevance:

@@ -1,8 +1,9 @@
 """Repository tooling: the CI install step and Python version, the
-package's test extra, its runtime dependencies and the checked-in golden
-fixtures."""
+package's test extra, its runtime dependencies, version and console scripts,
+the checked-in golden fixtures, and structural rules on src/."""
 
 import ast
+import importlib
 import re
 import sys
 import tomllib
@@ -88,26 +89,75 @@ def test_the_dme_form_is_a_field_of_the_target_only():
     assert takers == []
 
 
-def test_the_partners_are_built_in_two_places():
-    # the pipelines carry the representatives of one half-cycle; classify
-    # builds each labelled period's partners and solve_cycle its public
-    # list, so no other function under src/ can build them again or drop them
-    callers = []
+def owners(hit):
+    """The owner of each node under src/ for which ``hit(node)`` holds: the
+    innermost function holding it, as 'module.function' (a method counts as
+    a function of its module), or 'module.<module>'; sorted."""
+    found = []
 
     def visit(node, owner):
-        """Record each with_partners call under ``node`` as made by
-        ``owner``, the innermost function holding it."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{owner.split('.')[0]}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "with_partners":
-                    callers.append(owner)
+            if hit(child):
+                found.append(owner)
             visit(child, owner)
 
     for path in (ROOT / "src").rglob("*.py"):
         visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
-    assert sorted(callers) == ["saddle.solve_cycle", "taxonomy.classify"]
+    return sorted(found)
+
+
+def calls(name):
+    """A node test: a call of ``name``, plain or as an attribute."""
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)) == name
+    return hit
+
+
+def test_the_partners_are_built_in_two_places():
+    # the pipelines carry the representatives of one half-cycle; classify
+    # builds each labelled period's partners and solve_cycle its public
+    # list, so no other function under src/ can build them again or drop them
+    assert owners(calls("with_partners")) == ["saddle.solve_cycle",
+                                              "taxonomy.classify"]
+
+
+def test_one_test_for_the_same_orbit_modulo_half_a_period():
+    # dedup, branch tracking, the scan's refresh matching and the closest
+    # approach all measure through one fold metric, and only match_branches
+    # reads the matching tolerance, so there is one matching rule
+    defs = [path.stem for path in (ROOT / "src").rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "_fold_distance"]
+    assert defs == ["saddle"]
+    assert owners(calls("_fold_distance")) == [
+        "saddle._dedup", "taxonomy.closest_approach", "taxonomy.match_branches"]
+
+    def reads_tolerance(node):
+        return (isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and "MATCH_TOL_PERIODS" in (getattr(node, "id", None),
+                                            getattr(node, "attr", None)))
+
+    assert owners(reads_tolerance) == ["taxonomy.match_branches"]
+    assert owners(calls("match_branches")) == ["phasescan.run_scan",
+                                               "taxonomy.track_branches"]
+
+
+def test_the_version_and_console_scripts_resolve():
+    # the package reports the version it is installed as, and each console
+    # script names a callable that imports
+    import twocolor_hhg
+
+    assert twocolor_hhg.__version__ == PROJECT["version"]
+    assert PROJECT["scripts"]
+    for name, target in PROJECT["scripts"].items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
