@@ -241,14 +241,16 @@ def write_table(path, echo, columns, rows, extra_meta=None):
 def read_table(path):
     """Read back an emitted CSV: (metadata lines, column dict of arrays).
 
-    A row whose cell count differs from the header's is a UsageError naming
-    the file and line.
+    A file that is not UTF-8, or a row whose cell count differs from the
+    header's, is a UsageError naming the file (and line).
     """
     meta, header, data = [], None, []
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             meta.append(line)

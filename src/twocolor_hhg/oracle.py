@@ -22,7 +22,7 @@ and each order is then a Fourier coefficient over tr.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,13 +108,14 @@ def _tau_sums(p, tgt, cfg, weight=None):
     g has shape (2, n_tr): the tau sum of d(p_s + A(tr)) * Y * spread *
     e^{i S0} * dt, each term times ``weight`` (one per tau) when given, with
     S0 the action without the q w tr term.  The tr rows are split into
-    k = min(usable CPUs, rows) contiguous ranges; threads sum ranges 1..k-1,
-    which run together since numpy's ufuncs release the interpreter lock, and
-    this thread range 0, each building whole rows in blocks that together
-    hold at most BLOCK_POINTS points.  Every term is elementwise and each row
-    sums the same contiguous tau terms, so g depends on neither the block nor
-    k.  Every thread is joined before this returns; a range that raised
-    re-raises here, the lowest first.
+    k = min(usable CPUs, rows) contiguous ranges; an executor's k - 1 worker
+    threads sum ranges 1..k-1, which run together since numpy's ufuncs
+    release the interpreter lock, and this thread range 0, each building
+    whole rows in blocks that together hold at most BLOCK_POINTS points.
+    Every term is elementwise and each row sums the same contiguous tau
+    terms, so g depends on neither the block nor k.  Leaving the executor
+    joins every worker; the ranges' errors are then raised in range order,
+    so the lowest range that raised wins.  With one range no thread starts.
     """
     dt = cfg.dt(p)
     tr, tau = _grid(p, cfg)
@@ -123,41 +124,31 @@ def _tau_sums(p, tgt, cfg, weight=None):
     sr1, sr2 = np.sin(x1), np.sin(x2)
     a_tr = np.stack(_apot(p, np.cos(x1), np.cos(x2)))
     fr = _apot_sq_antideriv(p, tr[:, None])
-    spread = (2.0 * np.pi / (1j * (tau + 1j * cfg.eps))) ** 1.5
+    y_spread = (ionisation_amplitude(tgt)
+                * (2.0 * np.pi / (1j * (tau + 1j * cfg.eps))) ** 1.5)
     g = np.empty((2, tr.size), dtype=complex)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = min(cpus, tr.size)
     n_rows = max(1, BLOCK_POINTS // (k * tau.size))
     edges = [tr.size * w // k for w in range(k + 1)]
-    errors = [None] * k
 
     def sum_rows(w):
-        try:
-            for start in range(edges[w], edges[w + 1], n_rows):
-                b = slice(start, min(start + n_rows, edges[w + 1]))
-                ps = np.stack(_apot_integral(p, si1[b], si2[b], sr1[b], sr2[b])) / -tau
-                d_rec = dme(ps + a_tr[:, b], tgt)
-                ps2 = (ps * ps).sum(axis=0)
-                s0 = -tgt.Ip * tau + 0.5 * ps2 * tau - 0.5 * (fr[b] - fi[b])
-                terms = d_rec * (ionisation_amplitude(tgt) * spread * np.exp(1j * s0)) * dt
-                if weight is not None:
-                    terms = terms * weight
-                g[:, b] = terms.sum(axis=-1)
-        except BaseException as exc:
-            errors[w] = exc
+        for start in range(edges[w], edges[w + 1], n_rows):
+            b = slice(start, min(start + n_rows, edges[w + 1]))
+            ps = np.stack(_apot_integral(p, si1[b], si2[b], sr1[b], sr2[b])) / -tau
+            d_rec = dme(ps + a_tr[:, b], tgt)
+            ps2 = (ps * ps).sum(axis=0)
+            s0 = -tgt.Ip * tau + 0.5 * ps2 * tau - 0.5 * (fr[b] - fi[b])
+            terms = d_rec * (y_spread * np.exp(1j * s0)) * dt
+            if weight is not None:
+                terms = terms * weight
+            g[:, b] = terms.sum(axis=-1)
 
-    threads = [threading.Thread(target=sum_rows, args=(w,)) for w in range(1, k)]
-    try:
-        for t in threads:
-            t.start()
+    with ThreadPoolExecutor(max(1, k - 1)) as pool:
+        ranges = [pool.submit(sum_rows, w) for w in range(1, k)]
         sum_rows(0)
-    finally:
-        for t in threads:
-            if t.is_alive():
-                t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    for r in ranges:
+        r.result()
     return tr, g
 
 

@@ -8,9 +8,11 @@ takes its representative's family and flag, in the other half-cycle.
 
 Relevance is decided in two tiers.  Tier (a) judges each saddle alone:
 Im(ti) of at least IM_TI_FLOOR Keldysh times, |e^{iS}| <= 1 (no exponential
-growth), and an amplitude that does not grow faster than a factor 2 per
-harmonic order, the signature of the anti-Stokes partner of a physical
-orbit; extra families also face an amplitude floor.  The growth slope is
+growth), an excursion of at most TAU_MAX_PERIODS periods (the single-return
+scope of the dense solve, which continuation alone does not keep), and an
+amplitude that does not grow faster than a factor 2 per harmonic order, the
+signature of the anti-Stokes partner of a physical orbit; extra families
+also face an amplitude floor.  The growth slope is
 exact: at a saddle dS/dti = dS/dtr = 0, so dS/dq is the explicit q w tr
 term and d ln|e^{iS}|/dq = -w Im(tr).
 Tier (b) reads the branch history of :func:`track_branches`, which tracks
@@ -30,7 +32,7 @@ from itertools import combinations, count
 import numpy as np
 
 from .field import FieldParams, TargetParams
-from .saddle import SaddlePoint, _fold_distance, with_partners
+from .saddle import TAU_MAX_PERIODS, SaddlePoint, _fold_distance, with_partners
 
 EXTRA_AMPLITUDE_CUT = 1e-6
 GROWTH_LOG_SLOPE = np.log(2.0)   # per harmonic order
@@ -207,6 +209,9 @@ def relevance_mask(p: FieldParams, tgt: TargetParams, q, saddles,
         elif sp.excursion < tau_floor:
             mask[i], reasons[i] = False, (
                 f"excursion {sp.excursion:.2f} below stationary-phase floor")
+        elif sp.excursion > TAU_MAX_PERIODS * p.period:
+            mask[i], reasons[i] = False, (
+                f"excursion {sp.excursion:.2f} beyond the single-return scope")
         elif sp.ti.imag < im_floor:
             mask[i], reasons[i] = False, (
                 f"Im(ti) = {sp.ti.imag:.2f} too shallow for a tunnelling orbit")

@@ -74,8 +74,9 @@ def mono_orbits(mono, target):
 
 
 def usable_cpus(mp, n):
-    """Let the forked Newton runs and the threaded oracle see ``n`` usable
-    CPUs."""
+    """Let the forked Newton runs and the oracle's executor see ``n`` usable
+    CPUs: the oracle sums one t_r range per CPU, range 0 in the calling
+    thread and the others on n - 1 worker threads."""
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 

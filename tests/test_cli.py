@@ -650,6 +650,18 @@ class TestFitInputErrors:
         assert self.fit_fails(data, ref, tmp_path, capsys) == \
             f"error: {bare}: no data rows under the header"
 
+    @pytest.mark.parametrize("bad", ["data", "reference"])
+    def test_file_that_is_not_utf8(self, bad, tmp_path, capsys):
+        grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        good = _phase_table(tmp_path / "good.csv", grid)
+        broken = _phase_table(tmp_path / "broken.csv", grid)
+        text = broken.read_bytes()
+        broken.write_bytes(text[:40] + b"\xff" + text[40:])
+        data, ref = (broken, good) if bad == "data" else (good, broken)
+        assert self.fit_fails(data, ref, tmp_path, capsys) == (
+            f"error: {broken}: 'utf-8' codec can't decode byte 0xff in "
+            f"position 40: invalid start byte")
+
     @pytest.mark.parametrize("missing", ["data", "reference"])
     def test_missing_input_file(self, missing, tmp_path, capsys):
         grid = np.linspace(0, 2 * np.pi, 16, endpoint=False)

@@ -283,6 +283,25 @@ class TestThreads:
             windowed_dipole(params, target, CFG, 20, (0.0, params.period))
         assert threading.active_count() == threads
 
+    def test_calling_thread_interrupt_joins_the_workers(self, params, target,
+                                                        monkeypatch):
+        # a BaseException that is not an Exception, raised in range 0 while
+        # the workers still sum theirs, leaves no worker behind
+        class Interrupt(BaseException):
+            pass
+
+        def interrupt(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raise Interrupt
+            return dme(*args, **kwargs)
+
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(oracle, "dme", interrupt)
+        threads = threading.active_count()
+        with pytest.raises(Interrupt):
+            direct_dipole(params, target, CFG, [20])
+        assert threading.active_count() == threads
+
     def test_rows_survive_frequent_thread_switches(self, params, target,
                                                    monkeypatch):
         # more threads than cores, switching every microsecond, each writing
@@ -306,7 +325,7 @@ class TestThreads:
             raise AssertionError("a thread was started")
 
         usable_cpus(monkeypatch, 1)
-        monkeypatch.setattr(oracle.threading, "Thread", refuse)
+        monkeypatch.setattr(threading, "Thread", refuse)
         direct_dipole(params, target, CFG, [20])
 
     def test_newton_run_still_forks_after_a_threaded_call(self, params, target,

@@ -6,12 +6,15 @@ import pytest
 from scipy.optimize import brentq
 
 from twocolor_hhg import (BranchLostError, ClassificationRefusedError,
-                          IllConditionedFitError, NoConvergenceError,
-                          NonFiniteSampleError, PoleError, SamplingError,
-                          align_shift, classify_modality, fourier_fit,
-                          harmonic_dipole, phasescan, run_scan)
+                          FieldParams, IllConditionedFitError,
+                          NoConvergenceError, NonFiniteSampleError, PoleError,
+                          SamplingError, align_shift, classify_modality,
+                          fourier_fit, harmonic_dipole, phasescan, run_scan)
 from twocolor_hhg.cli import main, read_table
+from twocolor_hhg.saddle import TAU_MAX_PERIODS
 from twocolor_hhg.taxonomy import amplitude
+
+from conftest import E1, OMEGA
 
 
 GRID64 = 2.0 * np.pi * np.arange(64) / 64
@@ -341,6 +344,23 @@ class TestRunScan:
                 assert partner.relevant == rep.relevant
                 assert partner.family == rep.family
                 assert partner.half_cycle == 1 - rep.half_cycle
+
+    def test_summed_orbits_stay_in_the_single_return_scope(self, target,
+                                                           monkeypatch):
+        # continuation does not apply the excursion cap that the dense solve
+        # does; at R = 1 the H14 cells summed 22 orbits beyond it
+        field = FieldParams.from_ratio(E1, OMEGA, 1.0, 0.0)
+        summed = []
+
+        def recording_dipole(p, tgt, q, labelled):
+            summed.extend(sp for sp, lab in labelled if lab.relevant)
+            return harmonic_dipole(p, tgt, q, labelled)
+
+        monkeypatch.setattr(phasescan, "harmonic_dipole", recording_dipole)
+        run_scan(field, target, [14], 32)
+        assert summed
+        cap = TAU_MAX_PERIODS * field.period
+        assert [sp for sp in summed if sp.excursion > cap] == []
 
     def test_comparable_intensities_pair_every_branch(self, params, target):
         # at R = 1.0 continuation carries representatives out of [0, T/2);

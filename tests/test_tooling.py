@@ -151,6 +151,13 @@ def test_one_test_for_the_same_orbit_modulo_half_a_period():
                                                "taxonomy.track_branches"]
 
 
+def test_threads_come_from_an_executor_and_one_function_forks():
+    # the oracle's workers are a concurrent.futures executor's, joined when
+    # it is left; the one fork checks that no other thread is alive first
+    assert owners(calls("Thread")) == []
+    assert owners(calls("fork")) == ["saddle._forked_newton_batch"]
+
+
 def test_the_version_and_console_scripts_resolve():
     # the package reports the version it is installed as, and each console
     # script names a callable that imports
