@@ -222,8 +222,8 @@ def _jacobian(state):
 
 def _line_search(p, tgt, q, phi, ti, tr, dti, dtr, base, first, count):
     """Try the steps t + 2^-k d, k = first, ..., first + count - 1, of every
-    seed in one kernel call.  Returns per seed (k, norm, state column) of its
-    first trial with a norm below ``base``, else of its last, then the state."""
+    seed in one kernel call.  Returns per seed (k, norm, state column) of the
+    trial it accepts: its first with a norm below ``base``, else its last."""
     start = np.cumsum(count) - count
     of = np.repeat(np.arange(count.size), count)
     at = np.arange(of.size)
@@ -233,7 +233,7 @@ def _line_search(p, tgt, q, phi, ti, tr, dti, dtr, base, first, count):
                             tr[of] + scale * dtr[of])
     pick = np.minimum.reduceat(np.where(norm < base[of], at, (start + count - 1)[of]),
                                start)
-    return k[pick], norm[pick], pick, state
+    return k[pick], norm[pick], state[:, pick]
 
 
 def _newton_batch(p, tgt, q, phi, ti, tr):
@@ -245,10 +245,10 @@ def _newton_batch(p, tgt, q, phi, ti, tr):
     t + 2^-k d with the least k <= NEWTON_MAX_HALVINGS that lowers the
     residual max-norm; a seed with no such k stops.  Each seed's trials 1,
     1/2, ..., 2^-depth, where depth is the k of its last accepted step, go to
-    the kernel in one call; a seed still no better after them tries the next
-    1, 2, 4, ... halvings in further calls.  Each seed's iterates are those of
-    a solve of that seed alone with plain step halving: every trial point is
-    t + 2^-k d elementwise, and the first better trial is taken.
+    the kernel in one call; a seed still no better tries the next 1, 2, 4, ...
+    halvings in further calls, each writing its accepted state into the one
+    state array.  Each seed's iterates are those of a lone solve with plain
+    step halving: every trial is t + 2^-k d elementwise, the first better taken.
     """
     ti = np.array(ti, dtype=complex)
     tr = np.array(tr, dtype=complex)
@@ -283,18 +283,17 @@ def _newton_batch(p, tgt, q, phi, ti, tr):
             dtr = dtr * factor
         # step-halving line search on the residual max-norm: first the
         # predicted depth, then twice as many further halvings per round
-        halvings, trial, pick, trial_state = _line_search(
+        halvings, trial, state = _line_search(
             p, tgt, qa, pa, ti0, tr0, dti, dtr, base, 0, depth + 1)
-        later, count = [], 1
+        count = 1
         while True:
             worse = np.flatnonzero(~(trial < base) & (halvings < NEWTON_MAX_HALVINGS))
             if not worse.size:
                 break
-            halvings[worse], trial[worse], *found = _line_search(
+            halvings[worse], trial[worse], state[:, worse] = _line_search(
                 p, tgt, qa[worse], pa[worse], ti0[worse], tr0[worse], dti[worse],
                 dtr[worse], base[worse], halvings[worse] + 1,
                 np.minimum(count, NEWTON_MAX_HALVINGS - halvings[worse]))
-            later.append((worse, *found))
             count *= 2
         improved = trial < base
         scale = np.ldexp(1.0, -halvings[improved])
@@ -308,12 +307,7 @@ def _newton_batch(p, tgt, q, phi, ti, tr):
         ti[done], tr[done], rn[done], converged[done] = (
             ti0[stop], tr0[stop], base[stop], improved[stop])
         at, ti0, tr0, qa, pa, base = (a[going] for a in (at, ti0, tr0, qa, pa, base))
-        # each going seed's state: its pick in the last round that tried it
-        state, depth = trial_state[:, pick[going]], halvings[going]
-        rank = np.cumsum(going) - 1
-        for worse, pick, trial_state in later:
-            on = going[worse]
-            state[:, rank[worse[on]]] = trial_state[:, pick[on]]
+        state, depth = state[:, going], halvings[going]
     ti[at], tr[at], rn[at] = ti0, tr0, base
     return ti, tr, rn, converged
 

@@ -673,6 +673,52 @@ class TestNewtonBatch:
         points, work = self.kernel_work(params, target, monkeypatch, q)
         assert len(points) <= 0.5 * work["rounds"]
 
+    @pytest.fixture(scope="class")
+    def first_step(self, params, target):
+        """The inputs of a dense seed grid's first line search, copied as
+        _newton_batch computed them: (p, tgt, q, phi, ti, tr, dti, dtr, base)."""
+        search, seen = saddle._line_search, []
+
+        def recorded(*args):
+            seen.append([np.copy(a) if isinstance(a, np.ndarray) else a
+                         for a in args[:9]])
+            return search(*args)
+
+        seeds = seed_grid(params, target)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saddle, "_line_search", recorded)
+            mp.setattr(saddle, "NEWTON_MAX_ITER", 1)
+            _newton_batch(params, target, 24, params.phi, seeds.ti, seeds.tr)
+        return seen[0]
+
+    @pytest.mark.parametrize("window", ["predicted depth", "further halvings"])
+    def test_line_search_returns_each_seeds_accepted_state(self, first_step,
+                                                           window):
+        # per seed, the k of the window's first trial below base (else of its
+        # last), and that trial's norm and state as _evaluate builds them alone
+        p, tgt, q, phi, ti, tr, dti, dtr, base = first_step
+        mix = np.arange(ti.size)
+        if window == "predicted depth":
+            first, count = np.zeros_like(mix), mix % 5 + 1
+        else:
+            first, count = mix % 4 + 1, mix % 3 + 1
+        k, norm, state = saddle._line_search(p, tgt, q, phi, ti, tr, dti, dtr,
+                                             base, first, count)
+        trials = [_evaluate(p, tgt, q, phi, ti + np.ldexp(1.0, -j) * dti,
+                            tr + np.ldexp(1.0, -j) * dtr)[0]
+                  for j in first + np.arange(count.max())[:, None]]
+        better = (np.array(trials) < base) & (np.arange(count.max())[:, None] < count)
+        hit = better.any(axis=0)
+        assert hit.any() and not hit.all()
+        assert np.array_equal(k, np.where(hit, first + better.argmax(axis=0),
+                                          first + count - 1))
+        scale = np.ldexp(1.0, -k)
+        want_norm, want_state = _evaluate(p, tgt, q, phi, ti + scale * dti,
+                                          tr + scale * dtr)
+        assert norm.tobytes() == want_norm.tobytes()
+        assert state.shape == want_state.shape
+        assert state.tobytes() == want_state.tobytes()
+
 
 class TestSolveCycles:
     # a 6-order band and its 3-order pad: one branch history of spectrum

@@ -158,6 +158,17 @@ def test_threads_come_from_an_executor_and_one_function_forks():
     assert owners(calls("fork")) == ["saddle._forked_newton_batch"]
 
 
+def test_newton_runs_and_trial_points_have_one_path_each():
+    # only the dense runs of solve_cycles fork; continuation batches stay
+    # serial; and a trial point reaches the kernel only through the line
+    # search (run is _forked_newton_batch's per-slice helper)
+    assert owners(calls("_forked_newton_batch")) == ["saddle.solve_cycles"]
+    assert owners(calls("_newton_batch")) == ["saddle._forked_newton_batch",
+                                              "saddle.run", "saddle.solve_seeds"]
+    assert owners(calls("_evaluate")) == ["saddle._line_search",
+                                          "saddle._newton_batch"]
+
+
 def test_the_version_and_console_scripts_resolve():
     # the package reports the version it is installed as, and each console
     # script names a callable that imports
