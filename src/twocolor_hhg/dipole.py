@@ -21,11 +21,11 @@ import numpy as np
 
 from .field import SPEED_OF_LIGHT, FieldParams, TargetParams, _check_samples
 from .saddle import CoalescenceError, SaddlePoint, solve_cycles
-from .taxonomy import OrbitLabel, classify, relevance_mask, track_branches
+from .taxonomy import (MIN_BRANCH_SUPPORT, OrbitLabel, classify, relevance_mask,
+                       track_branches)
 
 POLE_TOL = 1e-12
 COALESCENCE_DET = 1e-18
-HISTORY_PAD = 3
 
 
 class PoleError(ValueError):
@@ -154,16 +154,19 @@ def build_history(p: FieldParams, tgt: TargetParams, qs):
 
 
 def history_orders(qs):
-    """The orders whose branch histories judge relevance over ``qs``.
-
-    They run in unit steps from min(qs) to HISTORY_PAD orders beyond
-    max(qs), so the cutoff closest approach is visible from inside the range.
-    An order of ``qs`` off that grid raises ValueError, and an empty ``qs``
-    SamplingError.
+    """The orders whose branch histories judge relevance over ``qs``: unit
+    steps from min(qs) to MIN_BRANCH_SUPPORT - 1 orders beyond max(qs), as
+    far as the rules of :func:`.taxonomy.relevance_mask` look past the range.
+    A branch born at max(qs) needs that many more orders to show its support.
+    The pair rule drops a saddle only at q > q_c, so only a q_c <= max(qs) - 1
+    matters, and that closest approach is interior once both branches reach
+    max(qs); a further order could only move a pair's global minimum beyond
+    the range, which removes a drop within it and never adds one.  An order
+    of ``qs`` off that grid raises ValueError, and an empty ``qs`` SamplingError.
     """
     qs = np.asarray(sorted(qs), dtype=float)
     _check_samples(qs.size, 1, "orders")
-    orders = np.arange(qs[0], qs[-1] + HISTORY_PAD + 1.0)
+    orders = np.arange(qs[0], qs[-1] + MIN_BRANCH_SUPPORT)
     off = qs[~np.isin(qs, orders)]
     if off.size:
         raise ValueError(f"orders {off.tolist()} are off the unit grid "

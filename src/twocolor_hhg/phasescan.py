@@ -37,6 +37,7 @@ PERIODICITY_TOL = 1e-6
 PHI_GROWTH_FACTOR = 5.0    # max amplitude growth per phi step for a branch
 # the columns of each orbit's axis table in PhaseScan.orbit_axes
 AXES_COLUMNS = ("Mx", "My", "Nx", "Ny", "gamma", "ellipticity")
+_HARMONICS = (1, 2, 4)     # the model's harmonics of phi, the last one extended
 
 
 class IllConditionedFitError(ValueError):
@@ -68,10 +69,9 @@ class ModulationFit:
 
     def evaluate(self, phi):
         """Model value at phi (the stored alignment shift tau is applied)."""
-        x = np.asarray(phi, dtype=float) - self.tau
-        return (self.a0 + self.a1 * np.cos(x) + self.b1 * np.sin(x)
-                + self.a2 * np.cos(2 * x) + self.b2 * np.sin(2 * x)
-                + self.a4 * np.cos(4 * x) + self.b4 * np.sin(4 * x))
+        coef = (self.a0, self.a1, self.b1, self.a2, self.b2, self.a4, self.b4)
+        cols = np.moveaxis(_basis(np.asarray(phi, dtype=float) - self.tau), -1, 0)
+        return sum(c * col for c, col in zip(coef, cols))   # term by term, in order
 
 
 @dataclass(frozen=True)
@@ -239,12 +239,13 @@ def _pair_signs(tables):
                                                           part[good, :2]])
 
 
-def _design_matrix(phis, extended):
-    cols = [np.ones_like(phis), np.cos(phis), np.sin(phis),
-            np.cos(2 * phis), np.sin(2 * phis)]
-    if extended:
-        cols += [np.cos(4 * phis), np.sin(4 * phis)]
-    return np.column_stack(cols)
+def _basis(x, extended=True):
+    """The model's columns 1, cos kx, sin kx (k in _HARMONICS, the last one
+    only when ``extended``) at the phases ``x``, stacked on a last axis."""
+    cols = [np.ones_like(x)]
+    for k in _HARMONICS if extended else _HARMONICS[:-1]:
+        cols += [np.cos(k * x), np.sin(k * x)]
+    return np.stack(cols, axis=-1)
 
 
 def _lstsq_scaled(a, y):
@@ -286,7 +287,7 @@ def fourier_fit(series, phase_grid, extended=None):
     _check_samples(y.size, 8, "points")
 
     def solve(ext):
-        a = _design_matrix(phis, ext)
+        a = _basis(phis, ext)
         coef = _lstsq_scaled(a, y)
         rms = float(np.sqrt(np.mean((a @ coef - y) ** 2)))
         full = np.zeros(7)
@@ -304,14 +305,11 @@ def fourier_fit(series, phase_grid, extended=None):
     return fit
 
 
-def _best_shift(taus, ks, coef, y):
-    """The shift of ``taus`` whose model, the (tau x 7) basis of ``ks`` times
-    the (7 x phi) ``coef``, is nearest ``y`` in least squares (the first one
-    on a tie)."""
-    basis = np.ones((taus.size, 7))
-    basis[:, 1::2] = np.cos(taus[:, None] * ks)
-    basis[:, 2::2] = np.sin(taus[:, None] * ks)
-    resid = basis @ coef
+def _best_shift(taus, coef, y):
+    """The shift of ``taus`` whose model, the (tau x 7) basis times the
+    (7 x phi) ``coef``, is nearest ``y`` in least squares (the first one on
+    a tie)."""
+    resid = _basis(taus) @ coef
     resid -= y
     return taus[np.argmin(np.einsum("ij,ij->i", resid, resid))]
 
@@ -333,19 +331,19 @@ def align_shift(reference_fit: ModulationFit, measured, phase_grid):
         warnings.warn("constant reference fit: alignment shift is degenerate",
                       stacklevel=2)
         return 0.0
-    # f(phi - tau) = a0 + sum over k = 1, 2, 4 of cos(k tau) (a_k cos k phi +
+    # f(phi - tau) = a0 + sum over k of cos(k tau) (a_k cos k phi +
     # b_k sin k phi) + sin(k tau) (a_k sin k phi - b_k cos k phi): a
     # (tau x 7) basis times a (7 x phi) coefficient matrix
-    ks = np.array([1.0, 2.0, 4.0])
+    ks = np.array(_HARMONICS, dtype=float)
     a, b = osc[0::2, None], osc[1::2, None]
     cos_kphi, sin_kphi = np.cos(ks[:, None] * phis), np.sin(ks[:, None] * phis)
     coef = np.empty((7, phis.size))
     coef[0] = reference_fit.a0
     coef[1::2] = a * cos_kphi + b * sin_kphi
     coef[2::2] = a * sin_kphi - b * cos_kphi
-    tau = _best_shift(np.arange(0.0, 2.0 * np.pi, TAU_GRID_STEP), ks, coef, y)
+    tau = _best_shift(np.arange(0.0, 2.0 * np.pi, TAU_GRID_STEP), coef, y)
     for cell in (TAU_GRID_STEP, TAU_GRID_STEP / 1000):
-        center, tau = tau, _best_shift(tau + np.linspace(-cell, cell, 2001), ks, coef, y)
+        center, tau = tau, _best_shift(tau + np.linspace(-cell, cell, 2001), coef, y)
     # flat to round-off at the minimum: Newton on sum r dr/dtau inside the last
     # zoom cell, with the model coef[0] + Re sum_k e^{i k tau} wave_k
     wave = coef[1::2] - 1j * coef[2::2]

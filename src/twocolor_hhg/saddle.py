@@ -380,7 +380,8 @@ def solve_seeds(p: FieldParams, tgt: TargetParams, q, phi, seed_ti, seed_tr):
     ``q`` and the field phase ``phi`` are scalars or one per seed; the rest
     of each seed's field is ``p``'s.  All seeds go to one damped-Newton run
     and are judged seed by seed: a seed is accepted when tr != ti, the
-    iteration converged, Im(ti) >= 0 and the converged |tr - ti| >= 1e-14.
+    iteration converged and Im(ti) >= 0 (a converged point has
+    |tr - ti| >= 1e-12, since :func:`_evaluate` rejects a nearer one).
     The accepted points are built together (:func:`_points`), each on its
     seed's field, and each is bit-identical to the one a single-seed solve
     returns.
@@ -403,9 +404,6 @@ def solve_seeds(p: FieldParams, tgt: TargetParams, q, phi, seed_ti, seed_tr):
             out.append(NoConvergenceError(
                 f"seed ({seed_ti[k]}, {seed_tr[k]}) converged to an Im(ti) < 0 "
                 "conjugate solution"))
-        elif abs(tr[k] - ti[k]) < 1e-14:
-            out.append(CoalescenceError(
-                "tr and ti coincide; stationary momentum undefined"))
         else:
             out.append(None)
     acc = [k for k, res in enumerate(out) if res is None]

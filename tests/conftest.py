@@ -3,17 +3,19 @@
 800 nm fundamental at 1.5e14 W/cm^2 with an orthogonal second harmonic at
 intensity ratio R = 0.12, argon target.  All values in atomic units.  The
 labelled-orbit fixtures hold :func:`labelled_orbits` over an order range, so
-relevance is judged as in the spectrum, on the branch history padded by
-HISTORY_PAD orders beyond the range.
+relevance is judged as in the spectrum, on the branch history that runs
+MIN_BRANCH_SUPPORT - 1 orders beyond the range (:func:`history_orders`).
 """
 
+import dataclasses
 import os
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from twocolor_hhg import FieldParams, TargetParams, convert_units, labelled_orbits
+from twocolor_hhg import (FieldParams, SaddlePoint, TargetParams, convert_units,
+                          labelled_orbits)
 
 LAMBDA_NM = 800.0
 I1_WCM2 = 1.5e14
@@ -57,20 +59,27 @@ def relevant(labelled):
 
 @pytest.fixture(scope="session")
 def plateau_orbits(params, target):
-    """Reference field, q = 20..25 (branch history over 20..28)."""
+    """Reference field, q = 20..25 (branch history over 20..27)."""
     return labelled_run(params, target, np.arange(20, 26))
 
 
 @pytest.fixture(scope="session")
 def wide_orbits(params, target):
-    """Reference field, q = 16..26 (branch history over 16..29)."""
+    """Reference field, q = 16..26 (branch history over 16..28)."""
     return labelled_run(params, target, np.arange(16, 27))
 
 
 @pytest.fixture(scope="session")
 def mono_orbits(mono, target):
-    """Monochromatic field, q = 20..35 (branch history over 20..38)."""
+    """Monochromatic field, q = 20..35 (branch history over 20..37)."""
     return labelled_run(mono, target, np.arange(20, 36))
+
+
+def assert_identical_fields(a, b):
+    """Every SaddlePoint field of ``a`` and ``b`` holds the same bytes."""
+    for f in dataclasses.fields(SaddlePoint):
+        va, vb = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), f.name
 
 
 def usable_cpus(mp, n):

@@ -5,14 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twocolor_hhg import (HarmonicDipole, OracleConfig, PoleError, SaddlePoint,
-                          SamplingError, TargetParams, classify, contribution,
-                          direct_dipole, dme, harmonic_dipole, intensity,
-                          run_scan, solve_cycle, spectrum)
+from twocolor_hhg import (FieldParams, HarmonicDipole, OracleConfig, PoleError,
+                          SaddlePoint, SamplingError, TargetParams, classify,
+                          contribution, direct_dipole, dme, harmonic_dipole,
+                          intensity, labelled_orbits, relevance_mask, run_scan,
+                          solve_cycle, spectrum)
 from twocolor_hhg import dipole, saddle
-from twocolor_hhg.dipole import ionisation_amplitude
+from twocolor_hhg.dipole import build_history, history_orders, ionisation_amplitude
+from twocolor_hhg.taxonomy import MIN_BRANCH_SUPPORT
 
-from conftest import AR_IP
+from conftest import AR_IP, E1, OMEGA, assert_identical_fields
 
 
 class TestDme:
@@ -252,3 +254,52 @@ class TestSpectrum:
                         [20, 21])
         assert spec.Ix[0] < 1e-12 * spec.Iy[0]   # even: y-polarized
         assert spec.Iy[1] < 1e-12 * spec.Ix[1]   # odd: x-polarized
+
+
+class TestHistoryOrders:
+    """The branch history of an order range runs MIN_BRANCH_SUPPORT - 1
+    orders past it: as far as the relevance rules look."""
+
+    def test_ends_min_branch_support_minus_one_past_the_range(self):
+        assert MIN_BRANCH_SUPPORT == 3
+        assert history_orders([21, 20]).tolist() == [20.0, 21.0, 22.0, 23.0]
+
+    @pytest.mark.parametrize("field, qs", [
+        ((0.0, 0.12), range(12, 36)),
+        ((2.1, 0.18), range(12, 36)),
+        ((0.0, 1.0), range(12, 36)),
+        # a one-order history past q 23 judges q 23 differently
+        ((0.0, 0.5), range(20, 24)),
+    ], ids=["0-0.12", "2.1-0.18", "0-1.0", "0-0.5"])
+    def test_one_more_order_judges_no_orbit_differently(self, target, field, qs):
+        p = FieldParams.from_ratio(E1, OMEGA, field[1], field[0])
+        qs = np.asarray(qs, dtype=float)
+        per_q, history = build_history(
+            p, target, np.arange(qs[0], qs[-1] + MIN_BRANCH_SUPPORT + 1))
+        got = dict(labelled_orbits(p, target, qs))
+        assert list(got) == qs.tolist()
+        for q in qs:
+            mask = relevance_mask(p, target, q, per_q[q], history=history)
+            want = classify(p, per_q[q], relevant_mask=mask)
+            assert [lab for _, lab in got[q]] == [lab for _, lab in want], q
+            for (a, _), (b, _) in zip(got[q], want):
+                assert_identical_fields(a, b)
+
+
+class TestRangeDependence:
+    """The branch history starts at the lowest requested order, so the
+    support and pair rules can judge an order differently in a band than
+    in a wider range around it."""
+
+    @pytest.mark.parametrize("field", [
+        (0.0, 0.12),
+        (0.7, 0.06),
+        pytest.param((1.3, 0.3), marks=pytest.mark.xfail(strict=True, reason=(
+            "q 18-23 differ: the q 12..35 history drops the dominant orbits "
+            "past closest approaches at q_c = 13 and 14, below the band"))),
+    ], ids=["0-0.12", "0.7-0.06", "1.3-0.3"])
+    def test_band_equals_the_same_orders_of_a_wider_range(self, target, field):
+        p = FieldParams.from_ratio(E1, OMEGA, field[1], field[0])
+        band = spectrum(p, target, np.arange(18, 24))
+        full = spectrum(p, target, np.arange(12, 36))
+        np.testing.assert_allclose(band.Itotal, full.Itotal[6:12], rtol=1e-9, atol=0)

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from twocolor_hhg import (BranchLostError, ClassificationRefusedError,
-                          FieldParams, IllConditionedFitError,
+                          FieldParams, IllConditionedFitError, ModulationFit,
                           NoConvergenceError, NonFiniteSampleError, PoleError,
                           SamplingError, align_shift, classify_modality,
                           fourier_fit, harmonic_dipole, phasescan, run_scan)
@@ -47,6 +47,20 @@ class TestFourierFit:
         g = 2.0 * np.pi * np.arange(4) / 4
         with pytest.raises((ValueError, IllConditionedFitError)):
             fourier_fit(np.cos(g), g)
+
+    def test_one_basis_for_fit_and_evaluation(self):
+        # the five-term columns, the extended pair last, and the model summed
+        # term by term in the order it is written
+        x = GRID64 - 0.3
+        five = [np.ones_like(x), np.cos(x), np.sin(x), np.cos(2 * x), np.sin(2 * x)]
+        assert phasescan._basis(x, False).tobytes() == np.column_stack(five).tobytes()
+        assert phasescan._basis(x).tobytes() == np.column_stack(
+            five + [np.cos(4 * x), np.sin(4 * x)]).tobytes()
+        fit = ModulationFit(a0=1.0, a1=0.1, b1=-0.2, a2=0.3, b2=0.4, rms=0.0,
+                            a4=-0.5, b4=0.6, tau=0.3)
+        want = (1.0 + 0.1 * np.cos(x) - 0.2 * np.sin(x) + 0.3 * np.cos(2 * x)
+                + 0.4 * np.sin(2 * x) - 0.5 * np.cos(4 * x) + 0.6 * np.sin(4 * x))
+        assert fit.evaluate(GRID64).tobytes() == want.tobytes()
 
     def test_evaluate_applies_tau(self):
         from dataclasses import replace

@@ -1,6 +1,5 @@
 """Saddle-point solver: residuals, identities, continuation, Hessian."""
 
-import dataclasses
 import os
 
 import numpy as np
@@ -18,7 +17,8 @@ from twocolor_hhg.saddle import (DEDUP_TOL, RESIDUAL_TOL, _dedup, _evaluate,
                                  _fold_distance, _jacobian, _newton_batch,
                                  continue_branches, seed_grid, solve_seeds)
 
-from conftest import AR_IP, E1, OMEGA, assert_no_child_left, usable_cpus
+from conftest import (AR_IP, E1, OMEGA, assert_identical_fields, assert_no_child_left,
+                      usable_cpus)
 
 
 def classical_return(p, t0):
@@ -397,8 +397,9 @@ class TestKernel:
         assert rn.tobytes() == np.max(np.abs(res), axis=0).tobytes()
 
     def test_resnorm_infinite_at_bad_points(self, params, target):
-        ti = np.array([3.0 + 1j, 5.0 + 2000j, 5.0 + 20j])
-        tr = np.array([3.0 + 1j, 40.0 + 1j, 40.0 - 1500j])
+        # tr == ti, and within 1e-12 of it: no accepted point is that near
+        ti = np.array([3.0 + 1j, 20.0 + 3j, 5.0 + 2000j, 5.0 + 20j])
+        tr = np.array([3.0 + 1j, 20.0 + 3j + 5e-13, 40.0 + 1j, 40.0 - 1500j])
         assert np.isinf(_evaluate(params, target, 24.0, params.phi, ti, tr)[0]).all()
 
 
@@ -721,7 +722,7 @@ class TestNewtonBatch:
 
 
 class TestSolveCycles:
-    # a 6-order band and its 3-order pad: one branch history of spectrum
+    # nine orders: a 6-order band's branch history and one order more
     HISTORY = np.arange(24.0, 33.0)
 
     @pytest.fixture(scope="class", params=[(0.0, 0.12), (0.7, 0.06), (2.1, 0.18)])
@@ -961,13 +962,6 @@ class TestForkedNewtonBatch:
         monkeypatch.setattr(saddle.threading, "active_count", lambda: threads)
         usable_cpus(monkeypatch, cpus)
         assert all(saddle.solve_cycles(target, history_cases(0.0, 0.12)[:cases]))
-
-
-def assert_identical_fields(a, b):
-    """Every SaddlePoint field of ``a`` and ``b`` holds the same bytes."""
-    for f in dataclasses.fields(SaddlePoint):
-        va, vb = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
-        assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), f.name
 
 
 def assert_same_point(a, b):

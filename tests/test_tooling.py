@@ -120,6 +120,15 @@ def calls(name):
     return hit
 
 
+def reads(name):
+    """A node test: a load of ``name``, plain or as an attribute."""
+    def hit(node):
+        return (isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and name in (getattr(node, "id", None), getattr(node, "attr", None)))
+    return hit
+
+
 def test_the_partners_are_built_in_two_places():
     # the pipelines carry the representatives of one half-cycle; classify
     # builds each labelled period's partners and solve_cycle its public
@@ -139,16 +148,18 @@ def test_one_test_for_the_same_orbit_modulo_half_a_period():
     assert defs == ["saddle"]
     assert owners(calls("_fold_distance")) == [
         "saddle._dedup", "taxonomy.closest_approach", "taxonomy.match_branches"]
-
-    def reads_tolerance(node):
-        return (isinstance(node, (ast.Name, ast.Attribute))
-                and isinstance(node.ctx, ast.Load)
-                and "MATCH_TOL_PERIODS" in (getattr(node, "id", None),
-                                            getattr(node, "attr", None)))
-
-    assert owners(reads_tolerance) == ["taxonomy.match_branches"]
+    assert owners(reads("MATCH_TOL_PERIODS")) == ["taxonomy.match_branches"]
     assert owners(calls("match_branches")) == ["phasescan.run_scan",
                                                "taxonomy.track_branches"]
+
+
+def test_the_branch_support_rule_sets_the_history_pad():
+    # the branch history runs as far past the range as the support rule
+    # looks, so no constant of its own can drift from the rule
+    assert all("HISTORY_PAD" not in path.read_text()
+               for path in (ROOT / "src").rglob("*.py"))
+    assert set(owners(reads("MIN_BRANCH_SUPPORT"))) == {"dipole.history_orders",
+                                                        "taxonomy.relevance_mask"}
 
 
 def test_threads_come_from_an_executor_and_one_function_forks():
